@@ -10,11 +10,11 @@
 //	benchjson -compare old.json new.json # delta table; exit 1 on regression
 //	benchjson -in chip.gds -format auto  # benchmark an external layout
 //	benchjson -ingest                    # also measure ingest memory
-//	benchjson -workers 1 -shards 1       # pin the parallel topology
+//	benchjson -workers 1                 # pin the worker count
 //	benchjson -append -out BENCH_4.json  # add rows to an existing report
 //
-// Each design row records the GOMAXPROCS/workers/shards it was measured
-// under; -append merges new rows into an existing report so single- and
+// Each design row records the GOMAXPROCS/workers it was measured under;
+// -append merges new rows into an existing report so single- and
 // multi-core measurements of the same designs can live side by side.
 //
 // With -ingest each design's wire deck is round-tripped through GDSII
@@ -58,13 +58,13 @@ type DesignResult struct {
 	Score    float64 `json:"score"`
 	Fills    int     `json:"fills"`
 	GDSBytes int64   `json:"gds_bytes"`
-	// GOMAXPROCS, Workers and Shards record the parallelism the row was
-	// measured under, so rows from different topologies can coexist in
-	// one report (see -append). Zero Workers/Shards mean "one per core";
-	// absent fields mean the row predates this metadata.
+	// GOMAXPROCS and Workers record the parallelism the row was measured
+	// under, so rows from different topologies can coexist in one report
+	// (see -append). Zero Workers means "one per core"; absent fields
+	// mean the row predates this metadata. Older reports also carry keys
+	// of the since-removed row-band sharding, which loading ignores.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	Workers    int `json:"workers,omitempty"`
-	Shards     int `json:"shards,omitempty"`
 	// Mode, FillLib and Pad identify the fill mode the row was measured
 	// under. Empty Mode is the default continuous-rect mode; "site" rows
 	// additionally record the filler master library and the site padding,
@@ -73,15 +73,11 @@ type DesignResult struct {
 	Mode    string `json:"mode,omitempty"`
 	FillLib string `json:"fill_lib,omitempty"`
 	Pad     int    `json:"pad,omitempty"`
-	// DegradedWindows and PlanDivergence surface the two row-level
-	// robustness signals directly: windows that emitted unshrunk
-	// candidates (solver chain exhausted or budget expired), and the
-	// worst halo-local planning disagreement across shards (the error a
-	// fully distributed planner would have committed). Both are also in
-	// Health; they are promoted so comparisons and dashboards need not
-	// dig into the nested report.
-	DegradedWindows int     `json:"degraded_windows,omitempty"`
-	PlanDivergence  float64 `json:"plan_divergence,omitempty"`
+	// DegradedWindows surfaces the row-level robustness signal directly:
+	// windows that emitted unshrunk candidates (solver chain exhausted or
+	// budget expired). It is also in Health; it is promoted so
+	// comparisons and dashboards need not dig into the nested report.
+	DegradedWindows int `json:"degraded_windows,omitempty"`
 	// Eco marks incremental re-fill rows (-eco): "cold" is the run that
 	// populated the fill cache, "warm" the re-run on the perturbed layout
 	// replaying unchanged windows. EcoPct echoes the requested
@@ -98,12 +94,11 @@ type DesignResult struct {
 	Health *dummyfill.Health `json:"health,omitempty"`
 }
 
-// Comparison relates a run to its baseline counterpart. Workers/Shards
-// echo the measured row's topology so multi-row reports stay unambiguous.
+// Comparison relates a run to its baseline counterpart. Workers echoes
+// the measured row's topology so multi-row reports stay unambiguous.
 type Comparison struct {
 	Design       string  `json:"design"`
 	Workers      int     `json:"workers,omitempty"`
-	Shards       int     `json:"shards,omitempty"`
 	SpeedupX     float64 `json:"speedup_x"`
 	PeakMemRatio float64 `json:"peak_mem_ratio"`
 	QualityDelta float64 `json:"quality_delta"`
@@ -155,7 +150,6 @@ func main() {
 	ingestFlag := flag.Bool("ingest", false, "also measure GDSII ingest memory: materialized Library path vs streaming shape reader")
 	deadline := flag.Duration("deadline", 0, "soft per-design time budget: past it, remaining windows emit unshrunk candidates instead of failing (0 = unlimited)")
 	workers := flag.Int("workers", 0, "window-level parallelism (0 = all cores)")
-	shards := flag.Int("shards", 0, "row-band shards for hierarchical planning and emission (0 = one per core); output geometry is identical for every value")
 	mode := flag.String("mode", "rect", "fill mode: rect (continuous rectangles) or site (filler-cell placement; needs a design with rows, e.g. -designs row)")
 	pads := flag.String("pad", "0", "site-mode padding, or a comma-separated sweep (e.g. 0,1,2: one row per padding per design; ignored with -mode rect)")
 	appendFlag := flag.Bool("append", false, "append this run's design rows to an existing -out file instead of overwriting it (keeps its rows, refreshes baseline/speedup)")
@@ -300,7 +294,7 @@ func main() {
 		}
 		var cold DesignResult
 		for _, padV := range padList {
-			res, err := runLayout(ctx, name, lay, coeffs, *deadline, *workers, *shards, cache, *mode, padV)
+			res, err := runLayout(ctx, name, lay, coeffs, *deadline, *workers, cache, *mode, padV)
 			if err != nil {
 				fatal(err)
 			}
@@ -317,7 +311,7 @@ func main() {
 				fatal(err)
 			}
 			lay = nil // cold layout is no longer needed while the warm run is measured
-			warm, err := runLayout(ctx, name, ecoLay, coeffs, *deadline, *workers, *shards, cache, *mode, padList[0])
+			warm, err := runLayout(ctx, name, ecoLay, coeffs, *deadline, *workers, cache, *mode, padList[0])
 			if err != nil {
 				fatal(err)
 			}
@@ -358,7 +352,6 @@ func main() {
 					doc.Speedup = append(doc.Speedup, Comparison{
 						Design:       d.Design,
 						Workers:      d.Workers,
-						Shards:       d.Shards,
 						SpeedupX:     round3(b.WallSec / d.WallSec),
 						PeakMemRatio: round3(d.PeakMiB / b.PeakMiB),
 						QualityDelta: round4(d.Quality - b.Quality),
@@ -390,14 +383,27 @@ func modeLabel(m string) string {
 	return m
 }
 
-// rowKey identifies a design row for comparison: site-mode rows carry
-// their mode and padding in the key so a padding sweep yields distinct
-// comparable rows and rect/site rows never silently pair up.
+// rowKey identifies a design row for comparison. Besides the design it
+// carries every field that tells two rows of one report apart: site-mode
+// rows their mode and padding (so a padding sweep yields distinct rows
+// and rect/site rows never silently pair up), multi-topology reports
+// their GOMAXPROCS and worker count, and ECO reports the cold/warm run.
+// Fields a row leaves unset are left out of its key.
 func rowKey(d DesignResult) string {
-	if d.Mode == "" {
-		return d.Design
+	k := d.Design
+	if d.Mode != "" {
+		k += fmt.Sprintf("|%s|pad%d", d.Mode, d.Pad)
 	}
-	return fmt.Sprintf("%s|%s|pad%d", d.Design, d.Mode, d.Pad)
+	if d.GOMAXPROCS > 0 {
+		k += fmt.Sprintf("|procs%d", d.GOMAXPROCS)
+	}
+	if d.Workers > 0 {
+		k += fmt.Sprintf("|w%d", d.Workers)
+	}
+	if d.Eco != "" {
+		k += "|eco-" + d.Eco
+	}
+	return k
 }
 
 // runCompare loads two benchjson outputs and prints a per-design delta
@@ -435,8 +441,8 @@ func runCompare(w io.Writer, oldPath, newPath string) error {
 		newModes[d.Design] = d.Mode
 	}
 
-	fmt.Fprintf(w, "%-8s %10s %10s %8s %10s %10s %9s %12s\n",
-		"design", "old_sec", "new_sec", "speedup", "old_mib", "new_mib", "mem_x", "quality_d")
+	fmt.Fprintf(w, "%-20s %10s %10s %8s %10s %10s %9s %12s\n",
+		"row", "old_sec", "new_sec", "speedup", "old_mib", "new_mib", "mem_x", "quality_d")
 	var regressions []string
 	for _, od := range oldDoc.Designs {
 		nd, ok := newBy[rowKey(od)]
@@ -460,18 +466,18 @@ func runCompare(w io.Writer, oldPath, newPath string) error {
 			memX = nd.PeakMiB / od.PeakMiB
 		}
 		qd := nd.Quality - od.Quality
-		fmt.Fprintf(w, "%-8s %10.3f %10.3f %7.2fx %10.1f %10.1f %8.2fx %+12.4f\n",
+		fmt.Fprintf(w, "%-20s %10.3f %10.3f %7.2fx %10.1f %10.1f %8.2fx %+12.4f\n",
 			rowKey(od), od.WallSec, nd.WallSec, speedup, od.PeakMiB, nd.PeakMiB, memX, qd)
 		if qd < 0 {
 			regressions = append(regressions, fmt.Sprintf("row %s quality regressed %.4f -> %.4f", rowKey(od), od.Quality, nd.Quality))
 		}
 		if nd.Fills != od.Fills {
-			fmt.Fprintf(w, "%-8s   fills %d -> %d, gds bytes %d -> %d\n", "", od.Fills, nd.Fills, od.GDSBytes, nd.GDSBytes)
+			fmt.Fprintf(w, "%-20s   fills %d -> %d, gds bytes %d -> %d\n", "", od.Fills, nd.Fills, od.GDSBytes, nd.GDSBytes)
 		}
 	}
 	for _, nd := range newDoc.Designs {
 		if _, ok := oldBy[rowKey(nd)]; !ok {
-			fmt.Fprintf(w, "%-8s   (new row, no baseline)\n", rowKey(nd))
+			fmt.Fprintf(w, "%-20s   (new row, no baseline)\n", rowKey(nd))
 		}
 	}
 	if len(regressions) > 0 {
@@ -482,11 +488,10 @@ func runCompare(w io.Writer, oldPath, newPath string) error {
 
 // runLayout runs the engine on a prepared layout under the wall/heap
 // sampler and scores the result with the supplied coefficients.
-func runLayout(ctx context.Context, name string, lay *dummyfill.Layout, coeffs dummyfill.Coefficients, deadline time.Duration, workers, shards int, cache *dummyfill.FillCache, mode string, pad int) (DesignResult, error) {
+func runLayout(ctx context.Context, name string, lay *dummyfill.Layout, coeffs dummyfill.Coefficients, deadline time.Duration, workers int, cache *dummyfill.FillCache, mode string, pad int) (DesignResult, error) {
 	opts := dummyfill.DefaultOptions()
 	opts.Budget = deadline
 	opts.Workers = workers
-	opts.Shards = shards
 	opts.Cache = cache
 	opts.Mode = mode
 	opts.SitePad = pad
@@ -521,9 +526,7 @@ func runLayout(ctx context.Context, name string, lay *dummyfill.Layout, coeffs d
 		GDSBytes:           sz,
 		GOMAXPROCS:         runtime.GOMAXPROCS(0),
 		Workers:            workers,
-		Shards:             shards,
 		DegradedWindows:    res.Health.Degraded,
-		PlanDivergence:     round4(res.Health.PlanDivergence),
 		CacheHits:          res.Health.CacheHits,
 		CacheMisses:        res.Health.CacheMisses,
 		InvalidatedWindows: res.Health.CacheMisses + res.Health.CacheStale,
@@ -539,8 +542,8 @@ func runLayout(ctx context.Context, name string, lay *dummyfill.Layout, coeffs d
 
 // logRow prints one design row's headline numbers to stderr.
 func logRow(res DesignResult) {
-	line := fmt.Sprintf("benchjson: design=%s workers=%d shards=%d wall_sec=%.3f peak_mib=%.1f quality=%.4f score=%.4f fills=%d gds_bytes=%d degraded_windows=%d plan_divergence=%.4f",
-		res.Design, res.Workers, res.Shards, res.WallSec, res.PeakMiB, res.Quality, res.Score, res.Fills, res.GDSBytes, res.DegradedWindows, res.PlanDivergence)
+	line := fmt.Sprintf("benchjson: design=%s workers=%d wall_sec=%.3f peak_mib=%.1f quality=%.4f score=%.4f fills=%d gds_bytes=%d degraded_windows=%d",
+		res.Design, res.Workers, res.WallSec, res.PeakMiB, res.Quality, res.Score, res.Fills, res.GDSBytes, res.DegradedWindows)
 	if res.Eco != "" {
 		line += fmt.Sprintf(" eco=%s cache_hits=%d cache_misses=%d invalidated_windows=%d",
 			res.Eco, res.CacheHits, res.CacheMisses, res.InvalidatedWindows)

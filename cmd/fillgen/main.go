@@ -40,7 +40,6 @@ func main() {
 	out := flag.String("o", "", "output solution path (default <design>_fill.<ext>)")
 	lambda := flag.Float64("lambda", 0, "candidate overfill factor λ (0 = default)")
 	workers := flag.Int("workers", 0, "window-level parallelism (0 = all cores)")
-	shards := flag.Int("shards", 0, "row-band shards for hierarchical planning and emission (0 = one per core); output is identical for every value")
 	deadline := flag.Duration("deadline", 0, "soft time budget: past it, remaining windows emit unshrunk candidates instead of failing (0 = unlimited)")
 	stream := flag.Bool("stream", false, "stream fills to the output as windows complete (method ours only; bounded memory, no score report)")
 	mode := flag.String("mode", "rect", "fill mode: rect (continuous rectangles) or site (filler-cell placement; needs a layout with rows — DEF input or -design row)")
@@ -106,7 +105,6 @@ func main() {
 	opts.Mode = *mode
 	opts.SitePad = *pad
 	opts.Workers = *workers
-	opts.Shards = *shards
 	opts.Budget = *deadline
 	var cache *dummyfill.FillCache
 	if *cacheDir != "" {

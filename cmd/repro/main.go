@@ -40,7 +40,6 @@ func main() {
 	window := flag.Int64("window", 0, "window size for -in layouts without one (0 = die/16)")
 	deadline := flag.Duration("deadline", 0, "soft per-run time budget for the fill engine: past it, remaining windows emit unshrunk candidates instead of failing (0 = unlimited)")
 	workers := flag.Int("workers", 0, "window-level parallelism for the fill engine (0 = all cores)")
-	shards := flag.Int("shards", 0, "row-band shards for hierarchical planning and emission (0 = one per core); output is identical for every value")
 	mode := flag.String("mode", "rect", "fill mode for the engine: rect (continuous rectangles) or site (filler-cell placement; needs a layout with rows, e.g. -designs row)")
 	pad := flag.Int("pad", 0, "site-mode padding: empty sites kept between fillers and placed cells (ignored with -mode rect)")
 	cacheDir := flag.String("cache", "", "persistent fill-cache directory for incremental re-fill (created if missing); repeated runs replay unchanged windows")
@@ -76,7 +75,6 @@ func main() {
 	opts := fill.DefaultOptions()
 	opts.Budget = *deadline
 	opts.Workers = *workers
-	opts.Shards = *shards
 	opts.Mode = *mode
 	opts.SitePad = *pad
 	if *cacheDir != "" {

@@ -59,18 +59,12 @@ var goldenGDS = map[string]string{
 
 func gdsHash(t *testing.T, design string, workers int) string {
 	t.Helper()
-	return gdsHashSharded(t, design, workers, 0)
-}
-
-func gdsHashSharded(t *testing.T, design string, workers, shards int) string {
-	t.Helper()
 	lay, _, err := dummyfill.GenerateBenchmark(design)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := dummyfill.DefaultOptions()
 	opts.Workers = workers
-	opts.Shards = shards
 	res, err := dummyfill.Insert(lay, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -83,24 +77,23 @@ func gdsHashSharded(t *testing.T, design string, workers, shards int) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// goldenWorkers are the worker counts every golden hash is checked at:
+// the serial path, a fixed multi-worker reorder ring, and one worker per
+// core.
+var goldenWorkers = []int{1, 4, runtime.NumCPU()}
+
 // TestGoldenGDSHashes checks the end-to-end output against the pinned
 // hashes across worker counts. The small designs run always; the larger
 // ones (several seconds each) are skipped under -short so the CI smoke
 // stays fast.
 func TestGoldenGDSHashes(t *testing.T) {
-	workerSets := map[string][]int{
-		"tiny": {1, 4, runtime.NumCPU()},
-		"s":    {1, 4, runtime.NumCPU()},
-		"b":    {4},
-		"m":    {4},
-	}
 	for _, design := range []string{"tiny", "s", "b", "m"} {
 		design := design
 		t.Run(design, func(t *testing.T) {
 			if testing.Short() && (design == "b" || design == "m") {
 				t.Skip("large design skipped under -short")
 			}
-			for _, workers := range workerSets[design] {
+			for _, workers := range goldenWorkers {
 				if got := gdsHash(t, design, workers); got != goldenGDS[design] {
 					t.Fatalf("workers=%d: GDS hash %s, want %s", workers, got, goldenGDS[design])
 				}
@@ -109,59 +102,46 @@ func TestGoldenGDSHashes(t *testing.T) {
 	}
 }
 
-// TestGoldenGDSHashesSharded checks that row-band sharding never changes
-// the output: every (shards, workers) pair must reproduce the same pinned
-// golden hashes as the unsharded run. Sharding redistributes planning
-// assembly and fill emission across shard-local schedules; the reconciled
-// global targets and the per-window sizing are byte-for-byte unaffected.
-func TestGoldenGDSHashesSharded(t *testing.T) {
-	shardSet := []int{1, 2, 4, runtime.NumCPU()}
-	workerSet := []int{1, runtime.NumCPU()}
-	if runtime.NumCPU() == 1 {
-		// Force a genuinely parallel schedule even on single-core hosts.
-		workerSet = []int{1, 4}
-	}
+// TestGoldenGDSHashesUnevenWorkers checks the pinned hashes at worker
+// counts that TestGoldenGDSHashes does not reach: 2, 3 and 7 workers, so
+// windows finish out of order in patterns a power-of-two schedule never
+// produces and the reorder ring must still release them in canonical
+// order.
+func TestGoldenGDSHashesUnevenWorkers(t *testing.T) {
 	for _, design := range []string{"tiny", "s"} {
 		design := design
 		t.Run(design, func(t *testing.T) {
-			for _, shards := range shardSet {
-				for _, workers := range workerSet {
-					if got := gdsHashSharded(t, design, workers, shards); got != goldenGDS[design] {
-						t.Fatalf("shards=%d workers=%d: GDS hash %s, want %s",
-							shards, workers, got, goldenGDS[design])
-					}
+			for _, workers := range []int{2, 3, 7} {
+				if got := gdsHash(t, design, workers); got != goldenGDS[design] {
+					t.Fatalf("workers=%d: GDS hash %s, want %s", workers, got, goldenGDS[design])
 				}
 			}
 		})
 	}
 }
 
-// TestInsertStreamShardedDeterministic checks the streaming path under
-// sharding: every (shards, workers) combination must produce a stream
-// byte-identical to the unsharded single-worker reference — the shard
-// emitter's head-ordering hands the sink the exact same strictly
-// increasing window sequence regardless of shard or worker topology.
-func TestInsertStreamShardedDeterministic(t *testing.T) {
+// TestInsertStreamUnevenWorkers checks the streaming path at the worker
+// counts 2, 3 and 7: the reorder ring must hand the sink the same strictly
+// increasing window sequence as the single-worker run, whatever order the
+// workers finish windows in.
+func TestInsertStreamUnevenWorkers(t *testing.T) {
 	lay, _, err := dummyfill.GenerateBenchmark("tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := func(workers, shards int) []byte {
+	stream := func(workers int) []byte {
 		opts := dummyfill.DefaultOptions()
 		opts.Workers = workers
-		opts.Shards = shards
 		var buf bytes.Buffer
 		if _, err := dummyfill.InsertStreamGDS(context.Background(), &buf, lay, opts); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	ref := stream(1, 1)
-	for _, shards := range []int{1, 2, 4, runtime.NumCPU()} {
-		for _, workers := range []int{1, 2, 4, 7} {
-			if got := stream(workers, shards); !bytes.Equal(ref, got) {
-				t.Fatalf("streamed GDS differs at shards=%d workers=%d", shards, workers)
-			}
+	ref := stream(1)
+	for _, workers := range []int{2, 3, 7} {
+		if got := stream(workers); !bytes.Equal(ref, got) {
+			t.Fatalf("streamed GDS differs between workers=1 and workers=%d", workers)
 		}
 	}
 }
@@ -238,17 +218,16 @@ func TestInsertStreamGDSDeterministic(t *testing.T) {
 }
 
 // TestGoldenGDSHashesCached adds the fill-cache row to the determinism
-// matrix: a cold cache-populating run, warm replaying runs across
-// worker/shard topologies, and a partially-invalidated run on an
-// ECO-perturbed layout must all reproduce the exact byte stream the
-// uncached flow produces — the cache may change wall-clock, never
-// geometry.
+// matrix: a cold cache-populating run and warm replaying runs across
+// worker counts must reproduce the pinned hashes, and a
+// partially-invalidated run on an ECO-perturbed layout must reproduce
+// the exact byte stream the uncached flow produces — the cache may
+// change wall-clock, never geometry.
 func TestGoldenGDSHashesCached(t *testing.T) {
-	hashWith := func(t *testing.T, lay *dummyfill.Layout, cache *dummyfill.FillCache, workers, shards int) string {
+	hashWith := func(t *testing.T, lay *dummyfill.Layout, cache *dummyfill.FillCache, workers int) string {
 		t.Helper()
 		opts := dummyfill.DefaultOptions()
 		opts.Workers = workers
-		opts.Shards = shards
 		opts.Cache = cache
 		res, err := dummyfill.Insert(lay, opts)
 		if err != nil {
@@ -261,10 +240,10 @@ func TestGoldenGDSHashesCached(t *testing.T) {
 		sum := sha256.Sum256(buf.Bytes())
 		return hex.EncodeToString(sum[:])
 	}
-	for _, design := range []string{"tiny", "s"} {
+	for _, design := range []string{"tiny", "s", "b", "m"} {
 		design := design
 		t.Run(design, func(t *testing.T) {
-			if testing.Short() && design == "s" {
+			if testing.Short() && design != "tiny" {
 				t.Skip("larger design skipped under -short")
 			}
 			cache, err := dummyfill.OpenFillCache(t.TempDir())
@@ -275,14 +254,17 @@ func TestGoldenGDSHashesCached(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := hashWith(t, lay, cache, 1, 1); got != goldenGDS[design] {
+			if got := hashWith(t, lay, cache, 1); got != goldenGDS[design] {
 				t.Fatalf("cold cached run: GDS hash %s, want %s", got, goldenGDS[design])
 			}
-			for _, topo := range [][2]int{{1, 1}, {4, 2}, {2, 4}} {
-				if got := hashWith(t, lay, cache, topo[0], topo[1]); got != goldenGDS[design] {
-					t.Fatalf("warm workers=%d shards=%d: GDS hash %s, want %s",
-						topo[0], topo[1], got, goldenGDS[design])
+			for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
+				if got := hashWith(t, lay, cache, workers); got != goldenGDS[design] {
+					t.Fatalf("warm workers=%d: GDS hash %s, want %s",
+						workers, got, goldenGDS[design])
 				}
+			}
+			if design == "b" || design == "m" {
+				return // the partial-invalidation case below runs on the small designs
 			}
 
 			// Partial invalidation: a perturbed layout served mostly from
@@ -294,8 +276,8 @@ func TestGoldenGDSHashesCached(t *testing.T) {
 			if moved == 0 {
 				t.Fatal("perturbation moved no wires; partial-invalidation case is vacuous")
 			}
-			want := hashWith(t, eco, nil, 4, 2)
-			if got := hashWith(t, eco, cache, 4, 2); got != want {
+			want := hashWith(t, eco, nil, 4)
+			if got := hashWith(t, eco, cache, 4); got != want {
 				t.Fatalf("partially-invalidated run: GDS hash %s, want uncached %s", got, want)
 			}
 		})

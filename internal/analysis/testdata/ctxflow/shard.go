@@ -10,8 +10,8 @@ type planShard struct{ id int }
 
 func planOne(ctx context.Context, s planShard) error { return ctx.Err() }
 
-// PlanShards is the exported entry; shards must inherit its context.
-func PlanShards(ctx context.Context, shards []planShard) error {
+// PlanBands is the exported entry; shards must inherit its context.
+func PlanBands(ctx context.Context, shards []planShard) error {
 	for _, s := range shards {
 		if err := planOne(context.Background(), s); err != nil { // want "already has a context parameter"
 			return err
@@ -20,7 +20,7 @@ func PlanShards(ctx context.Context, shards []planShard) error {
 	return nil
 }
 
-func planShardsDetached(shards []planShard) error {
+func planBandsDetached(shards []planShard) error {
 	for _, s := range shards {
 		if err := planOne(context.TODO(), s); err != nil { // want "below the public API"
 			return err
@@ -29,9 +29,9 @@ func planShardsDetached(shards []planShard) error {
 	return nil
 }
 
-// planShardsThreaded is the clean counterpart: the run context flows into
+// planBandsThreaded is the clean counterpart: the run context flows into
 // every per-shard call.
-func planShardsThreaded(ctx context.Context, shards []planShard) error {
+func planBandsThreaded(ctx context.Context, shards []planShard) error {
 	for _, s := range shards {
 		if err := planOne(ctx, s); err != nil {
 			return err

@@ -83,24 +83,6 @@ func MultiWindow(die geom.Rect, w int64, r int, covered []geom.Rect) (*grid.Map,
 	return out, nil
 }
 
-// PlanHaloRows returns how many fixed-dissection window rows a shard's
-// halo ring must span so that every overlapping w×w analysis window whose
-// lower-left corner lies inside the shard is fully covered by shard+halo
-// data — the multi-window coupling radius, in rows.
-//
-// Overlapping windows are placed at offsets that are multiples of w/r, so
-// the farthest such window starts (r−1)·(w/r) past a row boundary and
-// overhangs the next row by w − w/r < w: strictly less than one full row
-// for every r ≥ 2, hence one halo row always suffices. At r = 1 the
-// overlapping dissection degenerates to the fixed one — no window crosses
-// a row boundary and no halo is needed.
-func PlanHaloRows(r int) int {
-	if r <= 1 {
-		return 0
-	}
-	return 1
-}
-
 // MultiWindowExtremes returns the minimum and maximum density over all
 // overlapping windows — the multi-window analogue of density-rule
 // checking (lower/upper bound violations).

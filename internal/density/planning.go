@@ -217,33 +217,6 @@ func PlanTargets(bounds []LayerBounds, w PlanWeights, steps int) (*Plan, error) 
 	return best, nil
 }
 
-// Divergence measures how far two plans' per-layer targets are apart:
-// the maximum absolute target-density difference across layers. The
-// shard-parallel planner uses it to report how much a shard's halo-local
-// proposal disagreed with the reconciled global plan — the quantity a
-// future fully-distributed planner would have to smooth away. Layer
-// counts must match; extra layers in either plan are ignored.
-func Divergence(a, b *Plan) float64 {
-	if a == nil || b == nil {
-		return 0
-	}
-	n := len(a.Td)
-	if len(b.Td) < n {
-		n = len(b.Td)
-	}
-	var worst float64
-	for l := 0; l < n; l++ {
-		d := a.Td[l] - b.Td[l]
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // realizeInto is Realize into a reused map buffer (same clamping, no
 // allocation once dst has grown to the layer's window count).
 func realizeInto(dst *grid.Map, b LayerBounds, td float64) {

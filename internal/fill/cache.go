@@ -125,9 +125,9 @@ func solverID(o Options) string {
 // geometry besides the window content and the plan targets: engine
 // version, DRC rules, and the sizing/selection options. PlanSteps and
 // MinDensity are deliberately absent — they only act through the plan
-// targets, which entries validate directly. Workers, Shards, Budget and
-// Inject affect scheduling, wall-clock or fault patterns, never the
-// fills of a healthy window.
+// targets, which entries validate directly. Workers, Budget and Inject
+// affect scheduling, wall-clock or fault patterns, never the fills of a
+// healthy window.
 func (e *Engine) cacheFingerprint() fillcache.Key {
 	h := fillcache.NewHasher()
 	h.String(engineCacheVersion)
@@ -217,7 +217,8 @@ func (e *Engine) cacheLookup(ctx context.Context, wins []*window, td1 []float64,
 		errs:    hc,
 	}
 	fp := e.cacheFingerprint()
-	err := e.forEachWindowStage(ctx, wins, "cache", func(_ context.Context, k int, w *window) error {
+	err := e.parallelFor(ctx, len(wins), "cache", func(_ context.Context, k int) error {
+		w := wins[k]
 		ks := keyPool.Get().(*keyScratch)
 		defer keyPool.Put(ks)
 		cs.keys[k] = e.windowKey(fp, w, ks)
@@ -281,7 +282,7 @@ func (e *Engine) cacheResolve(ctx context.Context, wins []*window, cs *cacheStat
 	if len(stale) == 0 {
 		return nil
 	}
-	return e.parallelForStage(ctx, len(stale), "candgen", func(_ context.Context, i int) error {
+	return e.parallelFor(ctx, len(stale), "candgen", func(_ context.Context, i int) error {
 		w := wins[stale[i]]
 		e.mode.selectCandidates(w, cs.td1)
 		for li := range w.layers {
@@ -370,7 +371,8 @@ func WindowDigests(ctx context.Context, lay *layout.Layout, opts Options) (*grid
 	}
 	fp := e.cacheFingerprint()
 	ds := make([]WindowDigest, len(wins))
-	err = e.forEachWindowStage(ctx, wins, "digest", func(_ context.Context, k int, w *window) error {
+	err = e.parallelFor(ctx, len(wins), "digest", func(_ context.Context, k int) error {
+		w := wins[k]
 		ks := keyPool.Get().(*keyScratch)
 		defer keyPool.Put(ks)
 		ds[k].Key = e.windowKey(fp, w, ks)

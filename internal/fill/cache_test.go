@@ -245,10 +245,10 @@ func TestCacheSkipsDegradedWindows(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentShardWriters exercises concurrent write-back from
-// sharded workers into one cache directory, then a sharded warm read.
+// TestCacheConcurrentWriters exercises concurrent write-back from
+// parallel workers into one cache directory, then a parallel warm read.
 // Meaningful mainly under -race (CI runs it there).
-func TestCacheConcurrentShardWriters(t *testing.T) {
+func TestCacheConcurrentWriters(t *testing.T) {
 	lay := tinyLayout(t)
 	ref := runCache(t, lay, DefaultOptions())
 	cache := openCache(t)
@@ -256,17 +256,15 @@ func TestCacheConcurrentShardWriters(t *testing.T) {
 	cold := DefaultOptions()
 	cold.Cache = cache
 	cold.Workers = 8
-	cold.Shards = 4
 	res := runCache(t, lay, cold)
-	sameFills(t, res.Solution.Fills, ref.Solution.Fills, "sharded-cold")
+	sameFills(t, res.Solution.Fills, ref.Solution.Fills, "parallel-cold")
 
 	warm := cold
 	warm.Workers = 6
-	warm.Shards = 2
 	res = runCache(t, lay, warm)
-	sameFills(t, res.Solution.Fills, ref.Solution.Fills, "sharded-warm")
+	sameFills(t, res.Solution.Fills, ref.Solution.Fills, "parallel-warm")
 	if h := res.Health; h.CacheHits != h.Windows {
-		t.Fatalf("sharded warm run not fully hit: %+v", h)
+		t.Fatalf("parallel warm run not fully hit: %+v", h)
 	}
 }
 

@@ -241,7 +241,7 @@ func (e *Engine) prepareWindows(ctx context.Context) ([]*window, error) {
 	// not repair.
 
 	// Stripe tasks: task t covers layer t/ny, window row t%ny.
-	err := e.parallelForStage(ctx, nl*ny, "prep", func(_ context.Context, t int) error {
+	err := e.parallelFor(ctx, nl*ny, "prep", func(_ context.Context, t int) error {
 		li, j := t/ny, t%ny
 		layer := e.lay.Layers[li]
 		sc := prepPool.Get().(*prepScratch)
@@ -379,30 +379,19 @@ func (e *Engine) workerCount(n int) int {
 }
 
 // parallelFor runs fn(ctx, idx) for every idx in [0,n) across the worker
-// pool. The first error cancels the run promptly and is returned: the
-// pool's derived context is cancelled immediately, so in-flight siblings
+// pool, every worker (and the serial path) under the pprof label
+// {"stage": stage} so CPU profiles attribute samples to pipeline stages.
+// The first error cancels the run promptly and is returned: the pool's
+// derived context is cancelled immediately, so in-flight siblings
 // blocked inside fn observe ctx.Done() without waiting for a task
 // boundary, and no new task is claimed after a failure. Cancellation of
 // the parent context likewise stops the pool and returns its error.
-func (e *Engine) parallelFor(ctx context.Context, n int, fn func(ctx context.Context, idx int) error) error {
-	return e.parallelForStage(ctx, n, "", fn)
-}
-
-// parallelForStage is parallelFor with a pprof stage label: when stage is
-// non-empty, every worker (and the serial path) runs under
-// {"stage": stage} so CPU profiles attribute samples to pipeline stages.
-func (e *Engine) parallelForStage(ctx context.Context, n int, stage string, fn func(ctx context.Context, idx int) error) error {
-	body := func(ctx context.Context, run func(ctx context.Context)) {
-		if stage == "" {
-			run(ctx)
-			return
-		}
-		pprof.Do(ctx, pprof.Labels("stage", stage), run)
-	}
+func (e *Engine) parallelFor(ctx context.Context, n int, stage string, fn func(ctx context.Context, idx int) error) error {
+	labels := pprof.Labels("stage", stage)
 	workers := e.workerCount(n)
 	if workers <= 1 {
 		var serr error
-		body(ctx, func(ctx context.Context) {
+		pprof.Do(ctx, labels, func(ctx context.Context) {
 			for idx := 0; idx < n; idx++ {
 				if serr = ctx.Err(); serr != nil {
 					return
@@ -426,7 +415,7 @@ func (e *Engine) parallelForStage(ctx context.Context, n int, stage string, fn f
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body(wctx, func(ctx context.Context) {
+			pprof.Do(wctx, labels, func(ctx context.Context) {
 				for ctx.Err() == nil {
 					idx := int(next.Add(1)) - 1
 					if idx >= n {
@@ -446,15 +435,4 @@ func (e *Engine) parallelForStage(ctx context.Context, n int, stage string, fn f
 		return firstErr
 	}
 	return ctx.Err()
-}
-
-// forEachWindow applies fn to every window, in parallel across workers.
-// The first error wins and cancels outstanding work.
-func (e *Engine) forEachWindow(ctx context.Context, wins []*window, fn func(ctx context.Context, k int, w *window) error) error {
-	return e.forEachWindowStage(ctx, wins, "", fn)
-}
-
-// forEachWindowStage is forEachWindow under a pprof stage label.
-func (e *Engine) forEachWindowStage(ctx context.Context, wins []*window, stage string, fn func(ctx context.Context, k int, w *window) error) error {
-	return e.parallelForStage(ctx, len(wins), stage, func(ctx context.Context, k int) error { return fn(ctx, k, wins[k]) })
 }

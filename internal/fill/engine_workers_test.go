@@ -37,7 +37,7 @@ func TestParallelForCoversAllTasks(t *testing.T) {
 	} {
 		e := workerEngine(t, tc.workers)
 		hits := make([]atomic.Int32, tc.n)
-		if err := e.parallelFor(context.Background(), tc.n, func(_ context.Context, idx int) error {
+		if err := e.parallelFor(context.Background(), tc.n, "test", func(_ context.Context, idx int) error {
 			hits[idx].Add(1)
 			return nil
 		}); err != nil {
@@ -60,7 +60,7 @@ func TestParallelForPromptCancellation(t *testing.T) {
 	e := workerEngine(t, workers)
 	boom := errors.New("boom")
 	var started atomic.Int32
-	err := e.parallelFor(context.Background(), n, func(_ context.Context, idx int) error {
+	err := e.parallelFor(context.Background(), n, "test", func(_ context.Context, idx int) error {
 		started.Add(1)
 		return boom
 	})
@@ -77,7 +77,7 @@ func TestParallelForPromptCancellation(t *testing.T) {
 func TestParallelForReturnsFirstError(t *testing.T) {
 	e := workerEngine(t, 3)
 	boom := errors.New("late failure")
-	err := e.parallelFor(context.Background(), 100, func(_ context.Context, idx int) error {
+	err := e.parallelFor(context.Background(), 100, "test", func(_ context.Context, idx int) error {
 		if idx == 99 {
 			return boom
 		}
@@ -99,7 +99,7 @@ func TestParallelForCancelsInFlightSiblings(t *testing.T) {
 	boom := errors.New("window 0 failed")
 	var started, cancelled atomic.Int32
 	begin := time.Now()
-	err := e.parallelFor(context.Background(), n, func(ctx context.Context, idx int) error {
+	err := e.parallelFor(context.Background(), n, "test", func(ctx context.Context, idx int) error {
 		started.Add(1)
 		if idx == 0 {
 			return boom
@@ -132,7 +132,7 @@ func TestParallelForParentCancellation(t *testing.T) {
 	e := workerEngine(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
-	err := e.parallelFor(ctx, 1000, func(ctx context.Context, idx int) error {
+	err := e.parallelFor(ctx, 1000, "test", func(ctx context.Context, idx int) error {
 		if ran.Add(1) == 1 {
 			cancel()
 		}

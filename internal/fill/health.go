@@ -41,20 +41,9 @@ type Health struct {
 	Elapsed time.Duration `json:"elapsed"`
 	// PeakInFlight is the maximum number of windows resident in the
 	// sizing→emit stage at once (claimed by a worker but not yet released
-	// toward the sink). With shards it is the worst per-shard reorder
-	// buffer occupancy. Like Elapsed it depends on worker scheduling, not
+	// toward the sink). Like Elapsed it depends on worker scheduling, not
 	// on the input alone.
 	PeakInFlight int `json:"peak_in_flight,omitempty"`
-	// Shards is the number of row-band shards the run planned and emitted
-	// through (1 = unsharded global pass).
-	Shards int `json:"shards,omitempty"`
-	// PlanDivergence is the worst absolute target-density gap between any
-	// shard's halo-local planning proposal and the reconciled global
-	// targets, across both planning rounds. It is deterministic for a
-	// given layout and options (including Shards) and 0 when a single
-	// shard covers the grid — the distributed-planning readiness signal:
-	// how wrong would fully local planning have been.
-	PlanDivergence float64 `json:"plan_divergence,omitempty"`
 	// CacheHits counts windows replayed verbatim from Options.Cache
 	// (content and both plan rounds matched a stored entry). Zero when
 	// the cache is nil or bypassed.
@@ -89,9 +78,6 @@ func (h Health) String() string {
 	if h.BudgetExceeded {
 		s += " budget-exceeded"
 	}
-	if h.Shards > 1 {
-		s += fmt.Sprintf(" shards=%d plan-div=%.4f", h.Shards, h.PlanDivergence)
-	}
 	if h.CacheHits+h.CacheMisses+h.CacheStale+h.CacheErrors > 0 {
 		s += fmt.Sprintf(" cache-hits=%d cache-misses=%d cache-stale=%d cache-errors=%d",
 			h.CacheHits, h.CacheMisses, h.CacheStale, h.CacheErrors)
@@ -105,22 +91,11 @@ type healthCollector struct {
 	peak                                               atomic.Int64
 	cacheErrs                                          atomic.Int64
 	budgetExceeded                                     atomic.Bool
-	// shards, planDivergence and the cache status counts are written only
-	// by the coordinating pipeline goroutine, between parallel phases —
-	// no atomics needed.
-	shards         int
-	planDivergence float64
-	cacheHits      int
-	cacheMisses    int
-	cacheStale     int
-}
-
-// noteDivergence records a shard proposal's divergence from the
-// reconciled plan (max wins). Called only from the pipeline goroutine.
-func (hc *healthCollector) noteDivergence(d float64) {
-	if d > hc.planDivergence {
-		hc.planDivergence = d
-	}
+	// The cache status counts are written only by the coordinating
+	// pipeline goroutine, between parallel phases — no atomics needed.
+	cacheHits   int
+	cacheMisses int
+	cacheStale  int
 }
 
 // notePeak records an observed in-flight peak (max wins).
@@ -147,8 +122,6 @@ func (hc *healthCollector) health(windows int, budget, elapsed time.Duration) He
 		Budget:          budget,
 		Elapsed:         elapsed,
 		PeakInFlight:    int(hc.peak.Load()),
-		Shards:          hc.shards,
-		PlanDivergence:  hc.planDivergence,
 		CacheHits:       hc.cacheHits,
 		CacheMisses:     hc.cacheMisses,
 		CacheStale:      hc.cacheStale,

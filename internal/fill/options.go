@@ -58,16 +58,6 @@ type Options struct {
 	NewSolver func() dlp.PSolver
 	// Workers bounds window-level parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Shards is the number of row-band shards the window grid is split
-	// into for hierarchical density planning and per-shard fill emission
-	// (0 = one per core, capped by the number of window rows). Each shard
-	// assembles its slice of the planning bounds, proposes targets from
-	// its own windows plus a halo ring of neighbour rows, and sizes/emits
-	// its windows through its own reorder buffer; a cheap top-level pass
-	// reconciles the proposals into the global targets. The emitted fill
-	// set is byte-identical for every Shards value — sharding changes the
-	// schedule, never the geometry.
-	Shards int
 	// MinDensity is an optional lower density rule: planned targets are
 	// floored at this value (0 disables). Foundry fill decks typically
 	// require a minimum metal density per window; the contest objective

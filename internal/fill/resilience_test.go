@@ -3,6 +3,7 @@ package fill
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -371,5 +372,48 @@ func TestRunContextCancelMidSizing(t *testing.T) {
 	}
 	if res != nil {
 		t.Fatal("cancelled run returned a partial Result")
+	}
+}
+
+// TestRunsIdenticalAcrossWorkers runs the engine across worker counts —
+// the serial path and the multi-worker reorder ring — and requires
+// geometrically identical solutions plus consistent health everywhere.
+func TestRunsIdenticalAcrossWorkers(t *testing.T) {
+	ref := runWith(t, 1, nil)
+	for _, workers := range []int{1, 2, 3, 8} {
+		label := fmt.Sprintf("workers=%d", workers)
+		res := runWith(t, workers, nil)
+		sameFills(t, ref.Solution.Fills, res.Solution.Fills, label)
+		checkInvariants(t, res.Health)
+	}
+}
+
+// TestResilienceAcrossWorkers checks fault degradation under parallel
+// sizing: injected solver faults are window-keyed, so the degraded fill
+// set and health counters must match the serial run exactly for every
+// worker count.
+func TestResilienceAcrossWorkers(t *testing.T) {
+	mk := func(workers int) *Result {
+		return runWith(t, workers, func(o *Options) {
+			o.Inject = faultinject.New(42).
+				WithRate(faultinject.SiteWarmSolve, 0.5).
+				WithRate(faultinject.SiteColdSolve, 0.5)
+		})
+	}
+	ref := mk(1)
+	checkInvariants(t, ref.Health)
+	if ref.Health.Healthy() {
+		t.Fatal("faults injected but run reports healthy")
+	}
+	for _, workers := range []int{2, 4, 8} {
+		res := mk(workers)
+		label := fmt.Sprintf("workers=%d", workers)
+		sameFills(t, ref.Solution.Fills, res.Solution.Fills, label)
+		checkInvariants(t, res.Health)
+		if res.Health.FallbackCold != ref.Health.FallbackCold ||
+			res.Health.FallbackSimplex != ref.Health.FallbackSimplex ||
+			res.Health.Degraded != ref.Health.Degraded {
+			t.Fatalf("%s: health %s differs from serial %s", label, res.Health, ref.Health)
+		}
 	}
 }

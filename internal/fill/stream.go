@@ -48,22 +48,16 @@ func (e *Engine) RunStream(ctx context.Context, sink Sink) (*Result, error) {
 	return e.runPipeline(ctx, sink)
 }
 
-// runPipeline is the shared shard-parallel streaming pipeline behind
-// RunContext and RunStream:
+// runPipeline is the shared streaming pipeline behind RunContext and
+// RunStream:
 //
 //	prep (stream) → plan 1 → candgen (stream) → plan 2 → size+emit (stream)
 //
-// The two density-planning rounds are hierarchical (DESIGN.md §11): each
-// row-band shard assembles its slice of the global planning maps and
-// proposes targets over its halo neighbourhood in parallel, then a cheap
-// top-level reconcile runs the exact global target search over the
-// assembled maps — so planning synchronizes the shards only on the
-// O(windows) map reduction, never on per-window geometry work, and the
-// reconciled targets are byte-identical for every shard count. After the
-// second round each shard sizes and emits its windows independently
-// through its own reorder path; segments concatenate in canonical window
-// order. No stage materializes all candidate cells or all sized fills at
-// once.
+// Each density-planning round (DESIGN.md §11) assembles the per-window
+// bounds in one serial pass and runs a single global target search over
+// them. Sizing and emission then go through one bounded reorder ring that
+// releases windows in canonical order. No stage materializes all
+// candidate cells or all sized fills at once.
 func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -74,32 +68,19 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := e.shards()
-	hc := &healthCollector{shards: len(sh)}
+	hc := &healthCollector{}
 
-	// Planning round 1: bounds from tileable candidate area, assembled
-	// per shard; halo-local shard proposals scored against the reconciled
-	// global plan (single-shard runs skip the proposal — it would be the
-	// global plan itself).
-	bounds, wd, err := e.assembleBounds(ctx, wins, sh, false, "plan1", nil)
+	// Planning round 1: bounds from tileable candidate area.
+	bounds, wd, err := e.assembleBounds(ctx, wins, false, "plan1", nil)
 	if err != nil {
 		return nil, err
 	}
 	pw := e.planWeights(wd)
-	var props []*density.Plan
-	if len(sh) > 1 {
-		if props, err = e.shardProposals(ctx, sh, bounds, wd, pw, "plan1"); err != nil {
-			return nil, err
-		}
-	}
 	plan1, err := density.PlanTargets(bounds, pw, e.opts.PlanSteps)
 	if err != nil {
 		return nil, err
 	}
 	e.applyMinDensity(plan1.Td)
-	for _, p := range props {
-		hc.noteDivergence(density.Divergence(p, plan1))
-	}
 
 	// Cache lookup (nil when Options.Cache is off or bypassed): windows
 	// whose content and round-1 targets match a stored entry skip
@@ -115,7 +96,8 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 	// selection and the wire slabs are still needed downstream. Cache-hit
 	// windows keep their free pieces for now — if round 2 drifts from the
 	// entry they rerun candgen late in cacheResolve.
-	err = e.forEachWindowStage(ctx, wins, "candgen", func(_ context.Context, k int, w *window) error {
+	err = e.parallelFor(ctx, len(wins), "candgen", func(_ context.Context, k int) error {
+		w := wins[k]
 		if cst.selValid(k) {
 			return nil
 		}
@@ -140,23 +122,15 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 	// Planning round 2: bounds restricted to what was actually selected
 	// (§3 — "another round of density planning is performed due to the
 	// inconsistency between candidate fills and initial plans").
-	bounds2, _, err := e.assembleBounds(ctx, wins, sh, true, "plan2", cst)
+	bounds2, _, err := e.assembleBounds(ctx, wins, true, "plan2", cst)
 	if err != nil {
 		return nil, err
-	}
-	if len(sh) > 1 {
-		if props, err = e.shardProposals(ctx, sh, bounds2, nil, pw, "plan2"); err != nil {
-			return nil, err
-		}
 	}
 	plan2, err := density.PlanTargets(bounds2, pw, e.opts.PlanSteps)
 	if err != nil {
 		return nil, err
 	}
 	e.applyMinDensity(plan2.Td)
-	for _, p := range props {
-		hc.noteDivergence(density.Divergence(p, plan2))
-	}
 	// Cache resolve: decide replay vs stale now that round-2 targets are
 	// known; stale windows rerun candgen here.
 	if err := e.cacheResolve(ctx, wins, cst, plan2.Td, hc); err != nil {
@@ -170,12 +144,7 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 		return nil, err
 	}
 
-	if e.workerCount(len(wins)) <= 1 || len(sh) == 1 {
-		err = e.sizeAndEmit(ctx, wins, plan2.Td, sink, hc, start, cst)
-	} else {
-		err = e.sizeAndEmitSharded(ctx, wins, sh, plan2.Td, sink, hc, start, cst)
-	}
-	if err != nil {
+	if err := e.sizeAndEmit(ctx, wins, plan2.Td, sink, hc, start, cst); err != nil {
 		return nil, err
 	}
 
@@ -190,11 +159,77 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 	}, nil
 }
 
+// assembleBounds builds the global per-layer planning bounds in one
+// serial pass over the windows. When selected is false the upper bound
+// uses the closed-form tileable area of the free pieces (round 1) and the
+// per-layer wire-density maps are returned too; when true it uses the
+// area of the selected candidates (round 2, wd nil). In round 2 a
+// cache-hit window has no selection — its per-layer selected area comes
+// from the cache entry, which recorded exactly what candgen would have
+// produced, so the assembled bounds (and hence the round-2 plan) are
+// bit-identical to a cold run's.
+func (e *Engine) assembleBounds(ctx context.Context, wins []*window, selected bool, stage string, cst *cacheState) ([]density.LayerBounds, []*grid.Map, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	nl := len(e.lay.Layers)
+	bounds := make([]density.LayerBounds, nl)
+	for li := 0; li < nl; li++ {
+		bounds[li] = density.LayerBounds{Lower: grid.NewMap(e.g), Upper: grid.NewMap(e.g)}
+	}
+	var wd []*grid.Map
+	if !selected {
+		wd = make([]*grid.Map, nl)
+		for li := 0; li < nl; li++ {
+			wd[li] = grid.NewMap(e.g)
+		}
+	}
+	pprof.Do(ctx, pprof.Labels("stage", stage), func(context.Context) {
+		selArea := make([]int64, nl)
+		for k, w := range wins {
+			aw := float64(w.rect.Area())
+			if aw == 0 {
+				continue
+			}
+			if selected {
+				if cst.selValid(k) {
+					copy(selArea, cst.entries[k].SelArea)
+				} else {
+					for li := range selArea {
+						selArea[li] = 0
+					}
+					for _, c := range w.sel {
+						selArea[c.layer] += c.rect.Area()
+					}
+				}
+			}
+			for li := 0; li < nl; li++ {
+				wl := w.layers[li]
+				var fillable int64
+				if selected {
+					fillable = selArea[li]
+				} else {
+					// Closed-form tileable area per free piece — no cell
+					// materialization.
+					for _, fr := range wl.free {
+						fillable += e.mode.fillableArea(fr)
+					}
+				}
+				bounds[li].Lower.V[k] = float64(wl.wireArea) / aw
+				bounds[li].Upper.V[k] = float64(wl.wireArea+fillable) / aw
+				if wd != nil {
+					wd[li].V[k] = float64(wl.wireArea) / aw
+				}
+			}
+		}
+	})
+	return bounds, wd, nil
+}
+
 // produceWindow sizes window k through the resilient fallback chain and
-// converts the surviving cells to fills. It is the shared per-window work
-// of both the unsharded and the sharded size+emit stages; a nil fill
-// slice (window skipped or everything shrunk away) still counts as
-// produced and must be released to advance the emission frontier.
+// converts the surviving cells to fills. A nil fill slice (window skipped
+// or everything shrunk away) still counts as produced and must be
+// released to advance the emission frontier.
 //
 // With an active cache, replay windows return their stored fills without
 // touching the solver, and every cleanly computed window (including
@@ -254,6 +289,13 @@ func (e *Engine) sizeAndEmit(ctx context.Context, wins []*window, td []float64, 
 		}
 		if len(fills) == 0 {
 			return nil
+		}
+		// The ring releases every window buffered behind the one just
+		// delivered in one cascade; stop it as soon as the run is
+		// cancelled (for instance by the sink itself) rather than emit
+		// the rest of the buffer.
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		return sink.EmitWindow(k, fills)
 	}

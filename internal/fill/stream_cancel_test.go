@@ -11,18 +11,9 @@ import (
 	"dummyfill/internal/layout"
 )
 
-// streamTopologies are the three size+emit schedules: the unsharded
-// global reorder buffer, the chained shards with direct ordered release
-// (workers ≤ shards), and the per-shard worker groups with shard-local
-// reorder buffers (workers > shards).
-var streamTopologies = []struct {
-	name            string
-	workers, shards int
-}{
-	{"unsharded", 4, 1},
-	{"chained", 2, 4},
-	{"groups", 8, 2},
-}
+// streamWorkers are the size+emit schedules: the serial loop and the
+// reorder ring at several worker counts.
+var streamWorkers = []int{1, 2, 4, 8}
 
 // leakCheck records the goroutine count and fails the test if it has not
 // returned to baseline (with small slack for runtime helpers) by cleanup.
@@ -42,19 +33,18 @@ func leakCheck(t *testing.T) {
 }
 
 // TestRunStreamCancelMidStream cancels the run's context from inside the
-// sink after a few windows have been emitted, on every topology. The run
+// sink after a few windows have been emitted, at every worker count. The run
 // must abort with the context's error — never a hang, never a corrupted
 // nil — with all worker and watcher goroutines unwound; the same engine
 // must then produce the full canonical output on a clean rerun (worker
 // scratches and pooled state survive the abort uncorrupted).
 func TestRunStreamCancelMidStream(t *testing.T) {
-	for _, topo := range streamTopologies {
-		t.Run(topo.name, func(t *testing.T) {
+	for _, workers := range streamWorkers {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			leakCheck(t)
 			lay := gradientLayout()
 			opts := DefaultOptions()
-			opts.Workers = topo.workers
-			opts.Shards = topo.shards
+			opts.Workers = workers
 			e, err := New(lay, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -90,7 +80,7 @@ func TestRunStreamCancelMidStream(t *testing.T) {
 			if err != nil {
 				t.Fatalf("rerun after aborted run: %v", err)
 			}
-			assertAscending(t, ks, topo.name+" rerun")
+			assertAscending(t, ks, fmt.Sprintf("workers=%d rerun", workers))
 			if res.Health.Sized+res.Health.Skipped != res.Windows {
 				t.Fatalf("rerun health inconsistent: %+v", res.Health)
 			}
@@ -99,18 +89,17 @@ func TestRunStreamCancelMidStream(t *testing.T) {
 }
 
 // TestRunStreamEmitterFaultPropagates injects a sink failure partway
-// through emission on every topology: the run must return exactly that
-// error (wrapped or not), stop emitting, and leave no goroutines behind —
-// the blocked deliverers of shard-local reorder buffers included.
+// through emission at every worker count: the run must return exactly
+// that error (wrapped or not), stop emitting, and leave no goroutines
+// behind — the blocked deliverers of the reorder ring included.
 func TestRunStreamEmitterFaultPropagates(t *testing.T) {
 	sentinel := fmt.Errorf("downstream writer failed")
-	for _, topo := range streamTopologies {
-		t.Run(topo.name, func(t *testing.T) {
+	for _, workers := range streamWorkers {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			leakCheck(t)
 			lay := gradientLayout()
 			opts := DefaultOptions()
-			opts.Workers = topo.workers
-			opts.Shards = topo.shards
+			opts.Workers = workers
 			e, err := New(lay, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -166,44 +155,6 @@ func TestReorderBufferDeliverAfterAbortReturnsCause(t *testing.T) {
 	rb.abort(fmt.Errorf("second cause"))
 	if err := rb.deliver(1, nil); !errors.Is(err, cause) {
 		t.Fatalf("deliver after double abort: err = %v, want first cause %v", err, cause)
-	}
-}
-
-// TestShardEmitterFlushFaultSticks injects the sink failure on a window
-// that is only reached while flushing a buffered (non-head) segment: the
-// error must surface from finish, stick, and poison later emits.
-func TestShardEmitterFlushFaultSticks(t *testing.T) {
-	sentinel := fmt.Errorf("flush failed")
-	em := newShardEmitter(SinkFunc(func(k int, _ []layout.Fill) error {
-		if k == 10 {
-			return sentinel
-		}
-		return nil
-	}), 3)
-	fills := []layout.Fill{{Layer: 0}}
-	// Shard 1 buffers windows 10-11 while shard 0 is still the head.
-	if err := em.emit(1, 10, fills); err != nil {
-		t.Fatal(err)
-	}
-	if err := em.emit(1, 11, fills); err != nil {
-		t.Fatal(err)
-	}
-	if err := em.finish(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := em.emit(0, 0, fills); err != nil {
-		t.Fatal(err)
-	}
-	// Head shard finishes; the cascade flushes shard 1's segment and hits
-	// the fault on window 10.
-	if err := em.finish(0); !errors.Is(err, sentinel) {
-		t.Fatalf("finish flushing faulty segment: err = %v, want %v", err, sentinel)
-	}
-	if err := em.emit(2, 20, fills); !errors.Is(err, sentinel) {
-		t.Fatalf("emit after emitter failure: err = %v, want sticky %v", err, sentinel)
-	}
-	if err := em.finish(2); !errors.Is(err, sentinel) {
-		t.Fatalf("finish after emitter failure: err = %v, want sticky %v", err, sentinel)
 	}
 }
 

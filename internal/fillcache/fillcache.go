@@ -9,7 +9,7 @@
 //
 // The store is a plain directory tree: one file per entry, fanned out by
 // the first key byte, written atomically (temp file + rename) so
-// concurrent writers — shard workers of one run, or several processes
+// concurrent writers — the workers of one run, or several processes
 // sharing a cache directory — can never expose a torn entry. Every entry
 // carries an integrity trailer; a corrupt, truncated or torn file is
 // reported as ErrCorrupt and treated by callers as a miss, never as

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -90,7 +89,7 @@ type Config struct {
 	Rules layout.Rules
 	// Options is the base engine configuration jobs start from
 	// (zero Lambda = fill.DefaultOptions()). Per-request parameters
-	// (workers, shards, lambda, deadline) override per job.
+	// (workers, lambda, deadline) override per job.
 	Options fill.Options
 	// FillCache is the persistent per-window fill cache — the second
 	// caching tier under the layout LRU. The layout cache short-circuits
@@ -158,9 +157,6 @@ type Server struct {
 	// every exit path (asserted by the chaos suite).
 	outBufs          sync.Pool
 	bufGets, bufPuts atomic.Int64
-
-	// maxDivergence tracks the worst Health.PlanDivergence seen.
-	maxDivergence atomic.Uint64 // math.Float64bits
 }
 
 // New constructs a Server from cfg (zero fields defaulted).
@@ -177,9 +173,6 @@ func New(cfg Config) *Server {
 	s.met.gauge("fillserved_queue_depth", func() float64 { return float64(s.adm.queued.Load()) })
 	s.met.gauge("fillserved_jobs_running", func() float64 { return float64(s.adm.inFlight.Load()) })
 	s.met.gauge("fillserved_cache_entries", func() float64 { return float64(s.cache.len()) })
-	s.met.gauge("fillserved_plan_divergence_max", func() float64 {
-		return bitsToFloat(s.maxDivergence.Load())
-	})
 	// Touch the series the dashboards key on so a fresh scrape shows them
 	// at zero instead of absent.
 	for _, st := range []Status{StatusOK, StatusDegraded, StatusAborted, StatusRejected} {
@@ -283,7 +276,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 type jobParams struct {
 	format, oformat string
 	deadline        time.Duration
-	workers, shards int
+	workers         int
 	lambda          float64
 	window          int64
 }
@@ -321,11 +314,6 @@ func (s *Server) parseParams(r *http.Request) (jobParams, error) {
 		}
 		if max := runtime.GOMAXPROCS(0); p.workers > max {
 			p.workers = max
-		}
-	}
-	if v := q.Get("shards"); v != "" {
-		if p.shards, err = strconv.Atoi(v); err != nil || p.shards < 0 {
-			return p, fmt.Errorf("bad shards %q", v)
 		}
 	}
 	if v := q.Get("lambda"); v != "" {
@@ -444,7 +432,6 @@ func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
 
 	opts := s.cfg.Options
 	opts.Workers = p.workers
-	opts.Shards = p.shards
 	if p.lambda > 0 {
 		opts.Lambda = p.lambda
 	}
@@ -613,8 +600,7 @@ func (s *Server) noteAborted(cause string, arrival time.Time) {
 }
 
 // noteHealth folds one job's Health into the window-level counters — the
-// same vocabulary benchjson rows report (degraded windows, fallbacks,
-// plan divergence).
+// same vocabulary benchjson rows report (degraded windows, fallbacks).
 func (s *Server) noteHealth(h fill.Health) {
 	s.met.add("fillserved_windows_total", `kind="sized"`, int64(h.Sized))
 	s.met.add("fillserved_windows_total", `kind="skipped"`, int64(h.Skipped))
@@ -631,15 +617,6 @@ func (s *Server) noteHealth(h fill.Health) {
 	if h.BudgetExceeded {
 		s.met.add("fillserved_budget_exceeded_total", "", 1)
 	}
-	for {
-		old := s.maxDivergence.Load()
-		if h.PlanDivergence <= bitsToFloat(old) {
-			return
-		}
-		if s.maxDivergence.CompareAndSwap(old, floatToBits(h.PlanDivergence)) {
-			return
-		}
-	}
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
@@ -655,6 +632,3 @@ func contentType(format string) string {
 	}
 	return "application/octet-stream"
 }
-
-func floatToBits(f float64) uint64 { return math.Float64bits(f) }
-func bitsToFloat(b uint64) float64 { return math.Float64frombits(b) }

@@ -139,6 +139,13 @@ func TestFillEndToEndByteIdentical(t *testing.T) {
 		t.Fatalf("repeat submission: X-Fill-Cache = %q, want hit", got)
 	}
 
+	// The handler returns its buffer after the client has read the body;
+	// Shutdown waits for every job to finish, so the balance is final.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
 	gets, puts := s.PoolBalance()
 	if gets == 0 || gets != puts {
 		t.Fatalf("pooled buffers leaked: gets=%d puts=%d", gets, puts)

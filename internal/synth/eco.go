@@ -23,9 +23,13 @@ import (
 //     fill-cache key and replay.
 //   - Jitter is pure translation (wire areas are preserved) and the patch
 //     placement avoids the windows that pin the density planner's
-//     candidate range (the global max-lower / min-upper windows), so the
-//     planned target densities — and with them every untouched window's
-//     solution — stay bit-identical in practice.
+//     candidate range (the global max-lower / min-upper windows). That
+//     keeps the planned target densities bit-identical for many edits,
+//     but not for all: the edit still changes free regions and the
+//     planning weights, which can shift a target. On design b a 2% edit
+//     shifted a target, and so missed the cache in every window, for 4
+//     of 12 seeds. Callers that need cache hits must check the outcome
+//     (Health.CacheHits) rather than assume it.
 //
 // Free regions are re-derived with the same extractor Generate uses, so
 // the untouched-window guarantee holds for synth layouts (whose
