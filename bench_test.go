@@ -361,7 +361,7 @@ func BenchmarkAblation_Solver(b *testing.B) {
 			b.ReportAllocs()
 			opts := dummyfill.DefaultOptions()
 			if s.solver != nil {
-				opts.Solver = s.solver
+				opts.NewSolver = func() dlp.PSolver { return s.solver }
 			}
 			for i := 0; i < b.N; i++ {
 				if _, err := dummyfill.Insert(lay, opts); err != nil {

@@ -9,7 +9,6 @@
 //	benchjson -baseline ""               # omit the baseline comparison
 //	benchjson -compare old.json new.json # delta table; exit 1 on regression
 //	benchjson -in chip.gds -format auto  # benchmark an external layout
-//	benchjson -ingest                    # also measure ingest memory
 //	benchjson -workers 1                 # pin the worker count
 //	benchjson -append -out BENCH_4.json  # add rows to an existing report
 //
@@ -17,17 +16,11 @@
 // -append merges new rows into an existing report so single- and
 // multi-core measurements of the same designs can live side by side.
 //
-// With -ingest each design's wire deck is round-tripped through GDSII
-// twice — once via the materialized Library path, once via the streaming
-// shape reader — and the allocation totals of both are recorded, so the
-// report shows what streaming ingest saves.
-//
 // The committed BENCH_*.json files at the repository root are generated by
 // this command; regenerate after performance-relevant changes.
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -44,8 +37,6 @@ import (
 	dummyfill "dummyfill"
 	"dummyfill/cmd/internal/ingestfmt"
 	"dummyfill/internal/exp"
-	"dummyfill/internal/gdsii"
-	"dummyfill/internal/ingest"
 	"dummyfill/internal/synth"
 )
 
@@ -104,24 +95,6 @@ type Comparison struct {
 	QualityDelta float64 `json:"quality_delta"`
 }
 
-// IngestResult compares the two GDSII ingest paths on one design's wire
-// deck: parse-to-Library then convert, versus streaming shapes straight
-// into layout construction. Alloc figures are cumulative allocation
-// (runtime TotalAlloc delta), which is stable across runs, unlike
-// sampled peak heap.
-type IngestResult struct {
-	Design          string  `json:"design"`
-	GDSBytes        int64   `json:"gds_bytes"`
-	Shapes          int     `json:"shapes"`
-	LibraryAllocMiB float64 `json:"library_alloc_mib"`
-	LibraryWallSec  float64 `json:"library_wall_sec"`
-	StreamAllocMiB  float64 `json:"stream_alloc_mib"`
-	StreamWallSec   float64 `json:"stream_wall_sec"`
-	// AllocRatio is stream/library: below 1 means streaming ingest
-	// allocates less.
-	AllocRatio float64 `json:"alloc_ratio"`
-}
-
 // Output is the top-level JSON document.
 type Output struct {
 	GoVersion   string         `json:"go_version"`
@@ -130,7 +103,6 @@ type Output struct {
 	Baseline    []DesignResult `json:"baseline,omitempty"`
 	Designs     []DesignResult `json:"designs"`
 	Speedup     []Comparison   `json:"speedup,omitempty"`
-	Ingest      []IngestResult `json:"ingest,omitempty"`
 }
 
 // seedBaseline is the recorded performance of the pre-optimization tree
@@ -147,7 +119,6 @@ func main() {
 	out := flag.String("out", "BENCH_1.json", "output file (- for stdout)")
 	in := flag.String("in", "", "external layout file to benchmark instead of -designs")
 	format := flag.String("format", "auto", "input layout format for -in: auto (sniff), "+strings.Join(dummyfill.Formats(), ", "))
-	ingestFlag := flag.Bool("ingest", false, "also measure GDSII ingest memory: materialized Library path vs streaming shape reader")
 	deadline := flag.Duration("deadline", 0, "soft per-design time budget: past it, remaining windows emit unshrunk candidates instead of failing (0 = unlimited)")
 	workers := flag.Int("workers", 0, "window-level parallelism (0 = all cores)")
 	mode := flag.String("mode", "rect", "fill mode: rect (continuous rectangles) or site (filler-cell placement; needs a design with rows, e.g. -designs row)")
@@ -324,15 +295,6 @@ func main() {
 				name, moved, warm.InvalidatedWindows, speedup)
 			logRow(warm)
 			doc.Designs = append(doc.Designs, warm)
-		}
-		if *ingestFlag {
-			ir, err := measureIngest(name, lay)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "benchjson: ingest design=%s gds_bytes=%d library_alloc_mib=%.1f stream_alloc_mib=%.1f ratio=%.3f\n",
-				ir.Design, ir.GDSBytes, ir.LibraryAllocMiB, ir.StreamAllocMiB, ir.AllocRatio)
-			doc.Ingest = append(doc.Ingest, ir)
 		}
 	}
 
@@ -549,91 +511,6 @@ func logRow(res DesignResult) {
 			res.Eco, res.CacheHits, res.CacheMisses, res.InvalidatedWindows)
 	}
 	fmt.Fprintln(os.Stderr, line)
-}
-
-// measureIngest writes the design's wire deck to a temporary GDSII file
-// and ingests it back twice: through the materialized Library path and
-// through the streaming shape reader. Both must produce the same layout;
-// the allocation totals show what streaming saves.
-func measureIngest(name string, lay *dummyfill.Layout) (IngestResult, error) {
-	tmp, err := os.CreateTemp("", "benchjson-*.gds")
-	if err != nil {
-		return IngestResult{}, err
-	}
-	defer os.Remove(tmp.Name())
-	defer tmp.Close()
-	bw := bufio.NewWriter(tmp)
-	if err := dummyfill.WriteGDS(bw, lay, nil); err != nil {
-		return IngestResult{}, err
-	}
-	if err := bw.Flush(); err != nil {
-		return IngestResult{}, err
-	}
-	info, err := tmp.Stat()
-	if err != nil {
-		return IngestResult{}, err
-	}
-	opts := dummyfill.IngestOptions{Window: lay.Window, Rules: lay.Rules}
-
-	var libLay *dummyfill.Layout
-	libAlloc, libSec, err := allocMeasure(func() error {
-		if _, err := tmp.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		lib, err := gdsii.Read(bufio.NewReader(tmp))
-		if err != nil {
-			return err
-		}
-		libLay, err = ingest.FromGDS(lib, opts)
-		return err
-	})
-	if err != nil {
-		return IngestResult{}, err
-	}
-
-	var strLay *dummyfill.Layout
-	strAlloc, strSec, err := allocMeasure(func() error {
-		if _, err := tmp.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		var err error
-		strLay, err = dummyfill.ReadGDSLayout(bufio.NewReader(tmp), opts)
-		return err
-	})
-	if err != nil {
-		return IngestResult{}, err
-	}
-	if libLay.NumShapes() != strLay.NumShapes() {
-		return IngestResult{}, fmt.Errorf("ingest paths disagree on %s: library %d shapes, stream %d",
-			name, libLay.NumShapes(), strLay.NumShapes())
-	}
-
-	ir := IngestResult{
-		Design:          name,
-		GDSBytes:        info.Size(),
-		Shapes:          strLay.NumShapes(),
-		LibraryAllocMiB: round1(libAlloc),
-		LibraryWallSec:  round3(libSec),
-		StreamAllocMiB:  round1(strAlloc),
-		StreamWallSec:   round3(strSec),
-	}
-	if libAlloc > 0 {
-		ir.AllocRatio = round3(strAlloc / libAlloc)
-	}
-	return ir, nil
-}
-
-// allocMeasure times f and reports its cumulative allocation (TotalAlloc
-// delta) — a deterministic memory figure, unlike sampled peak heap.
-func allocMeasure(f func() error) (mib, sec float64, err error) {
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	err = f()
-	sec = time.Since(start).Seconds()
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20), sec, err
 }
 
 // measure times f and samples peak live heap (5 ms period), mirroring the

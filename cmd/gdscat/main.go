@@ -4,17 +4,28 @@
 //	gdscat -layers file.gds      # per-layer shape/area breakdown
 //
 // Only BOUNDARY elements are modeled; other record types are skipped.
+// Polygons are decomposed into rectangles, so counts are rectangles.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"dummyfill/internal/gdsii"
 	"dummyfill/internal/geom"
 )
+
+// row accumulates one (layer, kind) group of the -layers breakdown.
+type row struct {
+	layer int
+	kind  string
+	count int
+	area  int64
+	bbox  geom.Rect
+}
 
 func main() {
 	layers := flag.Bool("layers", false, "print per-layer breakdown")
@@ -27,46 +38,39 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	lib, err := gdsii.Read(f)
-	if err != nil {
-		fatal(err)
+	sr := gdsii.NewShapeReader(f, gdsii.DefaultLimits())
+	groups := map[row]*row{} // keyed on {layer, kind}
+	n := 0
+	for {
+		s, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			fatal(err)
+		}
+		n++
+		key := row{layer: s.Layer, kind: "wire"}
+		if s.Datatype == gdsii.DatatypeFill {
+			key.kind = "fill"
+		}
+		r := groups[key]
+		if r == nil {
+			r = &key
+			groups[key] = r
+		}
+		r.count++
+		r.area += s.Rect.Area()
+		r.bbox = r.bbox.Union(s.Rect)
 	}
-	nb := 0
-	for _, st := range lib.Structs {
-		nb += len(st.Boundaries)
-	}
-	fmt.Printf("library %q: %d structures, %d boundaries, units user=%g meterDBU=%g\n",
-		lib.Name, len(lib.Structs), nb, lib.UserUnit, lib.MeterDBU)
-	for _, st := range lib.Structs {
-		fmt.Printf("  structure %q: %d boundaries\n", st.Name, len(st.Boundaries))
-	}
+	fmt.Printf("library %q: %d shapes\n", sr.Header().Name, n)
 	if !*layers {
 		return
 	}
-	wires, fills, err := lib.ExtractShapes()
-	if err != nil {
-		fatal(err)
+	rows := make([]*row, 0, len(groups))
+	for _, r := range groups {
+		rows = append(rows, r)
 	}
-	type row struct {
-		layer int
-		kind  string
-		count int
-		area  int64
-		bbox  geom.Rect
-	}
-	var rows []row
-	add := func(kind string, m map[int][]geom.Rect) {
-		for li, rs := range m {
-			r := row{layer: li, kind: kind, count: len(rs)}
-			for _, rect := range rs {
-				r.area += rect.Area()
-				r.bbox = r.bbox.Union(rect)
-			}
-			rows = append(rows, r)
-		}
-	}
-	add("wire", wires)
-	add("fill", fills)
 	sort.Slice(rows, func(a, b int) bool {
 		if rows[a].layer != rows[b].layer {
 			return rows[a].layer < rows[b].layer

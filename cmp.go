@@ -52,13 +52,6 @@ func SimulateCMP(lay *Layout, sol *Solution, p CMPParams) ([]Planarity, error) {
 	return out, nil
 }
 
-// LayoutFromGDS builds a fill-ready Layout from a parsed GDSII stream:
-// polygons are decomposed to rectangles and feasible fill regions are
-// extracted as wire-keepout-free space.
-func LayoutFromGDS(lib *gdsii.Library, opts IngestOptions) (*Layout, error) {
-	return ingest.FromGDS(lib, opts)
-}
-
 // Formats returns the registered layout format names, sorted — the
 // accepted values of ReadLayoutFormat and InsertStreamTo, and of the
 // CLIs' -format flags.

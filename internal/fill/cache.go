@@ -109,13 +109,7 @@ func (e *Engine) cacheActive() bool {
 // entries must not migrate between them. The runtime symbol name is
 // stable across runs and builds of the same source.
 func solverID(o Options) string {
-	var p uintptr
-	if o.Solver != nil {
-		p = reflect.ValueOf(o.Solver).Pointer()
-	} else {
-		p = reflect.ValueOf(o.NewSolver).Pointer()
-	}
-	if f := runtime.FuncForPC(p); f != nil {
+	if f := runtime.FuncForPC(reflect.ValueOf(o.NewSolver).Pointer()); f != nil {
 		return f.Name()
 	}
 	return "unknown-solver"

@@ -3,6 +3,7 @@ package fill
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -50,11 +51,11 @@ func New(lay *layout.Layout, opts Options) (*Engine, error) {
 	if err := lay.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Lambda < 1 {
-		return nil, fmt.Errorf("fill: Lambda must be >= 1, got %v", opts.Lambda)
+	if !(opts.Lambda >= 1) || math.IsInf(opts.Lambda, 1) {
+		return nil, fmt.Errorf("fill: Lambda must be finite and >= 1, got %v", opts.Lambda)
 	}
-	if opts.Solver == nil && opts.NewSolver == nil {
-		return nil, fmt.Errorf("fill: Options.Solver or Options.NewSolver is required (use DefaultOptions)")
+	if opts.NewSolver == nil {
+		return nil, fmt.Errorf("fill: Options.NewSolver is required (use DefaultOptions)")
 	}
 	if opts.MaxSizingPasses < 1 {
 		return nil, fmt.Errorf("fill: MaxSizingPasses must be >= 1, got %d", opts.MaxSizingPasses)
@@ -379,8 +380,9 @@ func (e *Engine) workerCount(n int) int {
 }
 
 // parallelFor runs fn(ctx, idx) for every idx in [0,n) across the worker
-// pool, every worker (and the serial path) under the pprof label
-// {"stage": stage} so CPU profiles attribute samples to pipeline stages.
+// pool, every worker under the pprof label {"stage": stage} so CPU
+// profiles attribute samples to pipeline stages. One worker runs the
+// same pool with a single goroutine.
 // The first error cancels the run promptly and is returned: the pool's
 // derived context is cancelled immediately, so in-flight siblings
 // blocked inside fn observe ctx.Done() without waiting for a task
@@ -389,20 +391,6 @@ func (e *Engine) workerCount(n int) int {
 func (e *Engine) parallelFor(ctx context.Context, n int, stage string, fn func(ctx context.Context, idx int) error) error {
 	labels := pprof.Labels("stage", stage)
 	workers := e.workerCount(n)
-	if workers <= 1 {
-		var serr error
-		pprof.Do(ctx, labels, func(ctx context.Context) {
-			for idx := 0; idx < n; idx++ {
-				if serr = ctx.Err(); serr != nil {
-					return
-				}
-				if serr = fn(ctx, idx); serr != nil {
-					return
-				}
-			}
-		})
-		return serr
-	}
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (

@@ -2,6 +2,7 @@ package fill
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"dummyfill/internal/density"
@@ -12,10 +13,21 @@ import (
 	"dummyfill/internal/score"
 )
 
+// sizeWindowScratch sizes one window with the scratch's own (possibly
+// warm-started) solver.
+func sizeWindowScratch(ctx context.Context, w *window, lay *layout.Layout, targets []int64, opts Options, sc *sizeScratch) ([]cell, error) {
+	return sizeWindowWith(ctx, w, lay, targets, opts, sc, sc.solver())
+}
+
 // sizeWindow is a test convenience over sizeWindowScratch with fresh
 // scratch and a background context.
 func sizeWindow(w *window, lay *layout.Layout, targets []int64, opts Options) ([]cell, error) {
 	return sizeWindowScratch(context.Background(), w, lay, targets, opts, newSizeScratch(opts))
+}
+
+// pruneSurplus is pruneSurplusScratch with fresh scratch.
+func pruneSurplus(cells []cell, targets []int64, nl int) []cell {
+	return pruneSurplusScratch(cells, targets, nl, &sizeScratch{})
 }
 
 func testRules() layout.Rules {
@@ -430,21 +442,23 @@ func TestEngineOptionValidation(t *testing.T) {
 	if _, err := New(lay, bad); err == nil {
 		t.Fatal("λ < 1 must be rejected")
 	}
+	for _, lambda := range []float64{math.NaN(), math.Inf(1)} {
+		bad = DefaultOptions()
+		bad.Lambda = lambda
+		if _, err := New(lay, bad); err == nil {
+			t.Fatalf("λ = %v must be rejected", lambda)
+		}
+	}
 	bad = DefaultOptions()
-	bad.Solver, bad.NewSolver = nil, nil
+	bad.NewSolver = nil
 	if _, err := New(lay, bad); err == nil {
-		t.Fatal("nil Solver with nil NewSolver must be rejected")
+		t.Fatal("nil NewSolver must be rejected")
 	}
-	// Either solver field alone is sufficient.
+	// A closure over a stateless solver is a valid factory.
 	ok := DefaultOptions()
-	ok.Solver, ok.NewSolver = dlp.ViaSSP, nil
+	ok.NewSolver = func() dlp.PSolver { return dlp.ViaSSP }
 	if _, err := New(lay, ok); err != nil {
-		t.Fatalf("explicit Solver alone must be accepted: %v", err)
-	}
-	ok = DefaultOptions()
-	ok.Solver = nil
-	if _, err := New(lay, ok); err != nil {
-		t.Fatalf("NewSolver alone must be accepted: %v", err)
+		t.Fatalf("stateless solver factory must be accepted: %v", err)
 	}
 	bad = DefaultOptions()
 	bad.MaxSizingPasses = 0

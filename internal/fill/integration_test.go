@@ -70,7 +70,7 @@ func TestEngineSolverBackendsEquivalent(t *testing.T) {
 		{"simplex", dlp.ViaSimplexLP},
 	} {
 		opts := DefaultOptions()
-		opts.Solver = s.solver
+		opts.NewSolver = func() dlp.PSolver { return s.solver }
 		e, err := New(lay, opts)
 		if err != nil {
 			t.Fatal(err)

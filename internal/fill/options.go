@@ -44,17 +44,16 @@ type Options struct {
 	PlanSteps int
 	// MaxSizingPasses bounds the alternating H/V sizing iterations.
 	MaxSizingPasses int
-	// Solver solves the per-direction difference-constraint LPs. When set
-	// it overrides NewSolver; dlp.ViaSSP, dlp.ViaNetworkSimplex and the
-	// dense-simplex dlp.ViaSimplexLP are drop-in choices for ablation
-	// studies. Leave nil to use NewSolver (the default).
-	Solver dlp.PSolver
-	// NewSolver supplies a fresh LP solver per worker, letting stateful
-	// solvers carry warm-start state across the windows a worker sizes
-	// without any cross-worker sharing. DefaultOptions uses
-	// dlp.NewWarmSSP, the warm-started dual min-cost-flow solver; a
-	// non-nil Solver takes precedence (it is assumed stateless and safe
-	// for concurrent use).
+	// NewSolver supplies a fresh solver per worker for the per-direction
+	// difference-constraint LPs, letting stateful solvers carry
+	// warm-start state across the windows a worker sizes without any
+	// cross-worker sharing. DefaultOptions uses dlp.NewWarmSSP, the
+	// warm-started dual min-cost-flow solver. For ablation studies, a
+	// closure returning a stateless solver such as dlp.ViaSSP,
+	// dlp.ViaNetworkSimplex or the dense-simplex dlp.ViaSimplexLP is a
+	// drop-in choice. The fill cache keys entries on the factory's
+	// function symbol, so a cached run must not vary solvers through one
+	// shared closure.
 	NewSolver func() dlp.PSolver
 	// Workers bounds window-level parallelism (0 = GOMAXPROCS).
 	Workers int
@@ -104,13 +103,4 @@ func DefaultOptions() Options {
 		MaxSizingPasses: 6,
 		NewSolver:       dlp.NewWarmSSP,
 	}
-}
-
-// newSolver resolves the effective per-worker solver: an explicit Solver
-// wins, otherwise a fresh instance from the NewSolver factory.
-func (o Options) newSolver() dlp.PSolver {
-	if o.Solver != nil {
-		return o.Solver
-	}
-	return o.NewSolver()
 }

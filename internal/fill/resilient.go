@@ -116,10 +116,10 @@ func (e *Engine) sizeWindowResilient(ctx context.Context, k int, w *window, targ
 		var pe *panicError
 		if errors.As(err, &pe) {
 			hc.recovered.Add(1)
-			if t == 0 && e.opts.Solver == nil {
+			if t == 0 {
 				// The warm solver's carried state is suspect after a
 				// panic; give this scratch a fresh one for later windows.
-				sc.solve = e.opts.newSolver()
+				sc.solve = e.opts.NewSolver()
 			}
 		}
 		if cerr := ctx.Err(); cerr != nil {

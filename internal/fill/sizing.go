@@ -12,11 +12,12 @@ import (
 )
 
 // sizeScratch bundles the reusable per-worker state of window sizing: the
-// LP solver (warm-started across the windows a worker processes when
-// Options.NewSolver is used), the LP arena, the spatial indexes and every
-// per-cell buffer of sizingPass. One worker sizes hundreds of windows over
-// thousands of passes; with the scratch the whole loop performs no
-// steady-state allocation. A sizeScratch is not safe for concurrent use.
+// LP solver from Options.NewSolver (a warm-started one carries its state
+// across the windows a worker processes), the LP arena, the spatial
+// indexes and every per-cell buffer of sizingPass. One worker sizes
+// hundreds of windows over thousands of passes; with the scratch the
+// whole loop performs no steady-state allocation. A sizeScratch is not
+// safe for concurrent use.
 type sizeScratch struct {
 	solve    dlp.PSolver
 	newSolve func() dlp.PSolver
@@ -51,7 +52,7 @@ type budgetAcc struct {
 // opts. The solver itself (and its arenas) is created lazily on first use,
 // so scratches for workers that only meet empty windows stay cheap.
 func newSizeScratch(opts Options) *sizeScratch {
-	return &sizeScratch{newSolve: opts.newSolver}
+	return &sizeScratch{newSolve: opts.NewSolver}
 }
 
 // solver returns the scratch's warm solver, creating it on first use.
@@ -113,7 +114,7 @@ func indexes(dst []*geom.Index, nl int, bounds geom.Rect) []*geom.Index {
 	return dst
 }
 
-// sizeWindowScratch shrinks the selected candidates of one window so that
+// sizeWindowWith shrinks the selected candidates of one window so that
 // each layer's fill area converges to its target area while overlay with
 // neighbouring layers is minimized (§3.3). The non-convex problem (Eqn. 9)
 // is relaxed by alternating directions: with heights fixed, widths are the
@@ -123,15 +124,9 @@ func indexes(dst []*geom.Index, nl int, bounds geom.Rect) []*geom.Index {
 // targets[l] is the desired fill area (not density) for layer l within
 // this window. Returns the surviving sized fills; the slice aliases the
 // caller-owned scratch and is only valid until the next call with the
-// same scratch. Solving uses the scratch's own (possibly warm-started)
-// solver.
-func sizeWindowScratch(ctx context.Context, w *window, lay *layout.Layout, targets []int64, opts Options, sc *sizeScratch) ([]cell, error) {
-	return sizeWindowWith(ctx, w, lay, targets, opts, sc, sc.solver())
-}
-
-// sizeWindowWith is sizeWindowScratch with an explicit LP solver — the
-// hook the engine's fallback chain uses to retry a window on a different
-// tier without disturbing the scratch's warm solver.
+// same scratch. Solving uses the explicit LP solver solve — the hook the
+// engine's fallback chain uses to retry a window on a different tier
+// without disturbing the scratch's warm solver.
 func sizeWindowWith(ctx context.Context, w *window, lay *layout.Layout, targets []int64, opts Options, sc *sizeScratch, solve dlp.PSolver) ([]cell, error) {
 	if len(w.sel) == 0 {
 		return nil, nil
@@ -197,12 +192,8 @@ func sizeWindowWith(ctx context.Context, w *window, lay *layout.Layout, targets 
 	return out, nil
 }
 
-// pruneSurplus removes lowest-quality cells while a layer remains over
-// target even without them.
-func pruneSurplus(cells []cell, targets []int64, nl int) []cell {
-	return pruneSurplusScratch(cells, targets, nl, &sizeScratch{})
-}
-
+// pruneSurplusScratch removes lowest-quality cells while a layer remains
+// over target even without them.
 func pruneSurplusScratch(cells []cell, targets []int64, nl int, sc *sizeScratch) []cell {
 	area := growI64(sc.area, nl)
 	sc.area = area

@@ -268,6 +268,8 @@ func (e *Engine) produceWindow(ctx context.Context, k int, wins []*window, td []
 // buffer capacity regardless of run size. Workers claim windows in
 // ascending order, which guarantees the worker holding the smallest
 // in-flight window always finds buffer space — the stage cannot deadlock.
+// One worker runs the same pool; its ring releases each window as soon as
+// it is delivered.
 //
 // Each worker owns one lazily-initialized sizing scratch for its whole
 // lifetime (the warm solver state flows from window to window), so the
@@ -301,27 +303,6 @@ func (e *Engine) sizeAndEmit(ctx context.Context, wins []*window, td []float64, 
 	}
 
 	workers := e.workerCount(nw)
-	if workers <= 1 {
-		sc := newSizeScratch(e.opts)
-		hc.notePeak(1)
-		var serr error
-		pprof.Do(ctx, pprof.Labels("stage", "size-emit"), func(ctx context.Context) {
-			for k := 0; k < nw; k++ {
-				if serr = ctx.Err(); serr != nil {
-					return
-				}
-				var fills []layout.Fill
-				if fills, serr = produce(ctx, k, sc); serr != nil {
-					return
-				}
-				if serr = release(k, fills); serr != nil {
-					return
-				}
-			}
-		})
-		return serr
-	}
-
 	// Buffer capacity: enough slack that workers rarely stall on an
 	// out-of-order slow window, small enough to bound resident windows.
 	capacity := 2 * workers

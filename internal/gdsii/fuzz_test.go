@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzRead exercises the GDSII reader with arbitrary byte streams; any
-// input must produce a clean error or a parsed library, never a panic.
+// FuzzRead exercises the GDSII ShapeReader with arbitrary byte streams;
+// any input must produce a clean error or a drained shape stream, never a
+// panic.
 // Run with `go test -fuzz FuzzRead ./internal/gdsii` for deep exploration;
 // plain `go test` replays the seed corpus.
 func FuzzRead(f *testing.F) {
@@ -34,25 +35,14 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, RecXY, 0x03, 0x00, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lib, err := Read(bytes.NewReader(data))
-		if err == nil {
-			if lib == nil {
-				t.Fatal("nil library without error")
-			}
-			// A successfully parsed library must re-encode.
-			if _, err := lib.EncodedSize(); err != nil {
-				// Re-encoding can legitimately fail (e.g. boundaries with
-				// fewer than 3 points survive parsing); it must not panic.
-				_ = err
-			}
-		}
-		// Tight limits must fail with a clean error (wrapping ErrLimit when
-		// it is the limit that trips), never a panic.
-		if _, err := ReadLimited(bytes.NewReader(data), Limits{MaxRecords: 16, MaxShapes: 2}); err != nil {
+		// Default and tight limits must both end in a clean error
+		// (wrapping ErrLimit when it is the limit that trips) or a drained
+		// stream, never a panic.
+		_, _, _ = drain(bytes.NewReader(data), DefaultLimits())
+		if _, _, err := drain(bytes.NewReader(data), Limits{MaxRecords: 16, MaxShapes: 2}); err != nil {
 			_ = errors.Is(err, ErrLimit)
 		}
-		// The streaming reader must drain any input without panicking and
-		// with sticky errors (a failed Next keeps failing).
+		// Errors are sticky: a failed Next keeps failing.
 		sr := NewShapeReader(bytes.NewReader(data), Limits{MaxRecords: 4096, MaxShapes: 256})
 		for {
 			if _, err := sr.Next(); err != nil {

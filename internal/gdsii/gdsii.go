@@ -1,8 +1,6 @@
 package gdsii
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 
 	"dummyfill/internal/geom"
@@ -27,10 +25,8 @@ type Structure struct {
 
 // Library is a GDSII library.
 type Library struct {
-	Name     string
-	UserUnit float64 // user units per database unit (typically 1e-3)
-	MeterDBU float64 // meters per database unit (typically 1e-9)
-	Structs  []Structure
+	Name    string
+	Structs []Structure
 }
 
 // Datatype conventions used by this repository when emitting layouts:
@@ -46,7 +42,7 @@ const (
 // interface avoids materializing Structs for large shape sets.
 func (lib *Library) Write(w io.Writer) error {
 	sw := NewStreamWriter(w)
-	if err := sw.BeginLibrary(lib.Name, lib.UserUnit, lib.MeterDBU); err != nil {
+	if err := sw.BeginLibrary(lib.Name); err != nil {
 		return err
 	}
 	for _, st := range lib.Structs {
@@ -63,107 +59,6 @@ func (lib *Library) Write(w io.Writer) error {
 		}
 	}
 	return sw.Close()
-}
-
-// Read parses a GDSII stream into a Library under DefaultLimits.
-// Unsupported elements (paths, references, texts) are skipped.
-func Read(r io.Reader) (*Library, error) {
-	return ReadLimited(r, DefaultLimits())
-}
-
-// ReadLimited is Read with caller-chosen resource limits; exceeding one
-// returns an error wrapping ErrLimit.
-func ReadLimited(r io.Reader, lim Limits) (*Library, error) {
-	br := bufio.NewReader(r)
-	lib := &Library{}
-	var cur *Structure
-	var curB *Boundary
-	sawHeader := false
-	var records, shapes int64
-	for {
-		rec, err := readRecord(br)
-		if err == io.EOF {
-			if sawHeader {
-				return nil, fmt.Errorf("gdsii: missing ENDLIB")
-			}
-			return nil, fmt.Errorf("gdsii: empty stream")
-		}
-		if err != nil {
-			return nil, err
-		}
-		records++
-		if lim.MaxRecords > 0 && records > lim.MaxRecords {
-			return nil, fmt.Errorf("gdsii: %w: more than %d records", ErrLimit, lim.MaxRecords)
-		}
-		switch rec.typ {
-		case RecHeader:
-			sawHeader = true
-		case RecLibName:
-			lib.Name = rec.str()
-		case RecUnits:
-			vals := rec.real8s()
-			if len(vals) >= 2 {
-				lib.UserUnit, lib.MeterDBU = vals[0], vals[1]
-			}
-		case RecBgnStr:
-			lib.Structs = append(lib.Structs, Structure{})
-			cur = &lib.Structs[len(lib.Structs)-1]
-		case RecStrName:
-			if cur != nil {
-				cur.Name = rec.str()
-			}
-		case RecEndStr:
-			cur = nil
-		case RecBoundary:
-			shapes++
-			if lim.MaxShapes > 0 && shapes > lim.MaxShapes {
-				return nil, fmt.Errorf("gdsii: %w: more than %d shapes", ErrLimit, lim.MaxShapes)
-			}
-			curB = &Boundary{}
-		case RecLayer:
-			if curB != nil {
-				v, err := rec.int16s()
-				if err != nil || len(v) == 0 {
-					return nil, fmt.Errorf("gdsii: bad LAYER record: %v", err)
-				}
-				curB.Layer = int(v[0])
-			}
-		case RecDatatype:
-			if curB != nil {
-				v, err := rec.int16s()
-				if err != nil || len(v) == 0 {
-					return nil, fmt.Errorf("gdsii: bad DATATYPE record: %v", err)
-				}
-				curB.Datatype = int(v[0])
-			}
-		case RecXY:
-			if curB != nil {
-				v, err := rec.int32s()
-				if err != nil {
-					return nil, err
-				}
-				if len(v)%2 != 0 {
-					return nil, fmt.Errorf("gdsii: odd XY coordinate count")
-				}
-				for i := 0; i+1 < len(v); i += 2 {
-					curB.Pts = append(curB.Pts, geom.Point{X: int64(v[i]), Y: int64(v[i+1])})
-				}
-				// Strip the closing vertex.
-				if n := len(curB.Pts); n >= 2 && curB.Pts[0] == curB.Pts[n-1] {
-					curB.Pts = curB.Pts[:n-1]
-				}
-			}
-		case RecEndEl:
-			if curB != nil && cur != nil {
-				cur.Boundaries = append(cur.Boundaries, *curB)
-			}
-			curB = nil
-		case RecEndLib:
-			return lib, nil
-		default:
-			// Skip records we do not model.
-		}
-	}
 }
 
 // FromLayout converts a layout plus an optional fill solution into a
@@ -203,31 +98,6 @@ func rectBoundary(layer, dt int, r geom.Rect) Boundary {
 			{X: r.XH, Y: r.YH}, {X: r.XL, Y: r.YH},
 		},
 	}
-}
-
-// ExtractShapes converts the library's boundaries back into per-layer
-// rectangle sets, separated by datatype. Non-rectangular boundaries are
-// decomposed via polygon-to-rectangle conversion (Gourley–Green style).
-// Layer numbers are returned 0-based (GDS layer − 1).
-func (lib *Library) ExtractShapes() (wires, fills map[int][]geom.Rect, err error) {
-	wires = map[int][]geom.Rect{}
-	fills = map[int][]geom.Rect{}
-	for _, st := range lib.Structs {
-		for _, b := range st.Boundaries {
-			poly := geom.Polygon{Pts: b.Pts}
-			rects, err := poly.ToRects()
-			if err != nil {
-				return nil, nil, fmt.Errorf("gdsii: structure %q: %v", st.Name, err)
-			}
-			li := b.Layer - 1
-			if b.Datatype == DatatypeFill {
-				fills[li] = append(fills[li], rects...)
-			} else {
-				wires[li] = append(wires[li], rects...)
-			}
-		}
-	}
-	return wires, fills, nil
 }
 
 // EncodedSize returns the byte size the library would occupy on disk.

@@ -2,14 +2,31 @@ package gdsii
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"dummyfill/internal/geom"
+	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 )
+
+// decodeReal8 converts a GDSII 8-byte real to float64.
+func decodeReal8(bits uint64) float64 {
+	if bits == 0 {
+		return 0
+	}
+	sign := 1.0
+	if bits&(1<<63) != 0 {
+		sign = -1
+	}
+	exp := int((bits>>56)&0x7F) - 64
+	mant := float64(bits&((1<<56)-1)) / float64(uint64(1)<<56)
+	return sign * mant * math.Pow(16, float64(exp))
+}
 
 func TestReal8KnownValues(t *testing.T) {
 	// 1.0 in GDSII real: exponent 65 (16^1), mantissa 1/16 → 0x4110000000000000.
@@ -64,39 +81,78 @@ func sampleLibrary() *Library {
 	}
 }
 
+// drain reads every shape of a GDSII stream through a ShapeReader.
+func drain(r io.Reader, lim Limits) (layio.Header, []layio.Shape, error) {
+	sr := NewShapeReader(r, lim)
+	var out []layio.Shape
+	for {
+		s, err := sr.Next()
+		if err == io.EOF {
+			return sr.Header(), out, nil
+		}
+		if err != nil {
+			return sr.Header(), nil, err
+		}
+		out = append(out, s)
+	}
+}
+
+// findRecord returns the first record of type typ in a GDSII stream.
+func findRecord(t *testing.T, data []byte, typ byte) *record {
+	t.Helper()
+	r := bytes.NewReader(data)
+	for {
+		rec, err := readRecord(r)
+		if err != nil {
+			t.Fatalf("record type %#x not found: %v", typ, err)
+		}
+		if rec.typ == typ {
+			return rec
+		}
+	}
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	lib := sampleLibrary()
 	var buf bytes.Buffer
 	if err := lib.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	units := findRecord(t, buf.Bytes(), RecUnits)
+	if len(units.data) != 16 {
+		t.Fatalf("UNITS payload %d bytes, want 16", len(units.data))
+	}
+	uu := decodeReal8(binary.BigEndian.Uint64(units.data[0:]))
+	mdbu := decodeReal8(binary.BigEndian.Uint64(units.data[8:]))
+	if math.Abs(uu-1e-3) > 1e-18 || math.Abs(mdbu-1e-9) > 1e-24 {
+		t.Fatalf("units %v %v", uu, mdbu)
+	}
+	if got := findRecord(t, buf.Bytes(), RecStrName).str(); got != "TOP" {
+		t.Fatalf("structure name %q", got)
+	}
+	hdr, shapes, err := drain(&buf, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != "LIB" {
-		t.Fatalf("lib name %q", got.Name)
+	if hdr.Name != "LIB" {
+		t.Fatalf("lib name %q", hdr.Name)
 	}
-	if math.Abs(got.UserUnit-1e-3) > 1e-18 || math.Abs(got.MeterDBU-1e-9) > 1e-24 {
-		t.Fatalf("units %v %v", got.UserUnit, got.MeterDBU)
+	want := []layio.Shape{
+		{Layer: 0, Datatype: 0, Rect: geom.R(0, 0, 10, 5)},
+		{Layer: 1, Datatype: 1, Rect: geom.R(3, 3, 8, 9)},
 	}
-	if len(got.Structs) != 1 || got.Structs[0].Name != "TOP" {
-		t.Fatalf("structs %+v", got.Structs)
+	if len(shapes) != len(want) {
+		t.Fatalf("shapes %v, want %v", shapes, want)
 	}
-	bs := got.Structs[0].Boundaries
-	if len(bs) != 2 {
-		t.Fatalf("boundaries %d", len(bs))
-	}
-	if bs[0].Layer != 1 || bs[1].Layer != 2 || bs[1].Datatype != 1 {
-		t.Fatalf("boundary metadata wrong: %+v", bs)
-	}
-	if len(bs[0].Pts) != 4 {
-		t.Fatalf("closing point not stripped: %v", bs[0].Pts)
+	for i := range want {
+		if shapes[i] != want[i] {
+			t.Fatalf("shape %d = %+v, want %+v", i, shapes[i], want[i])
+		}
 	}
 }
 
 func TestReadErrors(t *testing.T) {
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
+	if _, _, err := drain(bytes.NewReader(nil), DefaultLimits()); err == nil {
 		t.Fatal("empty stream must error")
 	}
 	// Stream without ENDLIB.
@@ -104,11 +160,11 @@ func TestReadErrors(t *testing.T) {
 	if err := writeInt16s(&buf, RecHeader, 600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(&buf); err == nil {
+	if _, _, err := drain(&buf, DefaultLimits()); err == nil {
 		t.Fatal("missing ENDLIB must error")
 	}
 	// Truncated record.
-	if _, err := Read(bytes.NewReader([]byte{0x00, 0x08, 0x00, 0x02, 0x01})); err == nil {
+	if _, _, err := drain(bytes.NewReader([]byte{0x00, 0x08, 0x00, 0x02, 0x01}), DefaultLimits()); err == nil {
 		t.Fatal("truncated record must error")
 	}
 }
@@ -121,6 +177,25 @@ func TestBoundaryTooFewPoints(t *testing.T) {
 	if err := lib.Write(&bytes.Buffer{}); err == nil {
 		t.Fatal("degenerate boundary must error")
 	}
+}
+
+// extract drains a GDSII stream into per-layer rectangle sets, separated
+// into wires and fills by datatype.
+func extract(t *testing.T, data []byte) (wires, fills map[int][]geom.Rect) {
+	t.Helper()
+	_, shapes, err := drain(bytes.NewReader(data), DefaultLimits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wires, fills = map[int][]geom.Rect{}, map[int][]geom.Rect{}
+	for _, s := range shapes {
+		if s.Datatype == DatatypeFill {
+			fills[s.Layer] = append(fills[s.Layer], s.Rect)
+		} else {
+			wires[s.Layer] = append(wires[s.Layer], s.Rect)
+		}
+	}
+	return wires, fills
 }
 
 func fillTestLayout() *layout.Layout {
@@ -147,14 +222,7 @@ func TestFromLayoutAndExtract(t *testing.T) {
 	if err := lib.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wires, fills, err := back.ExtractShapes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wires, fills := extract(t, buf.Bytes())
 	if len(wires[0]) != 2 || len(wires[1]) != 1 {
 		t.Fatalf("wires extracted wrong: %v", wires)
 	}
@@ -220,10 +288,11 @@ func TestNonRectangularBoundaryExtraction(t *testing.T) {
 			},
 		}},
 	}}}
-	wires, _, err := lib.ExtractShapes()
-	if err != nil {
+	var buf bytes.Buffer
+	if err := lib.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
+	wires, _ := extract(t, buf.Bytes())
 	var area int64
 	for _, r := range wires[0] {
 		area += r.Area()

@@ -41,7 +41,7 @@ type shapeWriter struct{ sw *StreamWriter }
 
 func newShapeWriter(w io.Writer, h layio.Header) (layio.ShapeWriter, error) {
 	sw := NewStreamWriter(w)
-	if err := sw.BeginLibrary(h.Name, 0, 0); err != nil {
+	if err := sw.BeginLibrary(h.Name); err != nil {
 		return nil, err
 	}
 	st := h.Struct

@@ -2,7 +2,7 @@ package gdsii
 
 import "dummyfill/internal/layio"
 
-// ErrLimit is wrapped by ReadLimited errors when an input stream exceeds
+// ErrLimit is wrapped by ShapeReader errors when an input stream exceeds
 // a configured resource limit; detect it with errors.Is. It is the
 // shared layio sentinel, so errors.Is works across formats.
 var ErrLimit = layio.ErrLimit
@@ -14,7 +14,7 @@ var ErrLimit = layio.ErrLimit
 // work; MaxShapes caps the number of BOUNDARY elements.
 type Limits = layio.Limits
 
-// DefaultLimits returns the caps Read enforces: far beyond any realistic
-// fill deck, but finite, so a length-bomb stream fails cleanly instead of
-// exhausting memory.
+// DefaultLimits returns the caps the registered GDSII reader enforces:
+// far beyond any realistic fill deck, but finite, so a length-bomb
+// stream fails cleanly instead of exhausting memory.
 func DefaultLimits() Limits { return layio.DefaultLimits() }

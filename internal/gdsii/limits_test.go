@@ -6,58 +6,58 @@ import (
 	"testing"
 )
 
-func TestReadLimitedMaxShapes(t *testing.T) {
+func TestShapeReaderMaxShapes(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sampleLibrary().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes() // two boundaries
 
-	if _, err := ReadLimited(bytes.NewReader(valid), Limits{MaxShapes: 2}); err != nil {
+	if _, _, err := drain(bytes.NewReader(valid), Limits{MaxShapes: 2}); err != nil {
 		t.Fatalf("limit equal to shape count must pass: %v", err)
 	}
-	_, err := ReadLimited(bytes.NewReader(valid), Limits{MaxShapes: 1})
+	_, _, err := drain(bytes.NewReader(valid), Limits{MaxShapes: 1})
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("MaxShapes=1 on 2-shape stream: got %v, want ErrLimit", err)
 	}
 }
 
-func TestReadLimitedMaxRecords(t *testing.T) {
+func TestShapeReaderMaxRecords(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sampleLibrary().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
 
-	_, err := ReadLimited(bytes.NewReader(valid), Limits{MaxRecords: 3})
+	_, _, err := drain(bytes.NewReader(valid), Limits{MaxRecords: 3})
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("tiny MaxRecords: got %v, want ErrLimit", err)
 	}
-	if _, err := ReadLimited(bytes.NewReader(valid), Limits{MaxRecords: 1 << 20}); err != nil {
+	if _, _, err := drain(bytes.NewReader(valid), Limits{MaxRecords: 1 << 20}); err != nil {
 		t.Fatalf("generous MaxRecords must pass: %v", err)
 	}
 }
 
-func TestReadLimitedZeroIsUnlimited(t *testing.T) {
+func TestShapeReaderZeroIsUnlimited(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sampleLibrary().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadLimited(bytes.NewReader(buf.Bytes()), Limits{}); err != nil {
+	if _, _, err := drain(bytes.NewReader(buf.Bytes()), Limits{}); err != nil {
 		t.Fatalf("Limits{} must be unlimited: %v", err)
 	}
 }
 
-// TestReadLimitedStopsRecordBomb builds a stream that is one HEADER
+// TestShapeReaderStopsRecordBomb builds a stream that is one HEADER
 // followed by an endless run of minimal records: the record cap must cut
 // parsing off with ErrLimit instead of looping to the end.
-func TestReadLimitedStopsRecordBomb(t *testing.T) {
+func TestShapeReaderStopsRecordBomb(t *testing.T) {
 	bomb := []byte{0x00, 0x06, 0x00, 0x02, 0x02, 0x58} // HEADER v600
 	endel := []byte{0x00, 0x04, RecEndEl, 0x00}
 	for i := 0; i < 10000; i++ {
 		bomb = append(bomb, endel...)
 	}
-	_, err := ReadLimited(bytes.NewReader(bomb), Limits{MaxRecords: 100})
+	_, _, err := drain(bytes.NewReader(bomb), Limits{MaxRecords: 100})
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("record bomb: got %v, want ErrLimit", err)
 	}

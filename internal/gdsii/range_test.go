@@ -15,7 +15,7 @@ func TestWriterRejectsOverflow(t *testing.T) {
 	open := func(t *testing.T) *StreamWriter {
 		t.Helper()
 		sw := NewStreamWriter(io.Discard)
-		if err := sw.BeginLibrary("LIB", 0, 0); err != nil {
+		if err := sw.BeginLibrary("LIB"); err != nil {
 			t.Fatal(err)
 		}
 		if err := sw.BeginStructure("TOP"); err != nil {

@@ -38,32 +38,10 @@ func encodeReal8(f float64) uint64 {
 	return sign | e<<56 | mant
 }
 
-// decodeReal8 converts a GDSII 8-byte real to float64.
-func decodeReal8(bits uint64) float64 {
-	if bits == 0 {
-		return 0
-	}
-	sign := 1.0
-	if bits&(1<<63) != 0 {
-		sign = -1
-	}
-	exp := int((bits>>56)&0x7F) - 64
-	mant := float64(bits&((1<<56)-1)) / float64(uint64(1)<<56)
-	return sign * mant * math.Pow(16, float64(exp))
-}
-
 func writeReal8s(w interface{ Write([]byte) (int, error) }, typ byte, vals ...float64) error {
 	data := make([]byte, 8*len(vals))
 	for i, v := range vals {
 		binary.BigEndian.PutUint64(data[8*i:], encodeReal8(v))
 	}
 	return writeRecord(w, typ, DTReal8, data)
-}
-
-func (rec *record) real8s() []float64 {
-	out := make([]float64, len(rec.data)/8)
-	for i := range out {
-		out[i] = decodeReal8(binary.BigEndian.Uint64(rec.data[8*i:]))
-	}
-	return out
 }

@@ -10,7 +10,7 @@ import (
 
 // TestReadNeverPanicsOnMutatedStreams feeds randomly corrupted versions of
 // a valid stream to the reader: every outcome must be a clean error or a
-// parsed library, never a panic or hang.
+// drained shape stream, never a panic or hang.
 func TestReadNeverPanicsOnMutatedStreams(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sampleLibrary().Write(&buf); err != nil {
@@ -30,10 +30,7 @@ func TestReadNeverPanicsOnMutatedStreams(t *testing.T) {
 					t.Fatalf("it %d: reader panicked: %v", it, r)
 				}
 			}()
-			lib, err := Read(bytes.NewReader(mut))
-			if err == nil && lib == nil {
-				t.Fatalf("it %d: nil library without error", it)
-			}
+			_, _, _ = drain(bytes.NewReader(mut), DefaultLimits())
 		}()
 	}
 }
@@ -47,11 +44,11 @@ func TestReadTruncatedStreams(t *testing.T) {
 	// Every strict prefix must fail cleanly (never panic, never succeed
 	// except the full stream).
 	for n := 0; n < len(valid); n++ {
-		if _, err := Read(bytes.NewReader(valid[:n])); err == nil {
+		if _, _, err := drain(bytes.NewReader(valid[:n]), DefaultLimits()); err == nil {
 			t.Fatalf("prefix of %d/%d bytes parsed without error", n, len(valid))
 		}
 	}
-	if _, err := Read(bytes.NewReader(valid)); err != nil {
+	if _, _, err := drain(bytes.NewReader(valid), DefaultLimits()); err != nil {
 		t.Fatalf("full stream failed: %v", err)
 	}
 }
@@ -69,14 +66,7 @@ func TestHugeCoordinatesSurviveRoundTrip(t *testing.T) {
 	if err := lib.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wires, _, err := back.ExtractShapes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wires, _ := extract(t, buf.Bytes())
 	if len(wires[0]) != 1 || wires[0][0] != r {
 		t.Fatalf("extreme rect corrupted: %v", wires[0])
 	}
@@ -96,16 +86,19 @@ func TestManyStructuresRoundTrip(t *testing.T) {
 	if err := lib.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	_, shapes, err := drain(&buf, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Structs) != 20 {
-		t.Fatalf("structures lost: %d", len(back.Structs))
+	if len(shapes) != 20*5 {
+		t.Fatalf("shapes lost: %d of %d", len(shapes), 20*5)
 	}
-	for i, st := range back.Structs {
-		if len(st.Boundaries) != 5 {
-			t.Fatalf("structure %d boundaries = %d", i, len(st.Boundaries))
+	// Shapes stream out structure by structure, in file order.
+	for k, s := range shapes {
+		i, j := k/5, k%5
+		want := geom.R(int64(j*10), int64(i*10), int64(j*10+5), int64(i*10+5))
+		if s.Layer != i%4 || s.Datatype != j%2 || s.Rect != want {
+			t.Fatalf("shape %d = %+v, want layer %d datatype %d rect %v", k, s, i%4, j%2, want)
 		}
 	}
 }
@@ -122,11 +115,14 @@ func TestOddLengthStringPadding(t *testing.T) {
 	if buf.Len()%2 != 0 {
 		t.Fatal("GDSII streams must be even-length")
 	}
-	back, err := Read(&buf)
+	if got := findRecord(t, buf.Bytes(), RecStrName).str(); got != "X" {
+		t.Fatalf("padded structure name corrupted: %q", got)
+	}
+	hdr, shapes, err := drain(&buf, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Name != "ODD" || back.Structs[0].Name != "X" {
-		t.Fatalf("padded names corrupted: %q %q", back.Name, back.Structs[0].Name)
+	if hdr.Name != "ODD" || len(shapes) != 1 {
+		t.Fatalf("padded library name corrupted: %q, %d shapes", hdr.Name, len(shapes))
 	}
 }

@@ -14,9 +14,8 @@ import (
 // decomposed into rectangles as it is parsed and handed out one at a
 // time, so ingesting an arbitrarily large design holds at most one
 // polygon's worth of state. Layer numbers are translated from the
-// on-disk 1-based convention to zero-based layout indices, mirroring
-// Library.ExtractShapes. Unsupported elements (paths, references,
-// texts) are skipped.
+// on-disk 1-based convention to zero-based layout indices. Unsupported
+// elements (paths, references, texts) are skipped.
 type ShapeReader struct {
 	br  *bufio.Reader
 	lim Limits
@@ -168,51 +167,5 @@ func (sr *ShapeReader) advance() error {
 		default:
 			// Skip records we do not model.
 		}
-	}
-}
-
-// LibraryReader adapts an already-parsed Library to the streaming shape
-// interface, so in-memory and on-the-wire ingest share one construction
-// path. Boundaries are decomposed exactly like ExtractShapes (layer
-// numbers returned zero-based).
-func LibraryReader(lib *Library) layio.ShapeReader {
-	return &libReader{lib: lib}
-}
-
-type libReader struct {
-	lib     *Library
-	si, bi  int
-	pend    []geom.Rect
-	pendIdx int
-	pendLay int
-	pendDT  int
-}
-
-func (lr *libReader) Header() layio.Header { return layio.Header{Name: lr.lib.Name} }
-
-func (lr *libReader) Next() (layio.Shape, error) {
-	for {
-		if lr.pendIdx < len(lr.pend) {
-			r := lr.pend[lr.pendIdx]
-			lr.pendIdx++
-			return layio.Shape{Layer: lr.pendLay - 1, Datatype: lr.pendDT, Rect: r}, nil
-		}
-		if lr.si >= len(lr.lib.Structs) {
-			return layio.Shape{}, io.EOF
-		}
-		st := &lr.lib.Structs[lr.si]
-		if lr.bi >= len(st.Boundaries) {
-			lr.si++
-			lr.bi = 0
-			continue
-		}
-		b := &st.Boundaries[lr.bi]
-		lr.bi++
-		rects, err := (geom.Polygon{Pts: b.Pts}).ToRects()
-		if err != nil {
-			return layio.Shape{}, fmt.Errorf("gdsii: structure %q: %v", st.Name, err)
-		}
-		lr.pend, lr.pendIdx = rects, 0
-		lr.pendLay, lr.pendDT = b.Layer, b.Datatype
 	}
 }

@@ -32,9 +32,9 @@ func NewStreamWriter(w io.Writer) *StreamWriter {
 	return &StreamWriter{bw: bufio.NewWriter(w)}
 }
 
-// BeginLibrary writes the library header. Zero uu/mdbu select the
-// defaults (1e-3 user units, 1e-9 meters per database unit).
-func (sw *StreamWriter) BeginLibrary(name string, uu, mdbu float64) error {
+// BeginLibrary writes the library header with 1e-3 user units and 1e-9
+// meters per database unit.
+func (sw *StreamWriter) BeginLibrary(name string) error {
 	if sw.began {
 		return fmt.Errorf("gdsii: BeginLibrary called twice")
 	}
@@ -48,13 +48,7 @@ func (sw *StreamWriter) BeginLibrary(name string, uu, mdbu float64) error {
 	if err := writeString(sw.bw, RecLibName, name); err != nil {
 		return err
 	}
-	if uu == 0 {
-		uu = 1e-3
-	}
-	if mdbu == 0 {
-		mdbu = 1e-9
-	}
-	return writeReal8s(sw.bw, RecUnits, uu, mdbu)
+	return writeReal8s(sw.bw, RecUnits, 1e-3, 1e-9)
 }
 
 // BeginStructure opens a structure (cell).

@@ -159,13 +159,3 @@ func (p Polygon) ToRects() ([]Rect, error) {
 	}
 	return out, nil
 }
-
-// RectsToPolygonCount is a helper reporting how many rectangles ToRects
-// produced; exposed for instrumentation in the GDS pipeline.
-func RectsToPolygonCount(p Polygon) int {
-	rs, err := p.ToRects()
-	if err != nil {
-		return 0
-	}
-	return len(rs)
-}

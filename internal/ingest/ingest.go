@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 
-	"dummyfill/internal/gdsii"
 	"dummyfill/internal/geom"
 	"dummyfill/internal/grid"
 	"dummyfill/internal/layio"
@@ -179,13 +178,6 @@ func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 		return nil, fmt.Errorf("ingest: constructed layout invalid: %v", err)
 	}
 	return lay, nil
-}
-
-// FromGDS converts an already-parsed GDSII library into a Layout. It is
-// a materializing convenience over FromShapes; streaming callers should
-// feed a format ShapeReader to FromShapes directly.
-func FromGDS(lib *gdsii.Library, opts Options) (*layout.Layout, error) {
-	return FromShapes(gdsii.LibraryReader(lib), opts)
 }
 
 // ExtractFillRegions computes the feasible fill regions of one layer:

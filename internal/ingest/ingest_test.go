@@ -9,9 +9,21 @@ import (
 	"dummyfill/internal/gdsii"
 	"dummyfill/internal/geom"
 	"dummyfill/internal/grid"
+	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 	"dummyfill/internal/synth"
 )
+
+// gdsReader encodes lib as a GDSII stream and opens the streaming reader
+// over it.
+func gdsReader(t *testing.T, lib *gdsii.Library) layio.ShapeReader {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := lib.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return gdsii.NewShapeReader(&buf, gdsii.DefaultLimits())
+}
 
 func testOpts() Options {
 	return Options{
@@ -20,7 +32,7 @@ func testOpts() Options {
 	}
 }
 
-func TestFromGDSRoundTripSynthDesign(t *testing.T) {
+func TestFromShapesRoundTripSynthDesign(t *testing.T) {
 	// synth design → GDS → ingest → layout: wires must survive exactly,
 	// and the reconstructed layout must drive the fill engine to a
 	// DRC-clean solution.
@@ -32,15 +44,11 @@ func TestFromGDSRoundTripSynthDesign(t *testing.T) {
 	if err := gdsii.FromLayout(src, nil).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	lib, err := gdsii.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := testOpts()
 	opts.Die = src.Die
 	opts.Rules = src.Rules
 	opts.Window = src.Window
-	lay, err := FromGDS(lib, opts)
+	lay, err := FromShapes(gdsii.NewShapeReader(&buf, gdsii.DefaultLimits()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +74,7 @@ func TestFromGDSRoundTripSynthDesign(t *testing.T) {
 	}
 }
 
-func TestFromGDSPolygonWires(t *testing.T) {
+func TestFromShapesPolygonWires(t *testing.T) {
 	// An L-shaped wire must be decomposed and its keepout respected.
 	lib := &gdsii.Library{Name: "poly", Structs: []gdsii.Structure{{
 		Name: "TOP",
@@ -81,7 +89,7 @@ func TestFromGDSPolygonWires(t *testing.T) {
 	}}}
 	opts := testOpts()
 	opts.Die = geom.R(0, 0, 1000, 1000)
-	lay, err := FromGDS(lib, opts)
+	lay, err := FromShapes(gdsReader(t, lib), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +111,7 @@ func TestFromGDSPolygonWires(t *testing.T) {
 	}
 }
 
-func TestFromGDSKeepFills(t *testing.T) {
+func TestFromShapesKeepFills(t *testing.T) {
 	lib := &gdsii.Library{Name: "kf", Structs: []gdsii.Structure{{
 		Name: "TOP",
 		Boundaries: []gdsii.Boundary{
@@ -114,7 +122,7 @@ func TestFromGDSKeepFills(t *testing.T) {
 	opts := testOpts()
 	opts.Die = geom.R(0, 0, 1000, 1000)
 
-	lay, err := FromGDS(lib, opts)
+	lay, err := FromShapes(gdsReader(t, lib), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +131,7 @@ func TestFromGDSKeepFills(t *testing.T) {
 	}
 
 	opts.KeepFills = true
-	lay, err = FromGDS(lib, opts)
+	lay, err = FromShapes(gdsReader(t, lib), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +140,7 @@ func TestFromGDSKeepFills(t *testing.T) {
 	}
 }
 
-func TestFromGDSDefaults(t *testing.T) {
+func TestFromShapesDefaults(t *testing.T) {
 	lib := &gdsii.Library{Name: "def", Structs: []gdsii.Structure{{
 		Name: "TOP",
 		Boundaries: []gdsii.Boundary{
@@ -140,7 +148,7 @@ func TestFromGDSDefaults(t *testing.T) {
 		},
 	}}}
 	opts := Options{Rules: testOpts().Rules} // no window, no die
-	lay, err := FromGDS(lib, opts)
+	lay, err := FromShapes(gdsReader(t, lib), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,16 +160,16 @@ func TestFromGDSDefaults(t *testing.T) {
 	}
 }
 
-func TestFromGDSErrors(t *testing.T) {
+func TestFromShapesErrors(t *testing.T) {
 	empty := &gdsii.Library{Name: "empty"}
-	if _, err := FromGDS(empty, testOpts()); err == nil {
+	if _, err := FromShapes(gdsReader(t, empty), testOpts()); err == nil {
 		t.Fatal("shapeless library must error")
 	}
 	lib := &gdsii.Library{Name: "x", Structs: []gdsii.Structure{{
 		Name:       "TOP",
 		Boundaries: []gdsii.Boundary{{Layer: 1, Pts: rectPts(geom.R(0, 0, 10, 10))}},
 	}}}
-	if _, err := FromGDS(lib, Options{}); err == nil {
+	if _, err := FromShapes(gdsReader(t, lib), Options{}); err == nil {
 		t.Fatal("zero rules must error")
 	}
 }

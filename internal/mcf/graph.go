@@ -26,7 +26,7 @@ type Arc struct {
 
 // Graph is a min-cost-flow problem instance. Node supplies must balance
 // (sum to zero) for a feasible flow to exist. The zero value is an empty
-// graph; add nodes with AddNode.
+// graph; size it with Reset.
 type Graph struct {
 	supply []int64
 	arcs   []Arc
@@ -61,20 +61,8 @@ func (g *Graph) Reset(n int) {
 	g.err = nil
 }
 
-// AddNode appends a node with zero supply and returns its id.
-func (g *Graph) AddNode() int {
-	g.supply = append(g.supply, 0)
-	return len(g.supply) - 1
-}
-
 // SetSupply sets the supply of node i (negative = demand).
 func (g *Graph) SetSupply(i int, s int64) { g.supply[i] = s }
-
-// AddSupply adds s to the supply of node i.
-func (g *Graph) AddSupply(i int, s int64) { g.supply[i] += s }
-
-// Supply returns the supply of node i.
-func (g *Graph) Supply(i int) int64 { return g.supply[i] }
 
 // AddArc appends an arc and returns its id. Capacity must be >= 0 and
 // both endpoints must be existing nodes; a malformed arc is rejected with

@@ -213,10 +213,6 @@ func (ws *Workspace) SolveSSP(ctx context.Context, g *Graph, warm bool, out *Res
 	return nil
 }
 
-// Potentials returns the node potentials carried from the last solve (the
-// warm-start seed). The slice aliases workspace state; do not modify.
-func (ws *Workspace) Potentials() []int64 { return ws.pot }
-
 // initPotentials runs SPFA from a virtual source reaching every node at
 // distance zero over the (all-forward) residual graph and sets pot = -dist.
 // Negative cycles are detected via relaxation counting; finite-capacity

@@ -143,7 +143,3 @@ func (r *reader) readReal() (float64, error) {
 		return 0, fmt.Errorf("oasis: unsupported real type %d", typ)
 	}
 }
-
-// newTestWriter/newTestReader expose the bufio wrappers for tests.
-func newTestWriter(w io.Writer) *bufio.Writer { return bufio.NewWriter(w) }
-func newTestReader(r io.Reader) *bufio.Reader { return bufio.NewReader(r) }

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzRead exercises the OASIS reader with arbitrary byte streams; any
-// input must produce a clean error or a parsed library, never a panic.
+// FuzzRead exercises the OASIS ShapeReader with arbitrary byte streams;
+// any input must produce a clean error or a drained shape stream, never a
+// panic.
 // Run with `go test -fuzz FuzzRead ./internal/oasis` for deep exploration;
 // plain `go test` replays the seed corpus.
 func FuzzRead(f *testing.F) {
@@ -28,17 +29,14 @@ func FuzzRead(f *testing.F) {
 	f.Add(bomb)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lib, err := Read(bytes.NewReader(data))
-		if err == nil && lib == nil {
-			t.Fatal("nil library without error")
-		}
-		// Tight limits must fail with a clean error (wrapping ErrLimit when
-		// it is the limit that trips), never a panic.
-		if _, err := ReadLimited(bytes.NewReader(data), Limits{MaxRecords: 16, MaxShapes: 2}); err != nil {
+		// Default and tight limits must both end in a clean error
+		// (wrapping ErrLimit when it is the limit that trips) or a drained
+		// stream, never a panic.
+		_, _, _ = drain(bytes.NewReader(data), DefaultLimits())
+		if _, _, err := drain(bytes.NewReader(data), Limits{MaxRecords: 16, MaxShapes: 2}); err != nil {
 			_ = errors.Is(err, ErrLimit)
 		}
-		// The streaming reader must drain any input without panicking and
-		// with sticky errors (a failed Next keeps failing).
+		// Errors are sticky: a failed Next keeps failing.
 		sr := NewShapeReader(bytes.NewReader(data), Limits{MaxRecords: 4096, MaxShapes: 256})
 		for {
 			if _, err := sr.Next(); err != nil {
@@ -51,44 +49,44 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-func TestReadLimitedMaxShapes(t *testing.T) {
+func TestShapeReaderMaxShapes(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sampleLib().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes() // five rectangles
 
-	if _, err := ReadLimited(bytes.NewReader(valid), Limits{MaxShapes: 5}); err != nil {
+	if _, _, err := drain(bytes.NewReader(valid), Limits{MaxShapes: 5}); err != nil {
 		t.Fatalf("limit equal to shape count must pass: %v", err)
 	}
-	_, err := ReadLimited(bytes.NewReader(valid), Limits{MaxShapes: 4})
+	_, _, err := drain(bytes.NewReader(valid), Limits{MaxShapes: 4})
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("MaxShapes=4 on 5-shape stream: got %v, want ErrLimit", err)
 	}
 }
 
-func TestReadLimitedMaxRecords(t *testing.T) {
+func TestShapeReaderMaxRecords(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sampleLib().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
 
-	_, err := ReadLimited(bytes.NewReader(valid), Limits{MaxRecords: 2})
+	_, _, err := drain(bytes.NewReader(valid), Limits{MaxRecords: 2})
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("tiny MaxRecords: got %v, want ErrLimit", err)
 	}
-	if _, err := ReadLimited(bytes.NewReader(valid), Limits{MaxRecords: 1 << 20}); err != nil {
+	if _, _, err := drain(bytes.NewReader(valid), Limits{MaxRecords: 1 << 20}); err != nil {
 		t.Fatalf("generous MaxRecords must pass: %v", err)
 	}
 }
 
-func TestReadLimitedZeroIsUnlimited(t *testing.T) {
+func TestShapeReaderZeroIsUnlimited(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sampleLib().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadLimited(bytes.NewReader(buf.Bytes()), Limits{}); err != nil {
+	if _, _, err := drain(bytes.NewReader(buf.Bytes()), Limits{}); err != nil {
 		t.Fatalf("Limits{} must be unlimited: %v", err)
 	}
 }

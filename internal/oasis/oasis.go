@@ -46,7 +46,7 @@ func (l *Library) Write(w io.Writer) error {
 	return sw.Close()
 }
 
-// ErrLimit is wrapped by ReadLimited errors when an input stream exceeds
+// ErrLimit is wrapped by ShapeReader errors when an input stream exceeds
 // a configured resource limit; detect it with errors.Is. It is the
 // shared layio sentinel, so errors.Is works across formats.
 var ErrLimit = layio.ErrLimit
@@ -56,41 +56,10 @@ var ErrLimit = layio.ErrLimit
 // value Limits{} is fully unlimited.
 type Limits = layio.Limits
 
-// DefaultLimits returns the caps Read enforces: far beyond any realistic
-// fill deck, but finite, so a hostile stream fails cleanly instead of
-// exhausting memory.
+// DefaultLimits returns the caps the registered OASIS reader enforces:
+// far beyond any realistic fill deck, but finite, so a hostile stream
+// fails cleanly instead of exhausting memory.
 func DefaultLimits() Limits { return layio.DefaultLimits() }
-
-// Read parses an OASIS stream produced by this subset (and any stream
-// restricted to the same record types) under DefaultLimits.
-func Read(src io.Reader) (*Library, error) {
-	return ReadLimited(src, DefaultLimits())
-}
-
-// ReadLimited is Read with caller-chosen resource limits; exceeding one
-// returns an error wrapping ErrLimit. It is a materializing convenience
-// over ShapeReader, which parses the same stream incrementally.
-func ReadLimited(src io.Reader, lim Limits) (*Library, error) {
-	sr := NewShapeReader(src, lim)
-	lib := &Library{}
-	for {
-		s, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		lib.Shapes = append(lib.Shapes, Shape{
-			Layer:    s.Layer + 1,
-			Datatype: s.Datatype,
-			Rect:     s.Rect,
-		})
-	}
-	lib.Cell = sr.Header().Name
-	lib.Unit = sr.Unit()
-	return lib, nil
-}
 
 // FromSolution converts a fill solution into an OASIS library, grouping
 // fills by layer then by size so the modal variables compress maximally.

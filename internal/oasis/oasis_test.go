@@ -1,12 +1,15 @@
 package oasis
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
 	"dummyfill/internal/gdsii"
 	"dummyfill/internal/geom"
+	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 )
 
@@ -24,25 +27,54 @@ func sampleLib() *Library {
 	}
 }
 
+// drain reads every shape of an OASIS stream through a ShapeReader.
+func drain(src io.Reader, lim Limits) (layio.Header, []layio.Shape, error) {
+	sr := NewShapeReader(src, lim)
+	var out []layio.Shape
+	for {
+		s, err := sr.Next()
+		if err == io.EOF {
+			return sr.Header(), out, nil
+		}
+		if err != nil {
+			return sr.Header(), nil, err
+		}
+		out = append(out, s)
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	lib := sampleLib()
 	var buf bytes.Buffer
 	if err := lib.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	// The START record follows the magic: version string, then the unit.
+	r := &reader{br: bufio.NewReader(bytes.NewReader(buf.Bytes()[len(Magic):]))}
+	if rt, err := r.readUint(); err != nil || rt != recStart {
+		t.Fatalf("first record %d (%v), want START", rt, err)
+	}
+	if _, err := r.readString(); err != nil {
+		t.Fatal(err)
+	}
+	if unit, err := r.readReal(); err != nil || unit != 1000 {
+		t.Fatalf("unit %v (%v), want 1000", unit, err)
+	}
+	hdr, shapes, err := drain(&buf, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Cell != "TOP" || back.Unit != 1000 {
-		t.Fatalf("metadata: %+v", back)
+	if hdr.Name != "TOP" {
+		t.Fatalf("cell name %q", hdr.Name)
 	}
-	if len(back.Shapes) != len(lib.Shapes) {
-		t.Fatalf("shapes: %d vs %d", len(back.Shapes), len(lib.Shapes))
+	if len(shapes) != len(lib.Shapes) {
+		t.Fatalf("shapes: %d vs %d", len(shapes), len(lib.Shapes))
 	}
-	for i := range lib.Shapes {
-		if back.Shapes[i] != lib.Shapes[i] {
-			t.Fatalf("shape %d: %+v vs %+v", i, back.Shapes[i], lib.Shapes[i])
+	for i, want := range lib.Shapes {
+		// The reader returns zero-based layers; the file stores 1-based.
+		got := Shape{Layer: shapes[i].Layer + 1, Datatype: shapes[i].Datatype, Rect: shapes[i].Rect}
+		if got != want {
+			t.Fatalf("shape %d: %+v vs %+v", i, got, want)
 		}
 	}
 }
@@ -66,7 +98,7 @@ func TestEndRecordIs256Bytes(t *testing.T) {
 
 func TestVarintRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	bw := newTestWriter(&buf)
+	bw := bufio.NewWriter(&buf)
 	vals := []uint64{0, 1, 127, 128, 300, 1 << 20, 1 << 40, 1<<63 - 1}
 	for _, v := range vals {
 		if err := writeUint(bw, v); err != nil {
@@ -80,7 +112,7 @@ func TestVarintRoundTrip(t *testing.T) {
 		}
 	}
 	bw.Flush()
-	r := &reader{br: newTestReader(&buf)}
+	r := &reader{br: bufio.NewReader(&buf)}
 	for _, want := range vals {
 		got, err := r.readUint()
 		if err != nil {
@@ -144,11 +176,11 @@ func TestFromSolutionSortsForReuse(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not oasis"))); err == nil {
+	if _, _, err := drain(bytes.NewReader([]byte("not oasis")), DefaultLimits()); err == nil {
 		t.Fatal("bad magic must error")
 	}
 	// Valid magic, truncated body.
-	if _, err := Read(bytes.NewReader([]byte(Magic))); err == nil {
+	if _, _, err := drain(bytes.NewReader([]byte(Magic)), DefaultLimits()); err == nil {
 		t.Fatal("truncated stream must error")
 	}
 }
@@ -171,7 +203,7 @@ func TestReadNeverPanicsOnMutation(t *testing.T) {
 					t.Fatalf("it %d: reader panicked: %v", it, r)
 				}
 			}()
-			_, _ = Read(bytes.NewReader(mut))
+			_, _, _ = drain(bytes.NewReader(mut), DefaultLimits())
 		}()
 	}
 }
@@ -205,11 +237,11 @@ func TestEmptySolutionRoundTrip(t *testing.T) {
 	if err := lib.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	hdr, shapes, err := drain(&buf, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Shapes) != 0 || back.Cell != "E" {
-		t.Fatalf("empty solution round trip: %+v", back)
+	if len(shapes) != 0 || hdr.Name != "E" {
+		t.Fatalf("empty solution round trip: %q, %d shapes", hdr.Name, len(shapes))
 	}
 }

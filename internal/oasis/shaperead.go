@@ -13,8 +13,7 @@ import (
 // this package models) without materializing a Library: modal-variable
 // state is the only thing held between records. Layer numbers are
 // translated from the on-disk 1-based convention to zero-based layout
-// indices; ReadLimited undoes the translation when reconstructing a
-// Library.
+// indices.
 type ShapeReader struct {
 	r   *reader
 	lim Limits
@@ -24,7 +23,6 @@ type ShapeReader struct {
 		layer, datatype int
 		w, h            int64
 	}
-	unit    uint64
 	started bool
 	done    bool
 	err     error
@@ -40,10 +38,6 @@ func NewShapeReader(src io.Reader, lim Limits) *ShapeReader {
 // Header returns the stream metadata gathered so far (the cell name,
 // once the CELL record has been parsed).
 func (sr *ShapeReader) Header() layio.Header { return sr.hdr }
-
-// Unit returns the grid resolution from the START record (grid points
-// per micron), once parsed.
-func (sr *ShapeReader) Unit() uint64 { return sr.unit }
 
 // Next returns the next shape, io.EOF after the END record, or a
 // terminal parse error. Errors are sticky.
@@ -95,7 +89,6 @@ func (sr *ShapeReader) advance() (layio.Shape, error) {
 			if unit < 0 {
 				return layio.Shape{}, fmt.Errorf("oasis: negative unit")
 			}
-			sr.unit = uint64(unit)
 			flag, err := sr.r.readUint()
 			if err != nil {
 				return layio.Shape{}, err

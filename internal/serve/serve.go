@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -317,8 +318,8 @@ func (s *Server) parseParams(r *http.Request) (jobParams, error) {
 		}
 	}
 	if v := q.Get("lambda"); v != "" {
-		if p.lambda, err = strconv.ParseFloat(v, 64); err != nil || p.lambda < 1 {
-			return p, fmt.Errorf("bad lambda %q (must be >= 1)", v)
+		if p.lambda, err = strconv.ParseFloat(v, 64); err != nil || !(p.lambda >= 1) || math.IsInf(p.lambda, 1) {
+			return p, fmt.Errorf("bad lambda %q (must be finite and >= 1)", v)
 		}
 	}
 	if v := q.Get("window"); v != "" {

@@ -165,6 +165,9 @@ func TestFillRejectsBadRequests(t *testing.T) {
 		{"zero deadline", "?deadline=0s", []byte("layout x\n"), http.StatusBadRequest},
 		{"negative deadline", "?deadline=-5s", []byte("layout x\n"), http.StatusBadRequest},
 		{"bad lambda", "?lambda=0.5", []byte("layout x\n"), http.StatusBadRequest},
+		// A valid payload, so only the parameter check can reject these.
+		{"NaN lambda", "?format=text&lambda=NaN", tinyLayoutBytes(), http.StatusBadRequest},
+		{"infinite lambda", "?format=text&lambda=%2BInf", tinyLayoutBytes(), http.StatusBadRequest},
 		{"bad workers", "?workers=-1", []byte("layout x\n"), http.StatusBadRequest},
 		{"unknown format", "?format=dxf", []byte("layout x\n"), http.StatusBadRequest},
 		{"unknown oformat", "?oformat=dxf", []byte("layout x\n"), http.StatusBadRequest},
