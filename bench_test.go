@@ -14,6 +14,7 @@
 package dummyfill_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -262,7 +263,7 @@ func BenchmarkFileFormat_GDSvsOASIS(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, m := range dummyfill.AllMethods(dummyfill.DefaultOptions()) {
-		sol, err := m.Run(lay)
+		sol, _, err := m.Run(context.Background(), lay)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -31,7 +31,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	dummyfill "dummyfill"
@@ -458,7 +457,7 @@ func runLayout(ctx context.Context, name string, lay *dummyfill.Layout, coeffs d
 	opts.Mode = mode
 	opts.SitePad = pad
 	var res *dummyfill.Result
-	sec, mem, err := measure(func() error {
+	sec, mem, err := exp.Measure(func() error {
 		var err error
 		res, err = dummyfill.InsertContext(ctx, lay, opts)
 		return err
@@ -511,46 +510,6 @@ func logRow(res DesignResult) {
 			res.Eco, res.CacheHits, res.CacheMisses, res.InvalidatedWindows)
 	}
 	fmt.Fprintln(os.Stderr, line)
-}
-
-// measure times f and samples peak live heap (5 ms period), mirroring the
-// library's internal instrumentation.
-func measure(f func() error) (float64, float64, error) {
-	runtime.GC()
-	var base runtime.MemStats
-	runtime.ReadMemStats(&base)
-	var peak atomic.Int64
-	peak.Store(int64(base.HeapInuse))
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(5 * time.Millisecond)
-		defer t.Stop()
-		var ms runtime.MemStats
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				runtime.ReadMemStats(&ms)
-				if h := int64(ms.HeapInuse); h > peak.Load() {
-					peak.Store(h)
-				}
-			}
-		}
-	}()
-	start := time.Now()
-	err := f()
-	sec := time.Since(start).Seconds()
-	close(stop)
-	<-done
-	var end runtime.MemStats
-	runtime.ReadMemStats(&end)
-	if h := int64(end.HeapInuse); h > peak.Load() {
-		peak.Store(h)
-	}
-	return sec, float64(peak.Load()) / (1 << 20), err
 }
 
 func round1(v float64) float64 { return roundN(v, 10) }

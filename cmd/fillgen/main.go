@@ -24,7 +24,6 @@ import (
 	"dummyfill/cmd/internal/ingestfmt"
 	"dummyfill/internal/deffmt"
 	"dummyfill/internal/exp"
-	"dummyfill/internal/gdsii"
 	"dummyfill/internal/layio"
 	"dummyfill/internal/oasis"
 	"dummyfill/internal/textfmt"
@@ -134,24 +133,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		sw, err := ofmt.NewShapeWriter(f, layio.Header{Name: lay.Name, Struct: "FILL", Die: lay.Die, Sites: lay.Sites})
+		deck, err := layio.OpenDeck(ctx, f, ofmt, layio.SolutionDeck, lay)
 		if err != nil {
 			fatal(err)
 		}
-		nFills := 0
-		res, err := dummyfill.InsertStream(ctx, lay, opts, dummyfill.FillSinkFunc(func(_ int, fills []dummyfill.Fill) error {
-			nFills += len(fills)
-			for _, fl := range fills {
-				if err := sw.Write(layio.Shape{Layer: fl.Layer, Datatype: layio.DatatypeFill, Rect: fl.Rect}); err != nil {
-					return err
-				}
-			}
-			return nil
-		}))
+		res, err := dummyfill.InsertStream(ctx, lay, opts, deck)
 		if err != nil {
 			fatal(err)
 		}
-		if err := sw.Close(); err != nil {
+		if err := deck.Close(); err != nil {
 			fatal(err)
 		}
 		info, err := f.Stat()
@@ -161,7 +151,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("design %s, method ours (streamed): %d fills\n", *design, nFills)
+		fmt.Printf("design %s, method ours (streamed): %d fills\n", *design, deck.Fills())
 		fmt.Printf("health: %s\n", res.Health)
 		printCacheStats(cache)
 		fmt.Printf("wrote %s (%d bytes)\n", path, info.Size())
@@ -210,7 +200,12 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	if err := writeSolution(f, ofmt.Name, lay, sol); err != nil {
+	// The batch OASIS deck is sorted for modal reuse; -stream keeps the
+	// engine's window order.
+	if ofmt.Name == oasis.FormatName {
+		sol = &dummyfill.Solution{Fills: oasis.ModalSorted(sol.Fills)}
+	}
+	if err := layio.WriteDeck(f, ofmt, layio.SolutionDeck, lay, sol); err != nil {
 		fatal(err)
 	}
 	info, err := f.Stat()
@@ -218,24 +213,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s (%d bytes)\n", path, info.Size())
-}
-
-// writeSolution emits the solution deck in the chosen format using the
-// batch writers (globally sorted shapes, best compression); the -stream
-// path uses the streaming registry writers instead.
-func writeSolution(w *os.File, format string, lay *dummyfill.Layout, sol *dummyfill.Solution) error {
-	switch format {
-	case gdsii.FormatName:
-		return gdsii.FromSolution(lay.Name, sol).Write(w)
-	case oasis.FormatName:
-		return oasis.FromSolution(lay.Name, sol).Write(w)
-	case textfmt.FormatName:
-		return textfmt.WriteSolution(w, lay.Name, sol)
-	case deffmt.FormatName:
-		return deffmt.WriteSolution(w, lay, sol)
-	default:
-		return fmt.Errorf("unknown output format %q", format)
-	}
 }
 
 // outExt picks the conventional file extension for a format name.

@@ -16,6 +16,7 @@ import (
 
 	"dummyfill/internal/gdsii"
 	"dummyfill/internal/geom"
+	"dummyfill/internal/layio"
 )
 
 // row accumulates one (layer, kind) group of the -layers breakdown.
@@ -51,7 +52,7 @@ func main() {
 		}
 		n++
 		key := row{layer: s.Layer, kind: "wire"}
-		if s.Datatype == gdsii.DatatypeFill {
+		if s.Datatype == layio.DatatypeFill {
 			key.kind = "fill"
 		}
 		r := groups[key]

@@ -11,8 +11,9 @@ import (
 	"fmt"
 	"os"
 
-	"dummyfill/internal/deffmt"
-	"dummyfill/internal/gdsii"
+	_ "dummyfill/internal/deffmt" // registers the def format
+	_ "dummyfill/internal/gdsii"  // registers the gds format
+	"dummyfill/internal/layio"
 	"dummyfill/internal/synth"
 	"dummyfill/internal/textfmt"
 )
@@ -57,12 +58,15 @@ func main() {
 	}
 	defer f.Close()
 	switch *format {
-	case "gds":
-		err = gdsii.FromLayout(lay, nil).Write(f)
+	case "gds", "def":
+		var lf layio.Format
+		if lf, err = layio.Lookup(*format); err == nil {
+			err = layio.WriteDeck(f, lf, layio.LayoutDeck, lay, nil)
+		}
 	case "text":
+		// The layout grammar (die, window, rules, regions), not the
+		// text format's fills-only deck.
 		err = textfmt.WriteLayout(f, lay)
-	case "def":
-		err = deffmt.WriteLayout(f, lay, nil)
 	default:
 		err = fmt.Errorf("unknown format %q", *format)
 	}

@@ -19,10 +19,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
-	"sync/atomic"
-	"time"
 
 	dummyfill "dummyfill"
 	"dummyfill/cmd/internal/ingestfmt"
@@ -98,7 +95,7 @@ func main() {
 		if text {
 			fmt.Printf("== Table 3 on %s (%s) ==\n", *in, d.Name)
 		}
-		rows, err := exp.Table3Designs(ctx, []exp.Design{d}, opts, measure)
+		rows, err := exp.Table3Designs(ctx, []exp.Design{d}, opts, exp.Measure)
 		if err != nil {
 			fatal(err)
 		}
@@ -146,7 +143,7 @@ func main() {
 		if text {
 			fmt.Println("== Table 3: experimental results (ours vs. baseline methods) ==")
 		}
-		rows, err := exp.Table3Ctx(ctx, names, opts, measure)
+		rows, err := exp.Table3Ctx(ctx, names, opts, exp.Measure)
 		if err != nil {
 			fatal(err)
 		}
@@ -211,39 +208,4 @@ func loadDesign(path, format string, window int64) (exp.Design, error) {
 		name = path
 	}
 	return exp.Design{Name: name, Lay: lay, Coeffs: coeffs}, nil
-}
-
-// measure times f and samples peak live heap (5 ms period), mirroring the
-// public API's instrumentation.
-func measure(f func() error) (float64, float64, error) {
-	runtime.GC()
-	var base runtime.MemStats
-	runtime.ReadMemStats(&base)
-	var peak atomic.Int64
-	peak.Store(int64(base.HeapInuse))
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(5 * time.Millisecond)
-		defer t.Stop()
-		var ms runtime.MemStats
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				runtime.ReadMemStats(&ms)
-				if h := int64(ms.HeapInuse); h > peak.Load() {
-					peak.Store(h)
-				}
-			}
-		}
-	}()
-	start := time.Now()
-	err := f()
-	sec := time.Since(start).Seconds()
-	close(stop)
-	<-done
-	return sec, float64(peak.Load()) / (1 << 20), err
 }

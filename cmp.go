@@ -6,7 +6,6 @@ import (
 	"dummyfill/internal/cmppad"
 	"dummyfill/internal/deffmt"
 	"dummyfill/internal/fill"
-	"dummyfill/internal/gdsii"
 	"dummyfill/internal/grid"
 	"dummyfill/internal/ingest"
 	"dummyfill/internal/layio"
@@ -81,12 +80,6 @@ func ReadLayoutFormat(r io.Reader, format string, opts IngestOptions) (*Layout, 
 	return ingest.FromShapes(f.NewShapeReader(r, f.Limits), opts)
 }
 
-// ReadGDSLayout reads a GDSII stream and builds a Layout in one step,
-// streaming shapes straight into construction.
-func ReadGDSLayout(r interface{ Read([]byte) (int, error) }, opts IngestOptions) (*Layout, error) {
-	return ingest.FromShapes(gdsii.NewShapeReader(r, gdsii.DefaultLimits()), opts)
-}
-
 // WriteTextLayout emits the layout in the line-oriented text format (see
 // internal/textfmt for the grammar) — the human-authorable counterpart to
 // GDSII.
@@ -97,7 +90,7 @@ func ReadTextLayout(r io.Reader) (*Layout, error) { return textfmt.ReadLayout(r)
 
 // WriteTextSolution emits a fill solution in the text format.
 func WriteTextSolution(w io.Writer, name string, sol *Solution) error {
-	return textfmt.WriteSolution(w, name, sol)
+	return writeDeck(w, textfmt.FormatName, layio.SolutionDeck, &Layout{Name: name}, sol)
 }
 
 // ReadTextSolution parses a text-format fill solution.
@@ -112,7 +105,7 @@ func ReadTextSolution(r io.Reader) (name string, sol *Solution, err error) {
 // use the subset's geometry-encoding masters, so any layout round-trips
 // (see internal/deffmt).
 func WriteDEFLayout(w io.Writer, lay *Layout, sol *Solution) error {
-	return deffmt.WriteLayout(w, lay, sol)
+	return writeDeck(w, deffmt.FormatName, layio.LayoutDeck, lay, sol)
 }
 
 // AutoTuneLambda runs the fill engine at several candidate overfill

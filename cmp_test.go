@@ -48,7 +48,7 @@ func TestReadGDSLayoutEndToEnd(t *testing.T) {
 	if err := dummyfill.WriteGDS(&buf, lay, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dummyfill.ReadGDSLayout(&buf, dummyfill.IngestOptions{
+	got, err := dummyfill.ReadLayoutFormat(&buf, "gds", dummyfill.IngestOptions{
 		Window: lay.Window,
 		Rules:  lay.Rules,
 		Die:    lay.Die,

@@ -133,7 +133,7 @@ func TestInsertStreamUnevenWorkers(t *testing.T) {
 		opts := dummyfill.DefaultOptions()
 		opts.Workers = workers
 		var buf bytes.Buffer
-		if _, err := dummyfill.InsertStreamGDS(context.Background(), &buf, lay, opts); err != nil {
+		if _, err := dummyfill.InsertStreamTo(context.Background(), &buf, lay, opts, "gds"); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -160,7 +160,7 @@ func TestInsertStreamGDSDeterministic(t *testing.T) {
 		opts := dummyfill.DefaultOptions()
 		opts.Workers = workers
 		var buf bytes.Buffer
-		if _, err := dummyfill.InsertStreamGDS(context.Background(), &buf, lay, opts); err != nil {
+		if _, err := dummyfill.InsertStreamTo(context.Background(), &buf, lay, opts, "gds"); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

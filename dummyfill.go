@@ -27,8 +27,8 @@ import (
 	"io"
 	"time"
 
-	"dummyfill/internal/baseline"
 	"dummyfill/internal/drc"
+	"dummyfill/internal/exp"
 	"dummyfill/internal/fill"
 	"dummyfill/internal/fillcache"
 	"dummyfill/internal/gdsii"
@@ -168,58 +168,18 @@ func InsertStreamTo(ctx context.Context, w io.Writer, lay *Layout, opts Options,
 	if err != nil {
 		return nil, err
 	}
-	sw, err := f.NewShapeWriter(w, layio.Header{Name: lay.Name, Struct: "TOP", Die: lay.Die, Sites: lay.Sites})
+	deck, err := layio.OpenDeck(ctx, w, f, layio.LayoutDeck, lay)
 	if err != nil {
 		return nil, err
 	}
-	if f.EmitsWires {
-		n := 0
-		for li, layer := range lay.Layers {
-			for _, wr := range layer.Wires {
-				// Re-check cancellation periodically: the wire preamble of a
-				// large design is written before the engine (which polls ctx
-				// itself) ever runs.
-				if n%1024 == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				n++
-				if err := sw.Write(layio.Shape{Layer: li, Datatype: layio.DatatypeWire, Rect: wr}); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	res, err := e.RunStream(ctx, FillSinkFunc(func(_ int, fills []Fill) error {
-		for _, f := range fills {
-			if err := sw.Write(layio.Shape{Layer: f.Layer, Datatype: layio.DatatypeFill, Rect: f.Rect}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}))
+	res, err := e.RunStream(ctx, deck)
 	if err != nil {
 		return nil, err
 	}
-	if err := sw.Close(); err != nil {
+	if err := deck.Close(); err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// InsertStreamGDS is InsertStreamTo in GDSII: wires plus fills, like
-// WriteGDS but window-ordered.
-func InsertStreamGDS(ctx context.Context, w io.Writer, lay *Layout, opts Options) (*Result, error) {
-	return InsertStreamTo(ctx, w, lay, opts, gdsii.FormatName)
-}
-
-// InsertStreamOASIS is InsertStreamTo in OASIS: fills only, like
-// WriteOASIS but with modal compression over the natural per-window size
-// grouping instead of the global size sort, trading a slightly larger
-// file for bounded memory.
-func InsertStreamOASIS(ctx context.Context, w io.Writer, lay *Layout, opts Options) (*Result, error) {
-	return InsertStreamTo(ctx, w, lay, opts, oasis.FormatName)
 }
 
 // CheckDRC verifies a solution against the layout's fill rules, including
@@ -258,13 +218,13 @@ func Score(lay *Layout, sol *Solution, c Coefficients, m Measured) (*Report, err
 // WriteGDS emits the layout plus solution as a GDSII stream (wires
 // datatype 0, fills datatype 1).
 func WriteGDS(w io.Writer, lay *Layout, sol *Solution) error {
-	return gdsii.FromLayout(lay, sol).Write(w)
+	return writeDeck(w, gdsii.FormatName, layio.LayoutDeck, lay, sol)
 }
 
 // GDSSize returns the byte size of the solution GDSII (fills only) — the
 // contest's file-size metric — without materializing the file.
 func GDSSize(lay *Layout, sol *Solution) (int64, error) {
-	return gdsii.FromSolution(lay.Name, sol).EncodedSize()
+	return gdsii.DeckSize(layio.SolutionDeck, lay, sol)
 }
 
 // OASISSize returns the byte size of the solution encoded as OASIS with
@@ -272,12 +232,22 @@ func GDSSize(lay *Layout, sol *Solution) (int64, error) {
 // paper names alongside GDSII. Comparing it with GDSSize shows how much
 // of the file-size cost is the shape count itself versus the encoding.
 func OASISSize(lay *Layout, sol *Solution) (int64, error) {
-	return oasis.FromSolution(lay.Name, sol).EncodedSize()
+	return layio.EncodedSize(func(w io.Writer) error { return WriteOASIS(w, lay, sol) })
 }
 
-// WriteOASIS emits the solution as an OASIS stream.
+// WriteOASIS emits the solution as an OASIS stream, fills sorted for
+// maximal modal reuse.
 func WriteOASIS(w io.Writer, lay *Layout, sol *Solution) error {
-	return oasis.FromSolution(lay.Name, sol).Write(w)
+	return writeDeck(w, oasis.FormatName, layio.SolutionDeck, lay, &Solution{Fills: oasis.ModalSorted(sol.Fills)})
+}
+
+// writeDeck writes a whole deck of the given kind in the named format.
+func writeDeck(w io.Writer, format string, kind layio.DeckKind, lay *Layout, sol *Solution) error {
+	f, err := layio.Lookup(format)
+	if err != nil {
+		return err
+	}
+	return layio.WriteDeck(w, f, kind, lay, sol)
 }
 
 // ReadGDSShapes parses a GDSII stream and returns per-layer wire and fill
@@ -295,7 +265,7 @@ func ReadGDSShapes(r io.Reader) (wires, fills map[int][]Rect, err error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if s.Datatype == gdsii.DatatypeFill {
+		if s.Datatype == layio.DatatypeFill {
 			fills[s.Layer] = append(fills[s.Layer], s.Rect)
 		} else {
 			wires[s.Layer] = append(wires[s.Layer], s.Rect)
@@ -329,56 +299,21 @@ func Calibrate(lay *Layout, betaRuntimeSec, betaMemoryMiB float64) (Coefficients
 	return synth.Calibrate(lay, betaRuntimeSec, betaMemoryMiB)
 }
 
-// Method is one fill approach under comparison.
-type Method struct {
-	Name string
-	Run  func(*Layout) (*Solution, error)
-	// RunContext, when set, is the cancellable, health-reporting variant
-	// used by RunMethodContext. Ours sets it; the baselines solve without
-	// a solver chain and report no health.
-	RunContext func(ctx context.Context, lay *Layout) (*Solution, *Health, error)
-}
+// Method is one fill approach under comparison: a name and a
+// cancellable runner returning the solution plus, for the engine, its
+// health report (nil for the baselines, which have no degradation
+// modes).
+type Method = exp.Method
 
 // Ours returns the paper's method as a Method.
-func Ours(opts Options) Method {
-	runCtx := func(ctx context.Context, lay *Layout) (*Solution, *Health, error) {
-		res, err := InsertContext(ctx, lay, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &res.Solution, &res.Health, nil
-	}
-	return Method{
-		Name: "ours",
-		Run: func(lay *Layout) (*Solution, error) {
-			sol, _, err := runCtx(context.Background(), lay)
-			return sol, err
-		},
-		RunContext: runCtx,
-	}
-}
+func Ours(opts Options) Method { return exp.Methods(opts)[0] }
 
-// Baselines returns the three traditional methods (the contest top-3
-// stand-ins): tile-based LP, Monte-Carlo and greedy.
-func Baselines() []Method {
-	fillers := []baseline.Filler{
-		baseline.TileLP{},
-		baseline.MonteCarlo{Seed: 42},
-		baseline.CouplingConstrained{},
-		baseline.Greedy{},
-	}
-	out := make([]Method, 0, len(fillers))
-	for _, f := range fillers {
-		f := f
-		out = append(out, Method{Name: f.Name(), Run: f.Fill})
-	}
-	return out
-}
+// Baselines returns the four baseline methods: tile-based LP,
+// Monte-Carlo, coupling-constrained and greedy.
+func Baselines() []Method { return exp.Methods(DefaultOptions())[1:] }
 
 // AllMethods is Ours followed by Baselines.
-func AllMethods(opts Options) []Method {
-	return append([]Method{Ours(opts)}, Baselines()...)
-}
+func AllMethods(opts Options) []Method { return exp.Methods(opts) }
 
 // RunMethod executes a method on a layout, measuring wall-clock runtime,
 // an approximate peak-live-heap figure and the solution GDSII size, and
@@ -394,15 +329,9 @@ func RunMethod(m Method, lay *Layout, c Coefficients) (*Report, *Solution, error
 func RunMethodContext(ctx context.Context, m Method, lay *Layout, c Coefficients) (*Report, *Solution, *Health, error) {
 	var sol *Solution
 	var health *Health
-	runtimeSec, memMiB, err := measure(func() error {
+	runtimeSec, memMiB, err := exp.Measure(func() error {
 		var err error
-		if m.RunContext != nil {
-			sol, health, err = m.RunContext(ctx, lay)
-		} else {
-			if err = ctx.Err(); err == nil {
-				sol, err = m.Run(lay)
-			}
-		}
+		sol, health, err = m.Run(ctx, lay)
 		return err
 	})
 	if err != nil {

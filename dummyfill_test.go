@@ -2,6 +2,7 @@ package dummyfill_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -137,7 +138,7 @@ func TestOursUsesFewestFillsAmongUniformizers(t *testing.T) {
 	lay, _ := tinyBench(t)
 	counts := map[string]int{}
 	for _, m := range dummyfill.AllMethods(dummyfill.DefaultOptions()) {
-		sol, err := m.Run(lay)
+		sol, _, err := m.Run(context.Background(), lay)
 		if err != nil {
 			t.Fatalf("method %s: %v", m.Name, err)
 		}

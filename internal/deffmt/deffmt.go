@@ -23,7 +23,6 @@ import (
 	"io"
 
 	"dummyfill/internal/layio"
-	"dummyfill/internal/layout"
 )
 
 // FormatName is this package's layio registry key.
@@ -86,46 +85,6 @@ func sniff(prefix []byte) bool {
 }
 
 func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\r' || b == '\n' }
-
-// WriteLayout emits a full layout (wires, and the solution's fills when
-// sol is non-nil) as a DEF deck: the deck a DEF→fill→DEF round trip
-// starts from.
-func WriteLayout(w io.Writer, lay *layout.Layout, sol *layout.Solution) error {
-	sw, err := NewShapeWriter(w, layio.Header{Name: lay.Name, Die: lay.Die, Sites: lay.Sites})
-	if err != nil {
-		return err
-	}
-	for li, layer := range lay.Layers {
-		for _, r := range layer.Wires {
-			if err := sw.Write(layio.Shape{Layer: li, Datatype: layio.DatatypeWire, Rect: r}); err != nil {
-				return err
-			}
-		}
-	}
-	if sol != nil {
-		for _, f := range sol.Fills {
-			if err := sw.Write(layio.Shape{Layer: f.Layer, Datatype: layio.DatatypeFill, Rect: f.Rect}); err != nil {
-				return err
-			}
-		}
-	}
-	return sw.Close()
-}
-
-// WriteSolution emits a fills-only DEF deck (an ECO-style fill netlist):
-// the die, the layout's lattice, and one filler COMPONENT per fill.
-func WriteSolution(w io.Writer, lay *layout.Layout, sol *layout.Solution) error {
-	sw, err := NewShapeWriter(w, layio.Header{Name: lay.Name, Die: lay.Die, Sites: lay.Sites})
-	if err != nil {
-		return err
-	}
-	for _, f := range sol.Fills {
-		if err := sw.Write(layio.Shape{Layer: f.Layer, Datatype: layio.DatatypeFill, Rect: f.Rect}); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
-}
 
 // DefaultLimits returns the package's ingest caps (the shared layio
 // defaults).

@@ -31,22 +31,15 @@ type component struct {
 
 // NewShapeWriter opens a streaming DEF writer. Header.Sites, when set,
 // is emitted as a ROW statement and enables the library filler naming
-// for site-aligned fills (Header.FillLib, default layout.DefaultFillLib);
-// all other shapes use the explicit geometry-encoding masters.
+// for site-aligned fills (layout.DefaultFillLib); all other shapes use
+// the explicit geometry-encoding masters.
 func NewShapeWriter(w io.Writer, h layio.Header) (layio.ShapeWriter, error) {
-	lib := h.FillLib
-	if lib == nil {
-		lib = layout.DefaultFillLib()
-	}
-	if err := lib.Validate(); err != nil {
-		return nil, err
-	}
 	if h.Sites != nil {
 		if err := h.Sites.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	return &shapeWriter{w: w, hdr: h, lib: lib}, nil
+	return &shapeWriter{w: w, hdr: h, lib: layout.DefaultFillLib()}, nil
 }
 
 func (sw *shapeWriter) Write(s layio.Shape) error {

@@ -14,6 +14,7 @@ import (
 	"dummyfill/internal/dlp"
 	"dummyfill/internal/fill"
 	"dummyfill/internal/gdsii"
+	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 	"dummyfill/internal/score"
 	"dummyfill/internal/synth"
@@ -44,7 +45,7 @@ func Table2(designs []string) ([]Table2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		sz, err := gdsii.FromLayout(lay, nil).EncodedSize()
+		sz, err := gdsii.DeckSize(layio.LayoutDeck, lay, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -163,7 +164,7 @@ func Table3Designs(ctx context.Context, designs []Design, opts fill.Options, mea
 			if err != nil {
 				return nil, fmt.Errorf("design %s method %s: %w", n, m.Name, err)
 			}
-			sz, err := gdsii.FromSolution(lay.Name, sol).EncodedSize()
+			sz, err := gdsii.DeckSize(layio.SolutionDeck, lay, sol)
 			if err != nil {
 				return nil, err
 			}

@@ -1,4 +1,4 @@
-package dummyfill
+package exp
 
 import (
 	"runtime"
@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// measure runs f, returning its wall-clock seconds and an approximate
+// Measure runs f, returning its wall-clock seconds and an approximate
 // peak live-heap footprint in MiB. Peak heap is sampled by a background
 // goroutine (runtime.MemStats.HeapInuse every few milliseconds), which is
 // a proxy for the contest's peak-RSS measurement — adequate for comparing
 // methods within one process.
-func measure(f func() error) (sec float64, memMiB float64, err error) {
+func Measure(f func() error) (sec float64, memMiB float64, err error) {
 	runtime.GC()
 	var base runtime.MemStats
 	runtime.ReadMemStats(&base)

@@ -1,4 +1,4 @@
-package dummyfill
+package exp
 
 import (
 	"errors"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestMeasureTimesAndSucceeds(t *testing.T) {
-	sec, mem, err := measure(func() error {
+	sec, mem, err := Measure(func() error {
 		time.Sleep(30 * time.Millisecond)
 		// Allocate something observable.
 		buf := make([]byte, 16<<20)
@@ -30,7 +30,7 @@ func TestMeasureTimesAndSucceeds(t *testing.T) {
 
 func TestMeasurePropagatesError(t *testing.T) {
 	want := errors.New("boom")
-	_, _, err := measure(func() error { return want })
+	_, _, err := Measure(func() error { return want })
 	if !errors.Is(err, want) {
 		t.Fatalf("err = %v", err)
 	}
@@ -38,7 +38,7 @@ func TestMeasurePropagatesError(t *testing.T) {
 
 func TestMeasureFastFunction(t *testing.T) {
 	// A function faster than the sampler period must still measure.
-	sec, mem, err := measure(func() error { return nil })
+	sec, mem, err := Measure(func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

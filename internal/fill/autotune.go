@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dummyfill/internal/gdsii"
+	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 	"dummyfill/internal/score"
 )
@@ -35,7 +36,7 @@ func AutoTuneLambda(lay *layout.Layout, c score.Coefficients, base Options, cand
 		if err != nil {
 			return Options{}, nil, err
 		}
-		sz, err := gdsii.FromSolution(lay.Name, &res.Solution).EncodedSize()
+		sz, err := gdsii.DeckSize(layio.SolutionDeck, lay, &res.Solution)
 		if err != nil {
 			return Options{}, nil, err
 		}

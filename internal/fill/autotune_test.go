@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dummyfill/internal/gdsii"
+	"dummyfill/internal/layio"
 	"dummyfill/internal/score"
 	"dummyfill/internal/synth"
 )
@@ -38,7 +39,7 @@ func TestAutoTuneLambdaPicksBest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sz, err := gdsii.FromSolution(lay.Name, &r.Solution).EncodedSize()
+		sz, err := gdsii.DeckSize(layio.SolutionDeck, lay, &r.Solution)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func TestAutoTuneLambdaPicksBest(t *testing.T) {
 		}
 		q := score.Score(raw, c).Quality
 
-		szB, _ := gdsii.FromSolution(lay.Name, &res.Solution).EncodedSize()
+		szB, _ := gdsii.DeckSize(layio.SolutionDeck, lay, &res.Solution)
 		rawB, err := score.Measure(lay, &res.Solution, szB, 0, 0)
 		if err != nil {
 			t.Fatal(err)

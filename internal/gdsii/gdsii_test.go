@@ -68,6 +68,46 @@ func TestQuickReal8RoundTrip(t *testing.T) {
 	}
 }
 
+// Structure and Library are a test fixture: a materialized GDSII
+// library written through StreamWriter, for reader tests that need
+// polygons and multi-structure inputs.
+type Structure struct {
+	Name       string
+	Boundaries []Boundary
+}
+
+type Library struct {
+	Name    string
+	Structs []Structure
+}
+
+func (lib *Library) Write(w io.Writer) error {
+	sw := NewStreamWriter(w)
+	if err := sw.BeginLibrary(lib.Name); err != nil {
+		return err
+	}
+	for _, st := range lib.Structs {
+		if err := sw.BeginStructure(st.Name); err != nil {
+			return err
+		}
+		for _, b := range st.Boundaries {
+			if err := sw.WriteBoundary(b); err != nil {
+				return err
+			}
+		}
+		if err := sw.EndStructure(); err != nil {
+			return err
+		}
+	}
+	return sw.Close()
+}
+
+func rectBoundary(layer, dt int, r geom.Rect) Boundary {
+	return Boundary{Layer: layer, Datatype: dt, Pts: []geom.Point{
+		{X: r.XL, Y: r.YL}, {X: r.XH, Y: r.YL}, {X: r.XH, Y: r.YH}, {X: r.XL, Y: r.YH},
+	}}
+}
+
 func sampleLibrary() *Library {
 	return &Library{
 		Name: "LIB",
@@ -189,7 +229,7 @@ func extract(t *testing.T, data []byte) (wires, fills map[int][]geom.Rect) {
 	}
 	wires, fills = map[int][]geom.Rect{}, map[int][]geom.Rect{}
 	for _, s := range shapes {
-		if s.Datatype == DatatypeFill {
+		if s.Datatype == layio.DatatypeFill {
 			fills[s.Layer] = append(fills[s.Layer], s.Rect)
 		} else {
 			wires[s.Layer] = append(wires[s.Layer], s.Rect)
@@ -217,9 +257,8 @@ func TestFromLayoutAndExtract(t *testing.T) {
 		{Layer: 0, Rect: geom.R(400, 400, 450, 450)},
 		{Layer: 1, Rect: geom.R(100, 100, 150, 160)},
 	}}
-	lib := FromLayout(lay, sol)
 	var buf bytes.Buffer
-	if err := lib.Write(&buf); err != nil {
+	if err := layio.WriteDeck(&buf, format, layio.LayoutDeck, lay, sol); err != nil {
 		t.Fatal(err)
 	}
 	wires, fills := extract(t, buf.Bytes())
@@ -235,17 +274,20 @@ func TestFromLayoutAndExtract(t *testing.T) {
 }
 
 func TestEncodedSizeMatchesWrite(t *testing.T) {
-	lib := sampleLibrary()
-	var buf bytes.Buffer
-	if err := lib.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	n, err := lib.EncodedSize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("EncodedSize = %d, written %d", n, buf.Len())
+	lay := fillTestLayout()
+	sol := &layout.Solution{Fills: []layout.Fill{{Layer: 1, Rect: geom.R(100, 100, 150, 160)}}}
+	for _, kind := range []layio.DeckKind{layio.LayoutDeck, layio.SolutionDeck} {
+		var buf bytes.Buffer
+		if err := layio.WriteDeck(&buf, format, kind, lay, sol); err != nil {
+			t.Fatal(err)
+		}
+		n, err := DeckSize(kind, lay, sol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != int64(buf.Len()) {
+			t.Fatalf("kind %d: DeckSize = %d, written %d", kind, n, buf.Len())
+		}
 	}
 }
 
@@ -259,11 +301,11 @@ func TestFileSizeGrowsWithFills(t *testing.T) {
 		y := rng.Int63n(900)
 		many.Fills = append(many.Fills, layout.Fill{Layer: 0, Rect: geom.R(x, y, x+5, y+5)})
 	}
-	sFew, err := FromLayout(lay, few).EncodedSize()
+	sFew, err := DeckSize(layio.LayoutDeck, lay, few)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sMany, err := FromLayout(lay, &many).EncodedSize()
+	sMany, err := DeckSize(layio.LayoutDeck, lay, &many)
 	if err != nil {
 		t.Fatal(err)
 	}

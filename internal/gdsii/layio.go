@@ -10,18 +10,19 @@ import (
 // FormatName is this package's layio registry key.
 const FormatName = "gds"
 
-func init() {
-	layio.Register(layio.Format{
-		Name:   FormatName,
-		Detect: sniff,
-		NewShapeReader: func(r io.Reader, lim layio.Limits) layio.ShapeReader {
-			return NewShapeReader(r, lim)
-		},
-		NewShapeWriter: newShapeWriter,
-		Limits:         DefaultLimits(),
-		EmitsWires:     true,
-	})
+// format is this package's registry entry.
+var format = layio.Format{
+	Name:   FormatName,
+	Detect: sniff,
+	NewShapeReader: func(r io.Reader, lim layio.Limits) layio.ShapeReader {
+		return NewShapeReader(r, lim)
+	},
+	NewShapeWriter: newShapeWriter,
+	Limits:         DefaultLimits(),
+	EmitsWires:     true,
 }
+
+func init() { layio.Register(format) }
 
 // sniff recognizes a GDSII stream by its first record: a HEADER
 // (type 0x00) carrying an int16 payload, with a sane record length.

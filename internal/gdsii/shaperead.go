@@ -10,7 +10,7 @@ import (
 )
 
 // ShapeReader streams (layer, datatype, rectangle) shapes out of a
-// GDSII stream without ever materializing a Library: each BOUNDARY is
+// GDSII stream without ever materializing its shapes: each BOUNDARY is
 // decomposed into rectangles as it is parsed and handed out one at a
 // time, so ingesting an arbitrarily large design holds at most one
 // polygon's worth of state. Layer numbers are translated from the

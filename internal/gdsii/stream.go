@@ -10,10 +10,9 @@ import (
 
 // StreamWriter emits a GDSII stream incrementally: library header, then
 // any number of structures, each receiving boundaries one at a time, then
-// the library trailer. It is the bounded-memory counterpart of
-// Library.Write — the whole shape set never has to exist in memory — and
-// Library.Write is implemented on top of it, so both paths produce
-// byte-identical output for the same shape sequence.
+// the library trailer, so the whole shape set never has to exist in
+// memory. It is the one GDSII encoder: the registered ShapeWriter (and so
+// every deck) writes through it.
 //
 // Call order: BeginLibrary, then for each structure BeginStructure /
 // WriteBoundary·WriteRect… / EndStructure, then Close. A StreamWriter is
@@ -116,7 +115,8 @@ func (sw *StreamWriter) WriteBoundary(b Boundary) error {
 }
 
 // WriteRect emits one rectangle as a 4-point boundary — identical bytes
-// to WriteBoundary over rectBoundary, without building the Boundary.
+// to WriteBoundary over the rectangle's corners, without building the
+// Boundary.
 func (sw *StreamWriter) WriteRect(layer, datatype int, r geom.Rect) error {
 	if !sw.inStruct {
 		return fmt.Errorf("gdsii: WriteRect outside a structure")

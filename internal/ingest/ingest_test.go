@@ -14,12 +14,27 @@ import (
 	"dummyfill/internal/synth"
 )
 
-// gdsReader encodes lib as a GDSII stream and opens the streaming reader
-// over it.
-func gdsReader(t *testing.T, lib *gdsii.Library) layio.ShapeReader {
+// gdsReader encodes the boundaries as a one-structure GDSII stream and
+// opens the streaming reader over it.
+func gdsReader(t *testing.T, bs ...gdsii.Boundary) layio.ShapeReader {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := lib.Write(&buf); err != nil {
+	sw := gdsii.NewStreamWriter(&buf)
+	if err := sw.BeginLibrary("lib"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.BeginStructure("TOP"); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bs {
+		if err := sw.WriteBoundary(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.EndStructure(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return gdsii.NewShapeReader(&buf, gdsii.DefaultLimits())
@@ -40,8 +55,12 @@ func TestFromShapesRoundTripSynthDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f, err := layio.Lookup(gdsii.FormatName)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := gdsii.FromLayout(src, nil).Write(&buf); err != nil {
+	if err := layio.WriteDeck(&buf, f, layio.LayoutDeck, src, nil); err != nil {
 		t.Fatal(err)
 	}
 	opts := testOpts()
@@ -76,20 +95,17 @@ func TestFromShapesRoundTripSynthDesign(t *testing.T) {
 
 func TestFromShapesPolygonWires(t *testing.T) {
 	// An L-shaped wire must be decomposed and its keepout respected.
-	lib := &gdsii.Library{Name: "poly", Structs: []gdsii.Structure{{
-		Name: "TOP",
-		Boundaries: []gdsii.Boundary{{
-			Layer:    1,
-			Datatype: 0,
-			Pts: []geom.Point{
-				{X: 100, Y: 100}, {X: 300, Y: 100}, {X: 300, Y: 200},
-				{X: 200, Y: 200}, {X: 200, Y: 300}, {X: 100, Y: 300},
-			},
-		}},
-	}}}
+	lShape := gdsii.Boundary{
+		Layer:    1,
+		Datatype: 0,
+		Pts: []geom.Point{
+			{X: 100, Y: 100}, {X: 300, Y: 100}, {X: 300, Y: 200},
+			{X: 200, Y: 200}, {X: 200, Y: 300}, {X: 100, Y: 300},
+		},
+	}
 	opts := testOpts()
 	opts.Die = geom.R(0, 0, 1000, 1000)
-	lay, err := FromShapes(gdsReader(t, lib), opts)
+	lay, err := FromShapes(gdsReader(t, lShape), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,17 +128,14 @@ func TestFromShapesPolygonWires(t *testing.T) {
 }
 
 func TestFromShapesKeepFills(t *testing.T) {
-	lib := &gdsii.Library{Name: "kf", Structs: []gdsii.Structure{{
-		Name: "TOP",
-		Boundaries: []gdsii.Boundary{
-			{Layer: 1, Datatype: 0, Pts: rectPts(geom.R(0, 0, 100, 100))},
-			{Layer: 1, Datatype: 1, Pts: rectPts(geom.R(300, 300, 400, 400))},
-		},
-	}}}
+	shapes := []gdsii.Boundary{
+		{Layer: 1, Datatype: 0, Pts: rectPts(geom.R(0, 0, 100, 100))},
+		{Layer: 1, Datatype: 1, Pts: rectPts(geom.R(300, 300, 400, 400))},
+	}
 	opts := testOpts()
 	opts.Die = geom.R(0, 0, 1000, 1000)
 
-	lay, err := FromShapes(gdsReader(t, lib), opts)
+	lay, err := FromShapes(gdsReader(t, shapes...), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +144,7 @@ func TestFromShapesKeepFills(t *testing.T) {
 	}
 
 	opts.KeepFills = true
-	lay, err = FromShapes(gdsReader(t, lib), opts)
+	lay, err = FromShapes(gdsReader(t, shapes...), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +154,9 @@ func TestFromShapesKeepFills(t *testing.T) {
 }
 
 func TestFromShapesDefaults(t *testing.T) {
-	lib := &gdsii.Library{Name: "def", Structs: []gdsii.Structure{{
-		Name: "TOP",
-		Boundaries: []gdsii.Boundary{
-			{Layer: 1, Datatype: 0, Pts: rectPts(geom.R(0, 0, 1600, 50))},
-		},
-	}}}
+	wire := gdsii.Boundary{Layer: 1, Datatype: 0, Pts: rectPts(geom.R(0, 0, 1600, 50))}
 	opts := Options{Rules: testOpts().Rules} // no window, no die
-	lay, err := FromShapes(gdsReader(t, lib), opts)
+	lay, err := FromShapes(gdsReader(t, wire), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,15 +169,11 @@ func TestFromShapesDefaults(t *testing.T) {
 }
 
 func TestFromShapesErrors(t *testing.T) {
-	empty := &gdsii.Library{Name: "empty"}
-	if _, err := FromShapes(gdsReader(t, empty), testOpts()); err == nil {
+	if _, err := FromShapes(gdsReader(t), testOpts()); err == nil {
 		t.Fatal("shapeless library must error")
 	}
-	lib := &gdsii.Library{Name: "x", Structs: []gdsii.Structure{{
-		Name:       "TOP",
-		Boundaries: []gdsii.Boundary{{Layer: 1, Pts: rectPts(geom.R(0, 0, 10, 10))}},
-	}}}
-	if _, err := FromShapes(gdsReader(t, lib), Options{}); err == nil {
+	wire := gdsii.Boundary{Layer: 1, Pts: rectPts(geom.R(0, 0, 10, 10))}
+	if _, err := FromShapes(gdsReader(t, wire), Options{}); err == nil {
 		t.Fatal("zero rules must error")
 	}
 }

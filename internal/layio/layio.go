@@ -65,10 +65,6 @@ type Header struct {
 	// site-aligned filler masters. Nil for formats without row/site
 	// geometry.
 	Sites *layout.SiteGrid
-	// FillLib names the filler master library used for site-aligned fills
-	// on output (DEF); nil uses layout.DefaultFillLib. Formats without
-	// master naming ignore it.
-	FillLib *layout.FillLib
 }
 
 // ErrLimit is wrapped by reader errors when an input stream exceeds a

@@ -13,7 +13,7 @@ import (
 // plain `go test` replays the seed corpus.
 func FuzzRead(f *testing.F) {
 	var valid bytes.Buffer
-	if err := sampleLib().Write(&valid); err != nil {
+	if err := writeSample(&valid); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
@@ -51,7 +51,7 @@ func FuzzRead(f *testing.F) {
 
 func TestShapeReaderMaxShapes(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampleLib().Write(&buf); err != nil {
+	if err := writeSample(&buf); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes() // five rectangles
@@ -67,7 +67,7 @@ func TestShapeReaderMaxShapes(t *testing.T) {
 
 func TestShapeReaderMaxRecords(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampleLib().Write(&buf); err != nil {
+	if err := writeSample(&buf); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -83,7 +83,7 @@ func TestShapeReaderMaxRecords(t *testing.T) {
 
 func TestShapeReaderZeroIsUnlimited(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampleLib().Write(&buf); err != nil {
+	if err := writeSample(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := drain(bytes.NewReader(buf.Bytes()), Limits{}); err != nil {

@@ -1,7 +1,6 @@
 package oasis
 
 import (
-	"io"
 	"sort"
 
 	"dummyfill/internal/geom"
@@ -15,35 +14,6 @@ type Shape struct {
 	Layer    int
 	Datatype int
 	Rect     geom.Rect
-}
-
-// Library is a single-cell OASIS layout.
-type Library struct {
-	Cell   string
-	Unit   uint64 // grid points per micron (real type 0)
-	Shapes []Shape
-}
-
-// Write emits the library as an OASIS stream. Shapes are written with
-// modal-variable compression: layer, datatype, width and height are only
-// re-emitted when they change, and x/y are written in relative
-// (delta-to-previous) mode implicitly via signed absolute coordinates.
-//
-// Write sorts nothing: callers control the shape order, and grouping
-// same-size shapes (as fill solutions naturally do) maximizes modal
-// reuse. It is a convenience over StreamWriter and produces byte-identical
-// output for the same shape sequence.
-func (l *Library) Write(w io.Writer) error {
-	sw := NewStreamWriter(w)
-	if err := sw.Begin(l.Cell, l.Unit); err != nil {
-		return err
-	}
-	for _, s := range l.Shapes {
-		if err := sw.WriteShape(s); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
 }
 
 // ErrLimit is wrapped by ShapeReader errors when an input stream exceeds
@@ -61,50 +31,28 @@ type Limits = layio.Limits
 // fails cleanly instead of exhausting memory.
 func DefaultLimits() Limits { return layio.DefaultLimits() }
 
-// FromSolution converts a fill solution into an OASIS library, grouping
-// fills by layer then by size so the modal variables compress maximally.
-func FromSolution(name string, sol *layout.Solution) *Library {
-	lib := &Library{Cell: name}
-	shapes := make([]Shape, 0, len(sol.Fills))
-	for _, f := range sol.Fills {
-		shapes = append(shapes, Shape{Layer: f.Layer + 1, Datatype: 1, Rect: f.Rect})
-	}
-	sortShapesForModalReuse(shapes)
-	lib.Shapes = shapes
-	return lib
-}
-
-// sortShapesForModalReuse orders shapes layer-major, then by dimensions,
-// then by position, so consecutive records share modal state.
-func sortShapesForModalReuse(shapes []Shape) {
-	lessRect := func(a, b geom.Rect) bool {
-		if a.W() != b.W() {
-			return a.W() < b.W()
-		}
-		if a.H() != b.H() {
-			return a.H() < b.H()
-		}
-		if a.YL != b.YL {
-			return a.YL < b.YL
-		}
-		return a.XL < b.XL
-	}
-	sortSlice(shapes, func(a, b Shape) bool {
+// ModalSorted returns a copy of fills ordered layer-major, then by
+// dimensions, then by position, so consecutive RECTANGLE records share
+// modal state and the deck compresses maximally. The writers sort
+// nothing themselves: a batch OASIS deck is this order, a streamed one
+// keeps the engine's per-window order.
+func ModalSorted(fills []layout.Fill) []layout.Fill {
+	fills = append([]layout.Fill(nil), fills...)
+	sort.Slice(fills, func(i, j int) bool {
+		a, b := fills[i], fills[j]
 		if a.Layer != b.Layer {
 			return a.Layer < b.Layer
 		}
-		if a.Datatype != b.Datatype {
-			return a.Datatype < b.Datatype
+		if a.Rect.W() != b.Rect.W() {
+			return a.Rect.W() < b.Rect.W()
 		}
-		return lessRect(a.Rect, b.Rect)
+		if a.Rect.H() != b.Rect.H() {
+			return a.Rect.H() < b.Rect.H()
+		}
+		if a.Rect.YL != b.Rect.YL {
+			return a.Rect.YL < b.Rect.YL
+		}
+		return a.Rect.XL < b.Rect.XL
 	})
-}
-
-// EncodedSize returns the byte size the library would occupy on disk.
-func (l *Library) EncodedSize() (int64, error) {
-	return layio.EncodedSize(l.Write)
-}
-
-func sortSlice(shapes []Shape, less func(a, b Shape) bool) {
-	sort.Slice(shapes, func(i, j int) bool { return less(shapes[i], shapes[j]) })
+	return fills
 }

@@ -13,19 +13,32 @@ import (
 	"dummyfill/internal/layout"
 )
 
-func sampleLib() *Library {
-	return &Library{
-		Cell: "TOP",
-		Unit: 1000,
-		Shapes: []Shape{
-			{Layer: 1, Datatype: 1, Rect: geom.R(0, 0, 10, 10)},
-			{Layer: 1, Datatype: 1, Rect: geom.R(20, 0, 30, 10)}, // same size: modal reuse
-			{Layer: 1, Datatype: 1, Rect: geom.R(40, 0, 55, 10)}, // new width
-			{Layer: 2, Datatype: 1, Rect: geom.R(0, 20, 10, 30)}, // new layer
-			{Layer: 2, Datatype: 1, Rect: geom.R(-5, -9, 3, 1)},  // negative coords
-		},
-	}
+// sampleShapes is a small single-cell stream exercising modal reuse,
+// a layer change and negative coordinates (on-disk 1-based layers).
+var sampleShapes = []Shape{
+	{Layer: 1, Datatype: 1, Rect: geom.R(0, 0, 10, 10)},
+	{Layer: 1, Datatype: 1, Rect: geom.R(20, 0, 30, 10)}, // same size: modal reuse
+	{Layer: 1, Datatype: 1, Rect: geom.R(40, 0, 55, 10)}, // new width
+	{Layer: 2, Datatype: 1, Rect: geom.R(0, 20, 10, 30)}, // new layer
+	{Layer: 2, Datatype: 1, Rect: geom.R(-5, -9, 3, 1)},  // negative coords
 }
+
+// writeShapes encodes shapes in order as one OASIS cell.
+func writeShapes(w io.Writer, cell string, shapes []Shape) error {
+	sw := NewStreamWriter(w)
+	if err := sw.Begin(cell, 1000); err != nil {
+		return err
+	}
+	for _, s := range shapes {
+		if err := sw.WriteShape(s); err != nil {
+			return err
+		}
+	}
+	return sw.Close()
+}
+
+// writeSample encodes sampleShapes as cell TOP.
+func writeSample(w io.Writer) error { return writeShapes(w, "TOP", sampleShapes) }
 
 // drain reads every shape of an OASIS stream through a ShapeReader.
 func drain(src io.Reader, lim Limits) (layio.Header, []layio.Shape, error) {
@@ -44,9 +57,8 @@ func drain(src io.Reader, lim Limits) (layio.Header, []layio.Shape, error) {
 }
 
 func TestRoundTrip(t *testing.T) {
-	lib := sampleLib()
 	var buf bytes.Buffer
-	if err := lib.Write(&buf); err != nil {
+	if err := writeSample(&buf); err != nil {
 		t.Fatal(err)
 	}
 	// The START record follows the magic: version string, then the unit.
@@ -67,10 +79,10 @@ func TestRoundTrip(t *testing.T) {
 	if hdr.Name != "TOP" {
 		t.Fatalf("cell name %q", hdr.Name)
 	}
-	if len(shapes) != len(lib.Shapes) {
-		t.Fatalf("shapes: %d vs %d", len(shapes), len(lib.Shapes))
+	if len(shapes) != len(sampleShapes) {
+		t.Fatalf("shapes: %d vs %d", len(shapes), len(sampleShapes))
 	}
-	for i, want := range lib.Shapes {
+	for i, want := range sampleShapes {
 		// The reader returns zero-based layers; the file stores 1-based.
 		got := Shape{Layer: shapes[i].Layer + 1, Datatype: shapes[i].Datatype, Rect: shapes[i].Rect}
 		if got != want {
@@ -80,9 +92,8 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestEndRecordIs256Bytes(t *testing.T) {
-	empty := &Library{Cell: "C"}
 	var buf bytes.Buffer
-	if err := empty.Write(&buf); err != nil {
+	if err := writeShapes(&buf, "C", nil); err != nil {
 		t.Fatal(err)
 	}
 	// Stream = magic + START(...) + CELL + END(256). Verify the END block:
@@ -142,12 +153,18 @@ func TestModalCompressionShrinksRepeatedFills(t *testing.T) {
 		x, y := rng.Int63n(100000), rng.Int63n(100000)
 		sol.Fills = append(sol.Fills, layout.Fill{Layer: 0, Rect: geom.R(x, y, x+320, y+320)})
 	}
-	oas := FromSolution("F", sol)
-	oasSize, err := oas.EncodedSize()
+	f, err := layio.Lookup(FormatName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gdsSize, err := gdsii.FromSolution("F", sol).EncodedSize()
+	lay := &layout.Layout{Name: "F"}
+	oasSize, err := layio.EncodedSize(func(w io.Writer) error {
+		return layio.WriteDeck(w, f, layio.SolutionDeck, lay, &layout.Solution{Fills: ModalSorted(sol.Fills)})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gdsSize, err := gdsii.DeckSize(layio.SolutionDeck, lay, sol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +180,26 @@ func TestModalCompressionShrinksRepeatedFills(t *testing.T) {
 func TestFromSolutionSortsForReuse(t *testing.T) {
 	sol := &layout.Solution{Fills: []layout.Fill{
 		{Layer: 1, Rect: geom.R(0, 0, 5, 5)},
-		{Layer: 0, Rect: geom.R(0, 0, 5, 5)},
-		{Layer: 0, Rect: geom.R(10, 0, 20, 5)},
 		{Layer: 0, Rect: geom.R(30, 0, 35, 5)},
+		{Layer: 0, Rect: geom.R(10, 0, 20, 5)},
+		{Layer: 0, Rect: geom.R(0, 0, 5, 5)},
 	}}
-	lib := FromSolution("X", sol)
-	for i := 1; i < len(lib.Shapes); i++ {
-		if lib.Shapes[i].Layer < lib.Shapes[i-1].Layer {
-			t.Fatal("shapes not layer-sorted")
+	in := append([]layout.Fill(nil), sol.Fills...)
+	got := ModalSorted(sol.Fills)
+	want := []layout.Fill{
+		{Layer: 0, Rect: geom.R(0, 0, 5, 5)},
+		{Layer: 0, Rect: geom.R(30, 0, 35, 5)},
+		{Layer: 0, Rect: geom.R(10, 0, 20, 5)},
+		{Layer: 1, Rect: geom.R(0, 0, 5, 5)},
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ModalSorted = %v, want %v", got, want)
+		}
+	}
+	for i := range in {
+		if sol.Fills[i] != in[i] {
+			t.Fatal("ModalSorted reordered its input")
 		}
 	}
 }
@@ -187,7 +216,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 
 func TestReadNeverPanicsOnMutation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampleLib().Write(&buf); err != nil {
+	if err := writeSample(&buf); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -209,8 +238,7 @@ func TestReadNeverPanicsOnMutation(t *testing.T) {
 }
 
 func TestWriteRejectsEmptyRect(t *testing.T) {
-	lib := &Library{Cell: "X", Shapes: []Shape{{Layer: 1, Rect: geom.Rect{}}}}
-	if err := lib.Write(&bytes.Buffer{}); err == nil {
+	if err := writeShapes(&bytes.Buffer{}, "X", []Shape{{Layer: 1, Rect: geom.Rect{}}}); err == nil {
 		t.Fatal("empty rect must be rejected")
 	}
 }
@@ -222,19 +250,28 @@ func BenchmarkOASISWrite10k(b *testing.B) {
 		x, y := rng.Int63n(1000000), rng.Int63n(1000000)
 		sol.Fills = append(sol.Fills, layout.Fill{Layer: i % 3, Rect: geom.R(x, y, x+300, y+300)})
 	}
-	lib := FromSolution("B", sol)
+	f, err := layio.Lookup(FormatName)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lay, sorted := &layout.Layout{Name: "B"}, &layout.Solution{Fills: ModalSorted(sol.Fills)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lib.EncodedSize(); err != nil {
+		if _, err := layio.EncodedSize(func(w io.Writer) error {
+			return layio.WriteDeck(w, f, layio.SolutionDeck, lay, sorted)
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func TestEmptySolutionRoundTrip(t *testing.T) {
-	lib := FromSolution("E", &layout.Solution{})
+	f, err := layio.Lookup(FormatName)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := lib.Write(&buf); err != nil {
+	if err := layio.WriteDeck(&buf, f, layio.SolutionDeck, &layout.Layout{Name: "E"}, &layout.Solution{}); err != nil {
 		t.Fatal(err)
 	}
 	hdr, shapes, err := drain(&buf, DefaultLimits())

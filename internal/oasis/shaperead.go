@@ -10,7 +10,7 @@ import (
 )
 
 // ShapeReader streams rectangles out of an OASIS stream (the subset
-// this package models) without materializing a Library: modal-variable
+// this package models) without materializing its shapes: modal-variable
 // state is the only thing held between records. Layer numbers are
 // translated from the on-disk 1-based convention to zero-based layout
 // indices.

@@ -8,12 +8,10 @@ import (
 
 // StreamWriter emits an OASIS stream incrementally: START record, cell,
 // then rectangles one at a time with modal-variable compression, then the
-// padded END record. It is the bounded-memory counterpart of
-// Library.Write — which is implemented on top of it, so both paths
-// produce byte-identical output for the same shape sequence. The modal
-// state machine is inherently sequential: shapes compress best when
-// consecutive calls share layer and dimensions, exactly as with
-// Library.Write.
+// padded END record. It is the one OASIS encoder: the registered
+// ShapeWriter (and so every deck) writes through it. The modal state
+// machine is inherently sequential: shapes compress best when
+// consecutive calls share layer and dimensions (see ModalSorted).
 //
 // Call order: Begin, WriteShape…, Close. A StreamWriter is not safe for
 // concurrent use.

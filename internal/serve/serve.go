@@ -492,8 +492,9 @@ func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
 }
 
 // runJob executes one engine run with per-job panic isolation, emitting
-// the solution deck (fills only, struct FILL — byte-identical to offline
-// `fillgen -stream` output for the same layout and options) into buf.
+// the solution deck (fills only, struct FILL, header from the layout —
+// byte-identical to offline `fillgen -stream` output for the same layout
+// and options) into buf.
 func (s *Server) runJob(ctx context.Context, lay *layout.Layout, opts fill.Options, ofmt layio.Format, jobKey uint64, buf *bytes.Buffer) (res *fill.Result, fills int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -507,32 +508,26 @@ func (s *Server) runJob(ctx context.Context, lay *layout.Layout, opts fill.Optio
 	if err != nil {
 		return nil, 0, err
 	}
-	sw, err := ofmt.NewShapeWriter(buf, layio.Header{Name: lay.Name, Struct: "FILL"})
+	deck, err := layio.OpenDeck(ctx, buf, ofmt, layio.SolutionDeck, lay)
 	if err != nil {
 		return nil, 0, err
 	}
 	emitFault := s.inject.Hit(faultinject.SiteServeEmit, jobKey)
 	windows := 0
-	res, err = eng.RunStream(ctx, fill.SinkFunc(func(_ int, fs []layout.Fill) error {
+	res, err = eng.RunStream(ctx, fill.SinkFunc(func(k int, fs []layout.Fill) error {
 		windows++
 		if emitFault && windows == 2 {
 			return fmt.Errorf("%w: %s", faultinject.ErrInjected, faultinject.SiteServeEmit)
 		}
-		for _, f := range fs {
-			if werr := sw.Write(layio.Shape{Layer: f.Layer, Datatype: layio.DatatypeFill, Rect: f.Rect}); werr != nil {
-				return werr
-			}
-		}
-		fills += len(fs)
-		return nil
+		return deck.EmitWindow(k, fs)
 	}))
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := sw.Close(); err != nil {
+	if err := deck.Close(); err != nil {
 		return nil, 0, err
 	}
-	return res, fills, nil
+	return res, deck.Fills(), nil
 }
 
 // parseLayout ingests a payload under the format's limits tightened by

@@ -22,6 +22,7 @@ import (
 	"dummyfill/internal/synth"
 	"dummyfill/internal/textfmt"
 
+	_ "dummyfill/internal/deffmt"
 	_ "dummyfill/internal/gdsii"
 	_ "dummyfill/internal/oasis"
 )
@@ -42,8 +43,8 @@ var tinyLayoutBytes = sync.OnceValue(func() []byte {
 
 // offlineFill computes the reference response body for a payload: the
 // same ingest path and the same engine options the server uses, written
-// through the same shape writer. 200 responses must match it byte for
-// byte.
+// as the solution deck `fillgen -stream` writes. 200 responses must
+// match it byte for byte.
 func offlineFill(t *testing.T, payload []byte, opts fill.Options, oformat string) []byte {
 	t.Helper()
 	f, err := layio.Lookup("text")
@@ -63,21 +64,14 @@ func offlineFill(t *testing.T, payload []byte, opts fill.Options, oformat string
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	sw, err := of.NewShapeWriter(&buf, layio.Header{Name: lay.Name, Struct: "FILL"})
+	deck, err := layio.OpenDeck(context.Background(), &buf, of, layio.SolutionDeck, lay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.RunStream(context.Background(), fill.SinkFunc(func(_ int, fs []layout.Fill) error {
-		for _, fl := range fs {
-			if werr := sw.Write(layio.Shape{Layer: fl.Layer, Datatype: layio.DatatypeFill, Rect: fl.Rect}); werr != nil {
-				return werr
-			}
-		}
-		return nil
-	})); err != nil {
+	if _, err := eng.RunStream(context.Background(), deck); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Close(); err != nil {
+	if err := deck.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -111,7 +105,7 @@ func TestFillEndToEndByteIdentical(t *testing.T) {
 	defer ts.Close()
 
 	payload := tinyLayoutBytes()
-	for _, oformat := range []string{"text", "gds"} {
+	for _, oformat := range []string{"text", "gds", "def", "oasis"} {
 		resp := postFill(t, ts, "?format=text&oformat="+oformat+"&workers=2", payload)
 		body := readBody(t, resp)
 		if resp.StatusCode != http.StatusOK {
@@ -149,6 +143,53 @@ func TestFillEndToEndByteIdentical(t *testing.T) {
 	gets, puts := s.PoolBalance()
 	if gets == 0 || gets != puts {
 		t.Fatalf("pooled buffers leaked: gets=%d puts=%d", gets, puts)
+	}
+}
+
+// TestFillDEFDeckKeepsLattice posts a DEF layout of the row design and
+// asks for a DEF deck back: the response must carry the input's ROW
+// statement and its die, exactly as `fillgen -stream -oformat def` does,
+// not a die re-derived from the fills' bounding box.
+func TestFillDEFDeckKeepsLattice(t *testing.T) {
+	if testing.Short() {
+		t.Skip("engine run; skipping in -short")
+	}
+	lay, err := synth.Generate(synth.DesignRow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := layio.Lookup("def")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload bytes.Buffer
+	if err := layio.WriteDeck(&payload, def, layio.LayoutDeck, lay, nil); err != nil {
+		t.Fatal(err)
+	}
+	var row string
+	for _, line := range strings.Split(payload.String(), "\n") {
+		if strings.HasPrefix(line, "ROW ") {
+			row = line
+		}
+	}
+	if row == "" {
+		t.Fatal("input deck has no ROW statement")
+	}
+
+	s := New(Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp := postFill(t, ts, "?format=def&oformat=def&window=600", payload.Bytes())
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), row+"\n") {
+		t.Errorf("response lacks the input's %q", row)
+	}
+	d := lay.Die
+	if die := fmt.Sprintf("DIEAREA ( %d %d ) ( %d %d ) ;\n", d.XL, d.YL, d.XH, d.YH); !strings.Contains(string(body), die) {
+		t.Errorf("response lacks %q", die)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"dummyfill/internal/gdsii"
 	"dummyfill/internal/geom"
 	"dummyfill/internal/grid"
+	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 	"dummyfill/internal/score"
 )
@@ -378,7 +379,7 @@ func Calibrate(lay *layout.Layout, betaRuntime, betaMemory float64) (score.Coeff
 	// The contest's size score measures the solution (fills-only) GDSII;
 	// β of the order of the input wire GDSII size mirrors the contest's
 	// β/input ratios (0.7–1.9).
-	sz, err := gdsii.FromLayout(lay, nil).EncodedSize()
+	sz, err := gdsii.DeckSize(layio.LayoutDeck, lay, nil)
 	if err != nil {
 		return c, err
 	}

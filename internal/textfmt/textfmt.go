@@ -89,16 +89,6 @@ func ReadLayout(r io.Reader) (*layout.Layout, error) {
 	return lay, nil
 }
 
-// WriteSolution emits sol in the text format.
-func WriteSolution(w io.Writer, name string, sol *layout.Solution) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "solution %s\n", sanitizeName(name))
-	for _, f := range sol.Fills {
-		fmt.Fprintf(bw, "fill %d %d %d %d %d\n", f.Layer, f.Rect.XL, f.Rect.YL, f.Rect.XH, f.Rect.YH)
-	}
-	return bw.Flush()
-}
-
 // ReadSolution parses a text solution. It is a materializing convenience
 // over the streaming parser, restricted to the solution grammar.
 func ReadSolution(r io.Reader) (name string, sol *layout.Solution, err error) {

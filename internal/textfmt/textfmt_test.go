@@ -7,6 +7,7 @@ import (
 
 	"dummyfill/internal/fill"
 	"dummyfill/internal/geom"
+	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 	"dummyfill/internal/synth"
 )
@@ -59,7 +60,11 @@ func TestSolutionRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSolution(&buf, src.Name, &res.Solution); err != nil {
+	f, err := layio.Lookup(FormatName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := layio.WriteDeck(&buf, f, layio.SolutionDeck, src, &res.Solution); err != nil {
 		t.Fatal(err)
 	}
 	name, sol, err := ReadSolution(&buf)

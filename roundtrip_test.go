@@ -49,13 +49,13 @@ func TestGoldenStreamHashes(t *testing.T) {
 			opts := dummyfill.DefaultOptions()
 			opts.Workers = 4
 			var g, o bytes.Buffer
-			if _, err := dummyfill.InsertStreamGDS(context.Background(), &g, lay, opts); err != nil {
+			if _, err := dummyfill.InsertStreamTo(context.Background(), &g, lay, opts, "gds"); err != nil {
 				t.Fatal(err)
 			}
 			if got := sha(g.Bytes()); got != want.streamGDS {
 				t.Errorf("streamGDS hash %s, want %s", got, want.streamGDS)
 			}
-			if _, err := dummyfill.InsertStreamOASIS(context.Background(), &o, lay, opts); err != nil {
+			if _, err := dummyfill.InsertStreamTo(context.Background(), &o, lay, opts, "oasis"); err != nil {
 				t.Fatal(err)
 			}
 			if got := sha(o.Bytes()); got != want.streamOASIS {
@@ -187,7 +187,7 @@ func TestCrossFormatRoundTrip(t *testing.T) {
 }
 
 // TestStreamWriterReadBack closes the loop on the stream writers: decks
-// produced by InsertStreamGDS/InsertStreamOASIS must re-read through the
+// produced by InsertStreamTo in gds and oasis must re-read through the
 // streaming readers to exactly the barrier path's wire and fill sets.
 func TestStreamWriterReadBack(t *testing.T) {
 	lay, _, err := dummyfill.GenerateBenchmark("tiny")
@@ -207,7 +207,7 @@ func TestStreamWriterReadBack(t *testing.T) {
 
 	// GDSII stream: wires (datatype 0) plus fills (datatype 1).
 	var g bytes.Buffer
-	if _, err := dummyfill.InsertStreamGDS(context.Background(), &g, lay, opts); err != nil {
+	if _, err := dummyfill.InsertStreamTo(context.Background(), &g, lay, opts, "gds"); err != nil {
 		t.Fatal(err)
 	}
 	wires, fills, err := dummyfill.ReadGDSShapes(bytes.NewReader(g.Bytes()))
@@ -240,7 +240,7 @@ func TestStreamWriterReadBack(t *testing.T) {
 
 	// OASIS stream: fills only; KeepFills ingests them as wires.
 	var o bytes.Buffer
-	if _, err := dummyfill.InsertStreamOASIS(context.Background(), &o, lay, opts); err != nil {
+	if _, err := dummyfill.InsertStreamTo(context.Background(), &o, lay, opts, "oasis"); err != nil {
 		t.Fatal(err)
 	}
 	got, err := dummyfill.ReadLayoutFormat(bytes.NewReader(o.Bytes()), "oasis",
@@ -284,9 +284,9 @@ func TestInsertStreamToCancelledInPreamble(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
-	_, err = dummyfill.InsertStreamGDS(ctx, &buf, lay, dummyfill.DefaultOptions())
+	_, err = dummyfill.InsertStreamTo(ctx, &buf, lay, dummyfill.DefaultOptions(), "gds")
 	if err == nil {
-		t.Fatal("InsertStreamGDS ignored a cancelled context")
+		t.Fatal("InsertStreamTo ignored a cancelled context")
 	}
 	if !bytes.Contains([]byte(err.Error()), []byte("context canceled")) {
 		t.Fatalf("got %v, want context cancellation", err)
