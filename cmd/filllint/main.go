@@ -6,32 +6,20 @@
 //
 // Usage:
 //
-//	filllint [-json] [-analyzers list] [-parallel n] [-cache dir] [-list] [packages]
+//	filllint [-json] [-analyzers list] [-list] [-C dir] [packages]
 //
 // Packages may be "./..." (the default: the whole module) or
 // module-relative package directories like ./internal/fill. The whole
 // module is always analyzed (analyzers exchange facts across package
 // boundaries); the patterns only select which packages' findings are
-// reported.
-//
-// -parallel caps concurrently analyzed packages (default: GOMAXPROCS).
-// -cache names a directory of per-package findings+facts entries keyed
-// by content chain hashes; warm runs skip type-checking and analysis for
-// unchanged packages. Findings are globally sorted, so output — plain or
-// -json — is byte-for-byte identical across -parallel values and across
-// cold and warm cache states.
+// reported. Findings are globally sorted, so output, plain or -json, is
+// byte-for-byte the same on every run over the same tree.
 //
 // Exit status: 0 clean, 1 findings reported, 2 load or usage error.
-// Cache trouble is never load trouble: missing, torn, or unwritable
-// cache entries degrade to re-analysis (counted as cache-errors in the
-// stats line) and cannot turn a clean run into a failing one.
 //
 // Every run prints a machine-readable accounting line to stderr:
 //
-//	filllint: packages=N analyzed=X cached=Y cached-facts=Z findings=F
-//
-// with a trailing " cache-errors=E" field when any entries were torn or
-// unwritable.
+//	filllint: packages=N findings=F
 package main
 
 import (
@@ -57,8 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	names := fs.String("analyzers", "", "comma-separated analyzers to run (default: all); prefix with - to disable instead")
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	dir := fs.String("C", ".", "module root (directory containing go.mod)")
-	parallel := fs.Int("parallel", 0, "max concurrently analyzed packages (0 = GOMAXPROCS)")
-	cacheDir := fs.String("cache", "", "findings+facts cache directory (empty = no cache)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -89,18 +75,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	res, err := analysis.RunDriver(root, analysis.DriverOptions{
-		Analyzers: enabled,
-		Parallel:  *parallel,
-		CacheDir:  *cacheDir,
-	})
+	found, npkgs, err := analysis.RunModule(root, enabled)
 	if err != nil {
 		fmt.Fprintln(stderr, "filllint:", err)
 		return 2
 	}
 
-	diags := res.Diagnostics[:0:0]
-	for _, d := range res.Diagnostics {
+	diags := found[:0:0]
+	for _, d := range found {
 		if match(pkgDirOf(root, d.Pos.Filename)) {
 			diags = append(diags, d)
 		}
@@ -130,13 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	s := res.Stats
-	fmt.Fprintf(stderr, "filllint: packages=%d analyzed=%d cached=%d cached-facts=%d findings=%d",
-		s.Packages, s.Analyzed, s.Cached, s.CachedFacts, len(diags))
-	if s.CacheErrors > 0 {
-		fmt.Fprintf(stderr, " cache-errors=%d", s.CacheErrors)
-	}
-	fmt.Fprintln(stderr)
+	fmt.Fprintf(stderr, "filllint: packages=%d findings=%d\n", npkgs, len(diags))
 
 	if len(diags) > 0 {
 		return 1

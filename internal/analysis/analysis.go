@@ -197,12 +197,6 @@ func runPackage(analyzers []*Analyzer, pkg *Package, known map[string]bool, fact
 	return diags
 }
 
-// RunAnalyzers applies every analyzer (that opts into the package) to one
-// loaded package and returns the findings sorted by position.
-func RunAnalyzers(analyzers []*Analyzer, pkg *Package) []Diagnostic {
-	return runPackage(analyzers, pkg, knownNames(analyzers), nil)
-}
-
 // SortDiagnostics orders findings by file, line, column, analyzer.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {

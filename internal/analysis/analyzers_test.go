@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -168,37 +167,18 @@ func TestChanBoundScope(t *testing.T) {
 // TestCrossPackageErrSinkFacts drives the two-package fixture module
 // through the real driver: package b drops two errors from package a,
 // and only the unannotated one is a finding — which requires a's
-// ErrSinkFact to reach b, from live analysis on the cold run and from
-// the fact cache on the warm one.
+// ErrSinkFact to reach b.
 func TestCrossPackageErrSinkFacts(t *testing.T) {
-	root := filepath.Join("testdata", "factsmod")
-	cache := t.TempDir()
-	opts := DriverOptions{Analyzers: []*Analyzer{ErrSink}, Parallel: 2, CacheDir: cache}
-
-	cold, err := RunDriver(root, opts)
+	diags, _, err := RunModule(filepath.Join("testdata", "factsmod"), []*Analyzer{ErrSink})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cold.Diagnostics) != 1 {
-		t.Fatalf("want exactly 1 finding (Fragile discarded), got %v", cold.Diagnostics)
+	if len(diags) != 1 {
+		t.Fatalf("want exactly 1 finding (Fragile discarded), got %v", diags)
 	}
-	d := cold.Diagnostics[0]
+	d := diags[0]
 	if !strings.Contains(d.Message, "Fragile") || !strings.HasSuffix(d.Pos.Filename, "b.go") {
 		t.Fatalf("finding should be the Fragile discard in b.go: %v", d)
-	}
-
-	warm, err := RunDriver(root, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Stats.Cached != 2 || warm.Stats.Analyzed != 0 {
-		t.Fatalf("warm stats: %+v", warm.Stats)
-	}
-	if warm.Stats.CachedFacts == 0 {
-		t.Fatalf("warm run loaded no facts from cache: %+v", warm.Stats)
-	}
-	if !reflect.DeepEqual(cold.Diagnostics, warm.Diagnostics) {
-		t.Fatalf("cold/warm findings differ:\n%v\n%v", cold.Diagnostics, warm.Diagnostics)
 	}
 }
 

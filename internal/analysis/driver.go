@@ -1,270 +1,25 @@
 package analysis
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
-	"strings"
-	"sync"
-)
-
-// cacheVersion salts every chain hash; bump it whenever the cache entry
-// format, an analyzer's semantics, or the framework itself changes in a
-// way that should invalidate old entries wholesale.
-const cacheVersion = "flc1"
-
-// DriverOptions configures a whole-module analysis run.
-type DriverOptions struct {
-	// Analyzers to run; nil means All().
-	Analyzers []*Analyzer
-	// Parallel caps concurrently analyzed packages; <=0 means GOMAXPROCS.
-	Parallel int
-	// CacheDir, when non-empty, holds per-package findings+facts entries
-	// keyed by chain hash. Missing or unreadable entries degrade to
-	// re-analysis; they are never fatal.
-	CacheDir string
-}
-
-// DriverStats summarizes where a run's work went.
-type DriverStats struct {
-	// Packages is the module package count.
-	Packages int
-	// Analyzed packages were type-checked and run through the analyzers.
-	Analyzed int
-	// Cached packages were served findings from the cache, skipping both
-	// type-checking and analysis.
-	Cached int
-	// CachedFacts counts facts installed from cache entries.
-	CachedFacts int
-	// CacheErrors counts unreadable or torn cache entries (each degraded
-	// to a re-analysis) plus failed entry writes.
-	CacheErrors int
-}
-
-// DriverResult is the outcome of a module run.
-type DriverResult struct {
-	Diagnostics []Diagnostic
-	Stats       DriverStats
-}
-
-// cacheEntry is the persisted per-package outcome. Facts ride along with
-// findings so a warm run can feed dependents an unchanged package's
-// exports without re-analyzing it.
-type cacheEntry struct {
-	Diags []Diagnostic `json:"diags"`
-	Facts []factRec    `json:"facts"`
-}
-
-// RunDriver analyzes every package of the module rooted at root,
-// incrementally and in parallel:
-//
-//   - The module is parsed (cheap) and each package gets a chain hash
-//     covering its sources, its local dependency chain, and the analyzer
-//     configuration.
-//   - Packages whose chain hash has a cache entry are served from it —
-//     findings and exported facts — with no type-checking at all.
-//   - The remaining packages (plus their dependency closure, which
-//     type-checking needs) are type-checked in dependency order, then
-//     analyzed concurrently: a package is scheduled the moment all its
-//     local dependencies' facts are installed, so independent subtrees
-//     proceed in parallel while fact flow stays topologically sound.
-//
-// Diagnostics are globally sorted; output is byte-for-byte independent
-// of Parallel and of which packages hit the cache.
-func RunDriver(root string, opts DriverOptions) (*DriverResult, error) {
-	analyzers := opts.Analyzers
+// RunModule analyzes every package of the module rooted at root with the
+// given analyzers (nil means All()) and returns the findings, globally
+// sorted, plus the number of packages analyzed. It is one serial pass:
+// LoadModule type-checks the packages in dependency order, and the
+// analyzers then visit them in that same order with one shared
+// FactStore, so every package sees the facts of everything it imports.
+func RunModule(root string, analyzers []*Analyzer) ([]Diagnostic, int, error) {
 	if analyzers == nil {
 		analyzers = All()
 	}
-	parallel := opts.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-
-	m, err := ParseModule(root)
+	pkgs, err := LoadModule(root)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-
-	res := &DriverResult{}
-	res.Stats.Packages = len(m.Order)
 	facts := NewFactStore()
 	known := knownNames(analyzers)
-	chain := m.ChainHashes(cacheSalt(analyzers))
-
-	// Phase 1: serve what the cache can. Hits install their facts now so
-	// that any miss downstream of a hit sees them during analysis.
-	diagsByPkg := make(map[string][]Diagnostic, len(m.Order))
-	hit := make(map[string]bool, len(m.Order))
-	if opts.CacheDir != "" {
-		for _, ip := range m.Order {
-			entry, ok, broken := readCacheEntry(opts.CacheDir, chain[ip])
-			if broken {
-				res.Stats.CacheErrors++
-			}
-			if !ok {
-				continue
-			}
-			hit[ip] = true
-			res.Stats.Cached++
-			diagsByPkg[ip] = entry.Diags
-			res.Stats.CachedFacts += facts.DecodePackage(ip, entry.Facts)
-		}
+	var diags []Diagnostic
+	for _, pkg := range pkgs {
+		diags = append(diags, runPackage(analyzers, pkg, known, facts)...)
 	}
-
-	// Phase 2: type-check the miss set plus its dependency closure.
-	pkgs, err := m.TypeCheck(func(ip string) bool { return !hit[ip] })
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 3: analyze misses concurrently in dependency order.
-	var (
-		mu         sync.Mutex
-		remaining  = make(map[string]int) // unanalyzed local deps per miss
-		dependents = make(map[string][]string)
-		ready      []string
-	)
-	for _, ip := range m.Order {
-		if hit[ip] {
-			continue
-		}
-		n := 0
-		for _, dep := range m.Pkgs[ip].LocalDeps {
-			if !hit[dep] {
-				n++
-				dependents[dep] = append(dependents[dep], ip)
-			}
-		}
-		remaining[ip] = n
-		if n == 0 {
-			ready = append(ready, ip)
-		}
-	}
-
-	work := make(chan string, len(remaining))
-	for _, ip := range ready {
-		work <- ip
-	}
-	done := make(chan string, len(remaining))
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ip := range work {
-				diags := runPackage(analyzers, pkgs[ip], known, facts)
-				mu.Lock()
-				diagsByPkg[ip] = diags
-				mu.Unlock()
-				if opts.CacheDir != "" {
-					if err := writeCacheEntry(opts.CacheDir, chain[ip], cacheEntry{
-						Diags: diags,
-						Facts: facts.EncodePackage(ip),
-					}); err != nil {
-						mu.Lock()
-						res.Stats.CacheErrors++
-						mu.Unlock()
-					}
-				}
-				done <- ip
-			}
-		}()
-	}
-	// The scheduler drains completions and releases newly unblocked
-	// packages until every miss has been analyzed.
-	for analyzed := 0; analyzed < len(remaining); analyzed++ {
-		ip := <-done
-		res.Stats.Analyzed++
-		for _, dep := range dependents[ip] {
-			remaining[dep]--
-			if remaining[dep] == 0 {
-				work <- dep
-			}
-		}
-	}
-	close(work)
-	wg.Wait()
-
-	for _, ip := range m.Order {
-		res.Diagnostics = append(res.Diagnostics, diagsByPkg[ip]...)
-	}
-	SortDiagnostics(res.Diagnostics)
-	return res, nil
-}
-
-// cacheSalt derives the configuration part of the chain hash: cache
-// format version plus the sorted enabled-analyzer names, so changing
-// -analyzers never serves findings computed under a different set.
-func cacheSalt(analyzers []*Analyzer) string {
-	names := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		names[i] = a.Name
-	}
-	sort.Strings(names)
-	return cacheVersion + " " + strings.Join(names, ",")
-}
-
-// cachePath places one entry. Entries are content-addressed by chain
-// hash, so stale entries are simply never read again; there is no
-// invalidation protocol to get wrong.
-func cachePath(dir, chainHash string) string {
-	return filepath.Join(dir, chainHash+".flc")
-}
-
-// readCacheEntry loads one entry. ok reports a usable entry; broken
-// reports an entry that existed but was unreadable, torn, or corrupt —
-// callers treat both !ok cases as a miss (ErrCorrupt-as-miss, the same
-// degradation discipline as fillcache).
-func readCacheEntry(dir, chainHash string) (entry cacheEntry, ok, broken bool) {
-	data, err := os.ReadFile(cachePath(dir, chainHash))
-	if err != nil {
-		return entry, false, !os.IsNotExist(err)
-	}
-	sum, body, found := strings.Cut(string(data), "\n")
-	if !found || sum != bodyHash([]byte(body)) {
-		return entry, false, true
-	}
-	if err := json.Unmarshal([]byte(body), &entry); err != nil {
-		return entry, false, true
-	}
-	return entry, true, false
-}
-
-// writeCacheEntry persists one entry atomically: temp file in the cache
-// directory, then rename, so a crashed or concurrent run can never
-// publish a half-written entry under the final name. A leading content
-// hash makes even a torn temp-free write (e.g. a filesystem that lies
-// about durability) detectable on read.
-func writeCacheEntry(dir, chainHash string, entry cacheEntry) error {
-	body, err := json.Marshal(entry)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, "tmp-*.flc")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := fmt.Fprintf(tmp, "%s\n%s", bodyHash(body), body); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), cachePath(dir, chainHash))
-}
-
-func bodyHash(body []byte) string {
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:])
+	SortDiagnostics(diags)
+	return diags, len(pkgs), nil
 }

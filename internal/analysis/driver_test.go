@@ -4,12 +4,11 @@ import (
 	"go/ast"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
 // toyCountFact is a package fact used to prove facts flow dependency-wise
-// through the driver, cold and warm alike.
+// through the driver.
 type toyCountFact struct{ Funcs int }
 
 func (toyCountFact) FactName() string { return "toy.Count" }
@@ -62,142 +61,19 @@ func writeTestModule(t *testing.T) string {
 	return root
 }
 
+// TestDriverColdWarmIncremental runs the two-package module once: b's
+// finding is only right if a's fact reached it, which the dependency
+// ordered pass guarantees.
 func TestDriverColdWarmIncremental(t *testing.T) {
 	root := writeTestModule(t)
-	cache := filepath.Join(root, ".cache")
-	opts := DriverOptions{Analyzers: []*Analyzer{toyAnalyzer()}, Parallel: 4, CacheDir: cache}
-
-	cold, err := RunDriver(root, opts)
+	diags, npkgs, err := RunModule(root, []*Analyzer{toyAnalyzer()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Stats.Packages != 2 || cold.Stats.Analyzed != 2 || cold.Stats.Cached != 0 {
-		t.Fatalf("cold stats: %+v", cold.Stats)
+	if npkgs != 2 {
+		t.Fatalf("packages = %d, want 2", npkgs)
 	}
-	if len(cold.Diagnostics) != 1 || cold.Diagnostics[0].Message != "dep tmod/a has 1 funcs" {
-		t.Fatalf("cold diags: %v", cold.Diagnostics)
-	}
-
-	warm, err := RunDriver(root, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Stats.Cached != 2 || warm.Stats.Analyzed != 0 {
-		t.Fatalf("warm stats: %+v", warm.Stats)
-	}
-	if warm.Stats.CachedFacts == 0 {
-		t.Fatalf("warm run installed no cached facts: %+v", warm.Stats)
-	}
-	if !reflect.DeepEqual(cold.Diagnostics, warm.Diagnostics) {
-		t.Fatalf("warm diags differ:\ncold: %v\nwarm: %v", cold.Diagnostics, warm.Diagnostics)
-	}
-
-	// Editing b must re-analyze only b, which still needs a's fact — now
-	// served from a's cache entry.
-	bPath := filepath.Join(root, "b/b.go")
-	if err := os.WriteFile(bPath, []byte("package b\n\nimport \"tmod/a\"\n\nvar N = a.Answer() + 1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	inc, err := RunDriver(root, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.Stats.Cached != 1 || inc.Stats.Analyzed != 1 {
-		t.Fatalf("incremental stats: %+v", inc.Stats)
-	}
-	if inc.Stats.CachedFacts == 0 {
-		t.Fatalf("incremental run got no cached facts from a: %+v", inc.Stats)
-	}
-	if len(inc.Diagnostics) != 1 || inc.Diagnostics[0].Message != "dep tmod/a has 1 funcs" {
-		t.Fatalf("incremental diags lost the cross-package fact: %v", inc.Diagnostics)
-	}
-}
-
-func TestDriverDeterministicAcrossParallelism(t *testing.T) {
-	root := writeTestModule(t)
-	var base []Diagnostic
-	for i, par := range []int{1, 2, 8} {
-		res, err := RunDriver(root, DriverOptions{Analyzers: []*Analyzer{toyAnalyzer()}, Parallel: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			base = res.Diagnostics
-			continue
-		}
-		if !reflect.DeepEqual(base, res.Diagnostics) {
-			t.Fatalf("parallel=%d diags differ from parallel=1:\n%v\n%v", par, base, res.Diagnostics)
-		}
-	}
-}
-
-func TestDriverTornCacheDegradesToMiss(t *testing.T) {
-	root := writeTestModule(t)
-	cache := filepath.Join(root, ".cache")
-	opts := DriverOptions{Analyzers: []*Analyzer{toyAnalyzer()}, Parallel: 2, CacheDir: cache}
-
-	cold, err := RunDriver(root, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Tear every entry mid-write: truncated bodies must fail the integrity
-	// check, degrade to re-analysis, and never corrupt findings.
-	entries, err := os.ReadDir(cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		path := filepath.Join(cache, e.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	torn, err := RunDriver(root, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if torn.Stats.Cached != 0 || torn.Stats.Analyzed != 2 {
-		t.Fatalf("torn entries were not treated as misses: %+v", torn.Stats)
-	}
-	if torn.Stats.CacheErrors == 0 {
-		t.Fatalf("torn entries not counted as cache errors: %+v", torn.Stats)
-	}
-	if !reflect.DeepEqual(cold.Diagnostics, torn.Diagnostics) {
-		t.Fatalf("torn-cache diags differ:\n%v\n%v", cold.Diagnostics, torn.Diagnostics)
-	}
-
-	// And the rewritten entries must serve the next run again.
-	again, err := RunDriver(root, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Stats.Cached != 2 {
-		t.Fatalf("cache did not recover after rewrite: %+v", again.Stats)
-	}
-}
-
-func TestFactStoreRoundTrip(t *testing.T) {
-	s := NewFactStore()
-	k := factKey{pkg: "tmod/a", obj: "Answer", typ: "toy.Count"}
-	if err := s.export(k, toyCountFact{Funcs: 3}); err != nil {
-		t.Fatal(err)
-	}
-	recs := s.EncodePackage("tmod/a")
-	if len(recs) != 1 {
-		t.Fatalf("encode: %v", recs)
-	}
-	s2 := NewFactStore()
-	if n := s2.DecodePackage("tmod/a", recs); n != 1 {
-		t.Fatalf("decode count %d", n)
-	}
-	var got toyCountFact
-	if !s2.imp(k, &got) || got.Funcs != 3 {
-		t.Fatalf("round-trip lost fact: %+v", got)
+	if len(diags) != 1 || diags[0].Message != "dep tmod/a has 1 funcs" {
+		t.Fatalf("diags: %v", diags)
 	}
 }

@@ -4,17 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/types"
-	"sort"
-	"sync"
 )
 
 // Fact is a typed datum an analyzer attaches to a package-level object
 // (function, method, package variable, struct field) or to a whole
 // package, and that downstream packages import during the topo-ordered
 // run — the whole-module reasoning channel. A fact must round-trip
-// through encoding/json: the driver persists each package's exported
-// facts inside its cache entry, so a warm run can feed dependents the
-// same facts without re-analyzing the exporter.
+// through encoding/json: the store keeps each fact encoded, so an
+// importer decodes its own copy and can never alias, or mutate, the
+// exporter's value.
 type Fact interface {
 	// FactName returns a stable type tag, unique across analyzers (by
 	// convention "<analyzer>.<Kind>"), used to key serialized facts.
@@ -29,12 +27,10 @@ type factKey struct {
 }
 
 // FactStore holds every fact exported during one module run, keyed by
-// (package, object, fact type). It is safe for concurrent use: the
-// parallel driver analyzes independent packages concurrently, and
-// dependency ordering guarantees a package's facts are complete before
-// any dependent imports them.
+// (package, object, fact type). Packages are analyzed one at a time in
+// dependency order, so a package's facts are complete before any
+// dependent imports them.
 type FactStore struct {
-	mu   sync.RWMutex
 	data map[factKey]json.RawMessage
 }
 
@@ -48,58 +44,16 @@ func (s *FactStore) export(k factKey, f Fact) error {
 	if err != nil {
 		return fmt.Errorf("analysis: encoding fact %s for %s.%s: %w", k.typ, k.pkg, k.obj, err)
 	}
-	s.mu.Lock()
 	s.data[k] = data
-	s.mu.Unlock()
 	return nil
 }
 
 func (s *FactStore) imp(k factKey, f Fact) bool {
-	s.mu.RLock()
 	data, ok := s.data[k]
-	s.mu.RUnlock()
 	if !ok {
 		return false
 	}
 	return json.Unmarshal(data, f) == nil
-}
-
-// factRec is the serialized form of one fact inside a cache entry.
-type factRec struct {
-	Obj  string          `json:"obj,omitempty"`
-	Type string          `json:"type"`
-	Data json.RawMessage `json:"data"`
-}
-
-// EncodePackage returns the package's exported facts as a deterministic
-// (sorted) list for embedding in a cache entry.
-func (s *FactStore) EncodePackage(pkg string) []factRec {
-	s.mu.RLock()
-	var recs []factRec
-	for k, data := range s.data {
-		if k.pkg == pkg {
-			recs = append(recs, factRec{Obj: k.obj, Type: k.typ, Data: data})
-		}
-	}
-	s.mu.RUnlock()
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Obj != recs[j].Obj {
-			return recs[i].Obj < recs[j].Obj
-		}
-		return recs[i].Type < recs[j].Type
-	})
-	return recs
-}
-
-// DecodePackage installs a cached package's facts, returning how many
-// were loaded.
-func (s *FactStore) DecodePackage(pkg string, recs []factRec) int {
-	s.mu.Lock()
-	for _, r := range recs {
-		s.data[factKey{pkg: pkg, obj: r.Obj, typ: r.Type}] = r.Data
-	}
-	s.mu.Unlock()
-	return len(recs)
 }
 
 // ObjectKey returns a stable, package-relative key for a package-level

@@ -34,14 +34,14 @@ func runFixture(t *testing.T, a *Analyzer, fixture, pkgPath string) {
 	if err != nil {
 		t.Fatalf("type-checking fixture: %v", err)
 	}
-	diags := RunAnalyzers([]*Analyzer{a}, &Package{
+	diags := runPackage([]*Analyzer{a}, &Package{
 		Dir:   filepath.Dir(fixture),
 		Path:  pkgPath,
 		Fset:  fset,
 		Files: files,
 		Types: pkg,
 		Info:  info,
-	})
+	}, knownNames([]*Analyzer{a}), nil)
 
 	wants := map[int][]string{}
 	for i, line := range strings.Split(string(src), "\n") {
@@ -102,9 +102,9 @@ func fixtureDiags(t *testing.T, a *Analyzer, fixture, pkgPath string) []Diagnost
 	if err != nil {
 		t.Fatalf("type-checking fixture: %v", err)
 	}
-	return RunAnalyzers([]*Analyzer{a}, &Package{
+	return runPackage([]*Analyzer{a}, &Package{
 		Dir: filepath.Dir(fixture), Path: pkgPath, Fset: fset, Files: files, Types: pkg, Info: info,
-	})
+	}, knownNames([]*Analyzer{a}), nil)
 }
 
 func TestFixtureFilesCompile(t *testing.T) {

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -25,48 +23,22 @@ type Package struct {
 	Info  *types.Info
 }
 
-// RawPackage is one parsed — but not yet type-checked — package. The
-// split exists for the incremental driver: parsing (and content hashing)
-// the whole module is cheap, while type-checking through the source
-// importer is the expensive step that cache hits get to skip.
-type RawPackage struct {
-	Dir   string // directory relative to the module root
-	Path  string // import path
-	Files []*ast.File
-	// Hash is the hex SHA-256 of the package's own sources (file names
-	// and contents), independent of its dependencies.
-	Hash string
-	// LocalDeps are the module-local import paths, sorted.
-	LocalDeps []string
-}
-
-// RawModule is the parsed module: every non-test package with content
-// hashes and the local-dependency topological order.
-type RawModule struct {
-	Root    string
-	ModPath string
-	Fset    *token.FileSet
-	Pkgs    map[string]*RawPackage // by import path
-	// Order lists import paths with every local dependency before its
-	// dependents.
-	Order []string
-}
-
-// ParseModule parses every non-test package under the module rooted at
-// root. It is a stdlib-only loader; test files (_test.go) are not
-// loaded: the invariants filllint enforces are about shipped engine
-// code, and tests legitimately use wall clocks, randomness and panics.
-func ParseModule(root string) (*RawModule, error) {
+// LoadModule parses and type-checks every non-test package under the
+// module rooted at root and returns them in dependency order: every
+// module-local import comes before its importers. It is a stdlib-only
+// loader. Local imports resolve against the packages already checked,
+// and everything else (the standard library) resolves through
+// go/importer's source importer, so no compiled export data and no
+// external tooling is required. Test files (_test.go) are not loaded:
+// the invariants filllint enforces are about shipped engine code, and
+// tests legitimately use wall clocks, randomness and panics.
+func LoadModule(root string) ([]*Package, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
-	m := &RawModule{
-		Root:    root,
-		ModPath: modPath,
-		Fset:    token.NewFileSet(),
-		Pkgs:    map[string]*RawPackage{},
-	}
+	fset := token.NewFileSet()
+	byPath := map[string]*Package{}
 	imports := map[string][]string{}
 
 	err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
@@ -80,7 +52,7 @@ func ParseModule(root string) (*RawModule, error) {
 		if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 			return filepath.SkipDir
 		}
-		files, hash, perr := parseDir(m.Fset, p)
+		files, perr := parseDir(fset, p)
 		if perr != nil {
 			return perr
 		}
@@ -95,121 +67,31 @@ func ParseModule(root string) (*RawModule, error) {
 		if rel != "." {
 			ip = modPath + "/" + filepath.ToSlash(rel)
 		}
-		rp := &RawPackage{Dir: rel, Path: ip, Files: files, Hash: hash}
-		seen := map[string]bool{}
+		byPath[ip] = &Package{Dir: rel, Path: ip, Fset: fset, Files: files}
 		for _, f := range files {
 			for _, imp := range f.Imports {
-				q := strings.Trim(imp.Path.Value, `"`)
-				if !seen[q] {
-					seen[q] = true
-					imports[ip] = append(imports[ip], q)
-				}
+				imports[ip] = append(imports[ip], strings.Trim(imp.Path.Value, `"`))
 			}
 		}
-		m.Pkgs[ip] = rp
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	for ip, rp := range m.Pkgs {
-		for _, q := range imports[ip] {
-			if _, ok := m.Pkgs[q]; ok {
-				rp.LocalDeps = append(rp.LocalDeps, q)
-			}
-		}
-		sort.Strings(rp.LocalDeps)
-	}
-	m.Order, err = topoOrder(m.Pkgs, func(p *RawPackage) []string { return p.LocalDeps })
+	order, err := topoOrder(byPath, imports)
 	if err != nil {
 		return nil, err
 	}
-	return m, nil
-}
-
-// ChainHashes returns, for every package, a hex hash covering the
-// package's own sources, its local dependencies' chain hashes, and salt
-// (analyzer configuration, versions). Any change in a package or
-// anything it depends on — and hence anything that could change its
-// findings or the facts flowing into it — changes its chain hash.
-func (m *RawModule) ChainHashes(salt string) map[string]string {
-	chain := make(map[string]string, len(m.Pkgs))
-	for _, ip := range m.Order {
-		rp := m.Pkgs[ip]
-		h := sha256.New()
-		fmt.Fprintf(h, "salt %s\npkg %s %s\n", salt, ip, rp.Hash)
-		for _, dep := range rp.LocalDeps {
-			fmt.Fprintf(h, "dep %s %s\n", dep, chain[dep])
+	imp := &chainImporter{local: map[string]*types.Package{}, std: StdImporter(fset)}
+	for _, p := range order {
+		p.Types, p.Info, err = CheckFiles(fset, p.Path, p.Files, imp)
+		if err != nil {
+			return nil, fmt.Errorf("type-checking %s: %w", p.Path, err)
 		}
-		chain[ip] = hex.EncodeToString(h.Sum(nil))
+		imp.local[p.Path] = p.Types
 	}
-	return chain
-}
-
-// TypeCheck type-checks the packages selected by need (nil = all) plus,
-// transitively, their local dependencies, in dependency order, and
-// returns them keyed by import path.
-func (m *RawModule) TypeCheck(need func(path string) bool) (map[string]*Package, error) {
-	want := map[string]bool{}
-	var include func(ip string)
-	include = func(ip string) {
-		if want[ip] {
-			return
-		}
-		want[ip] = true
-		for _, dep := range m.Pkgs[ip].LocalDeps {
-			include(dep)
-		}
-	}
-	for _, ip := range m.Order {
-		if need == nil || need(ip) {
-			include(ip)
-		}
-	}
-
-	checked := make(map[string]*types.Package)
-	imp := &chainImporter{
-		local: checked,
-		std:   importer.ForCompiler(m.Fset, "source", nil),
-	}
-	out := make(map[string]*Package, len(want))
-	for _, ip := range m.Order {
-		if !want[ip] {
-			continue
-		}
-		rp := m.Pkgs[ip]
-		pkg, info, cerr := CheckFiles(m.Fset, ip, rp.Files, imp)
-		if cerr != nil {
-			return nil, fmt.Errorf("type-checking %s: %w", ip, cerr)
-		}
-		checked[ip] = pkg
-		out[ip] = &Package{Dir: rp.Dir, Path: ip, Fset: m.Fset, Files: rp.Files, Types: pkg, Info: info}
-	}
-	return out, nil
-}
-
-// LoadModule parses and type-checks every non-test package under the
-// module rooted at root, returning them sorted by import path. Local
-// imports resolve against the packages being loaded (in dependency
-// order), and everything else (the standard library) resolves through
-// go/importer's source importer, so no compiled export data and no
-// external tooling is required.
-func LoadModule(root string) ([]*Package, error) {
-	m, err := ParseModule(root)
-	if err != nil {
-		return nil, err
-	}
-	byPath, err := m.TypeCheck(nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Package, 0, len(byPath))
-	for _, p := range byPath {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out, nil
+	return order, nil
 }
 
 // CheckFiles type-checks one package's files under the given import path,
@@ -253,37 +135,28 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 }
 
 // parseDir parses the non-test, non-ignored .go files directly inside dir
-// (no recursion) and hashes their names and contents. It returns no files
-// when dir holds no Go files.
-func parseDir(fset *token.FileSet, dir string) ([]*ast.File, string, error) {
+// (no recursion). It returns no files when dir holds no Go files.
+func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	var files []*ast.File
-	h := sha256.New()
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		path := filepath.Join(dir, name)
-		src, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil, "", rerr
-		}
-		f, perr := parser.ParseFile(fset, path, src, parser.ParseComments)
+		f, perr := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if perr != nil {
-			return nil, "", perr
+			return nil, perr
 		}
 		if buildIgnored(f) {
 			continue
 		}
-		fmt.Fprintf(h, "file %s %d\n", name, len(src))
-		h.Write(src)
 		files = append(files, f)
 	}
-	return files, hex.EncodeToString(h.Sum(nil)), nil
+	return files, nil
 }
 
 // buildIgnored reports whether f carries a "//go:build ignore" constraint.
@@ -302,11 +175,12 @@ func buildIgnored(f *ast.File) bool {
 	return false
 }
 
-// topoOrder orders package paths so every local dependency precedes its
-// dependents, failing on import cycles.
-func topoOrder[T any](nodes map[string]*T, deps func(*T) []string) ([]string, error) {
-	keys := make([]string, 0, len(nodes))
-	for k := range nodes {
+// topoOrder orders the packages so every local dependency precedes its
+// dependents, failing on import cycles. Ties break by import path, so
+// the order is the same on every run.
+func topoOrder(pkgs map[string]*Package, imports map[string][]string) ([]*Package, error) {
+	keys := make([]string, 0, len(pkgs))
+	for k := range pkgs {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -316,8 +190,8 @@ func topoOrder[T any](nodes map[string]*T, deps func(*T) []string) ([]string, er
 		gray  = 1
 		black = 2
 	)
-	state := make(map[string]int, len(nodes))
-	var order []string
+	state := make(map[string]int, len(pkgs))
+	var order []*Package
 	var visit func(string) error
 	visit = func(k string) error {
 		switch state[k] {
@@ -327,15 +201,18 @@ func topoOrder[T any](nodes map[string]*T, deps func(*T) []string) ([]string, er
 			return nil
 		}
 		state[k] = gray
-		d := deps(nodes[k])
-		sort.Strings(d)
-		for _, q := range d {
+		deps := imports[k]
+		sort.Strings(deps)
+		for _, q := range deps {
+			if pkgs[q] == nil {
+				continue
+			}
 			if err := visit(q); err != nil {
 				return err
 			}
 		}
 		state[k] = black
-		order = append(order, k)
+		order = append(order, pkgs[k])
 		return nil
 	}
 	for _, k := range keys {

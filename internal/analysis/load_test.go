@@ -47,6 +47,16 @@ func TestLoadModule(t *testing.T) {
 			t.Errorf("package %s not loaded", want)
 		}
 	}
+	// Dependency order: every module-local import precedes its importer.
+	loaded := map[string]bool{}
+	for _, p := range pkgs {
+		for _, imp := range p.Types.Imports() {
+			if byPath[imp.Path()] != nil && !loaded[imp.Path()] {
+				t.Errorf("%s loaded before its import %s", p.Path, imp.Path())
+			}
+		}
+		loaded[p.Path] = true
+	}
 	// Test packages and testdata must not leak into the load.
 	for _, p := range pkgs {
 		if filepath.Base(p.Dir) == "testdata" {

@@ -210,3 +210,38 @@ func TestDensityScoreMonotoneInBeta(t *testing.T) {
 		t.Fatal("larger β must not decrease the score")
 	}
 }
+
+// Realize applies Eqn. (5): each window's planned density is the target
+// density td clamped into the window's feasible [l,u] range.
+func Realize(b LayerBounds, td float64) *grid.Map {
+	out := grid.NewMap(b.Lower.G)
+	for k, l := range b.Lower.V {
+		u := b.Upper.V[k]
+		switch {
+		case td < l:
+			out.V[k] = l
+		case td > u:
+			out.V[k] = u
+		default:
+			out.V[k] = td
+		}
+	}
+	return out
+}
+
+// DensityScore evaluates the combined density score of one realized
+// density map per layer under w. Per Eqn. (3): variation and line-hotspot
+// raw values are summed across layers; the outlier component uses
+// Σσ(l)·Σoh(l).
+func DensityScore(maps []*grid.Map, w PlanWeights) float64 {
+	var sumSigma, sumLine, sumOut float64
+	for _, m := range maps {
+		met := Measure(m)
+		sumSigma += met.Sigma
+		sumLine += met.Line
+		sumOut += met.Outlier
+	}
+	return w.AlphaVar*scoreF(sumSigma, w.BetaVar) +
+		w.AlphaLine*scoreF(sumLine, w.BetaLine) +
+		w.AlphaOutlier*scoreF(sumSigma*sumOut, w.BetaOutlier)
+}

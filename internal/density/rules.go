@@ -34,13 +34,3 @@ func CheckRules(m *grid.Map, minDensity, maxDensity float64) []RuleViolation {
 	}
 	return out
 }
-
-// RulePassRate returns the fraction of windows inside the density band.
-func RulePassRate(m *grid.Map, minDensity, maxDensity float64) float64 {
-	n := m.G.NumWindows()
-	if n == 0 {
-		return 1
-	}
-	v := len(CheckRules(m, minDensity, maxDensity))
-	return float64(n-v) / float64(n)
-}

@@ -2,6 +2,8 @@ package density
 
 import (
 	"testing"
+
+	"dummyfill/internal/grid"
 )
 
 func TestCheckRules(t *testing.T) {
@@ -53,4 +55,14 @@ func TestRuleViolationBoundaries(t *testing.T) {
 	if vs := CheckRules(m, 0.2, 0.9); len(vs) != 0 {
 		t.Fatalf("boundary densities flagged: %v", vs)
 	}
+}
+
+// RulePassRate returns the fraction of windows inside the density band.
+func RulePassRate(m *grid.Map, minDensity, maxDensity float64) float64 {
+	n := m.G.NumWindows()
+	if n == 0 {
+		return 1
+	}
+	v := len(CheckRules(m, minDensity, maxDensity))
+	return float64(n-v) / float64(n)
 }

@@ -160,8 +160,25 @@ func (p *Problem) SolveWith(solve Solver) ([]int64, int64, error) {
 	if err := p.validate(); err != nil {
 		return nil, 0, err
 	}
+	var g mcf.Graph
+	p.buildDual(&g)
+	res, err := solve(&g)
+	if err != nil {
+		return nil, 0, dualErr(err)
+	}
+	x := make([]int64, len(p.C))
+	obj, err := p.readPrimal(res.Potential, x)
+	if err != nil {
+		return nil, 0, err
+	}
+	return x, obj, nil
+}
+
+// buildDual resets g to the Eqn. 15/16 dual of p: node 0 is the reference
+// and node i+1 is variable i.
+func (p *Problem) buildDual(g *mcf.Graph) {
 	n := len(p.C)
-	g := mcf.NewGraph(n + 1) // node 0 = reference, node i+1 = variable i
+	g.Reset(n + 1)
 
 	var sumC int64
 	for i, c := range p.C {
@@ -171,7 +188,8 @@ func (p *Problem) SolveWith(solve Solver) ([]int64, int64, error) {
 	g.SetSupply(0, sumC)
 
 	for _, c := range p.Cons {
-		// x_I − x_J ≥ B  →  arc J→I, cost −B.
+		// x_I − x_J ≥ B  →  arc J→I, cost −B. Endpoints are in range by
+		// validate; a failure here is surfaced by the solver via Graph.Err.
 		g.AddArc(c.J+1, c.I+1, mcf.InfCap, -c.B)
 	}
 	for i := 0; i < n; i++ {
@@ -180,28 +198,31 @@ func (p *Problem) SolveWith(solve Solver) ([]int64, int64, error) {
 		// x_0 − x_i ≥ −Hi[i] →  arc i→0, cost Hi[i].
 		g.AddArc(i+1, 0, mcf.InfCap, p.Hi[i])
 	}
+}
 
-	res, err := solve(g)
-	if err != nil {
-		if errors.Is(err, mcf.ErrUnbounded) || errors.Is(err, mcf.ErrInfeasible) {
-			// An unbounded dual (negative residual cycle) means the primal
-			// difference constraints are inconsistent with the bounds.
-			return nil, 0, fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
-		return nil, 0, err
+// dualErr maps a failed dual solve to the LP's error taxonomy.
+func dualErr(err error) error {
+	if errors.Is(err, mcf.ErrUnbounded) || errors.Is(err, mcf.ErrInfeasible) {
+		// An unbounded dual (negative residual cycle) means the primal
+		// difference constraints are inconsistent with the bounds.
+		return fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
+	return err
+}
 
-	x := make([]int64, n)
-	y0 := res.Potential[0]
+// readPrimal fills x (length N) with x_i = y_i − y_0 from the optimal
+// node potentials y, checks it against p, and returns the objective.
+func (p *Problem) readPrimal(potential, x []int64) (int64, error) {
+	y0 := potential[0]
 	var obj int64
-	for i := 0; i < n; i++ {
-		x[i] = res.Potential[i+1] - y0
+	for i := range x {
+		x[i] = potential[i+1] - y0
 		obj += p.C[i] * x[i]
 	}
 	if err := p.Check(x); err != nil {
-		return nil, 0, fmt.Errorf("dlp: internal error, solver produced invalid solution: %v", err)
+		return 0, fmt.Errorf("dlp: internal error, solver produced invalid solution: %v", err)
 	}
-	return x, obj, nil
+	return obj, nil
 }
 
 // Check verifies that x satisfies all bounds and constraints.

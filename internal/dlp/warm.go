@@ -2,8 +2,6 @@ package dlp
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"dummyfill/internal/mcf"
 )
@@ -51,37 +49,13 @@ func (s *WarmSolver) Solve(ctx context.Context, p *Problem) ([]int64, int64, err
 		return nil, 0, err
 	}
 	n := len(p.C)
-	s.g.Reset(n + 1) // node 0 = reference, node i+1 = variable i
-
-	var sumC int64
-	for i, c := range p.C {
-		s.g.SetSupply(i+1, -c)
-		sumC += c
-	}
-	s.g.SetSupply(0, sumC)
-
-	for _, c := range p.Cons {
-		// x_I − x_J ≥ B  →  arc J→I, cost −B. Endpoints are in range by
-		// validate; a failure here is surfaced by the solver via Graph.Err.
-		s.g.AddArc(c.J+1, c.I+1, mcf.InfCap, -c.B)
-	}
-	for i := 0; i < n; i++ {
-		// x_i − x_0 ≥ Lo[i]  →  arc 0→i, cost −Lo[i].
-		s.g.AddArc(0, i+1, mcf.InfCap, -p.Lo[i])
-		// x_0 − x_i ≥ −Hi[i] →  arc i→0, cost Hi[i].
-		s.g.AddArc(i+1, 0, mcf.InfCap, p.Hi[i])
-	}
+	p.buildDual(&s.g)
 
 	warm := s.warmed && s.lastN == n+1
 	err := s.ws.SolveSSP(ctx, &s.g, warm, &s.res)
 	if err != nil {
 		s.warmed = false
-		if errors.Is(err, mcf.ErrUnbounded) || errors.Is(err, mcf.ErrInfeasible) {
-			// An unbounded dual (negative residual cycle) means the primal
-			// difference constraints are inconsistent with the bounds.
-			return nil, 0, fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
-		return nil, 0, err
+		return nil, 0, dualErr(err)
 	}
 	s.warmed = true
 	s.lastN = n + 1
@@ -90,14 +64,9 @@ func (s *WarmSolver) Solve(ctx context.Context, p *Problem) ([]int64, int64, err
 		s.x = make([]int64, n)
 	}
 	s.x = s.x[:n]
-	y0 := s.res.Potential[0]
-	var obj int64
-	for i := 0; i < n; i++ {
-		s.x[i] = s.res.Potential[i+1] - y0
-		obj += p.C[i] * s.x[i]
-	}
-	if err := p.Check(s.x); err != nil {
-		return nil, 0, fmt.Errorf("dlp: internal error, solver produced invalid solution: %v", err)
+	obj, err := p.readPrimal(s.res.Potential, s.x)
+	if err != nil {
+		return nil, 0, err
 	}
 	return s.x, obj, nil
 }

@@ -178,12 +178,3 @@ func CheckSites(lay *layout.Layout, sol *layout.Solution, lib *layout.FillLib, p
 	}
 	return out
 }
-
-// CountByKind tallies violations per kind.
-func CountByKind(vs []Violation) map[Kind]int {
-	out := map[Kind]int{}
-	for _, v := range vs {
-		out[v.Kind]++
-	}
-	return out
-}

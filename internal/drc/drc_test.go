@@ -142,3 +142,12 @@ func TestMultiLayerIndependence(t *testing.T) {
 		t.Fatalf("cross-layer stacking flagged: %v", vs)
 	}
 }
+
+// CountByKind tallies violations per kind.
+func CountByKind(vs []Violation) map[Kind]int {
+	out := map[Kind]int{}
+	for _, v := range vs {
+		out[v.Kind]++
+	}
+	return out
+}

@@ -66,44 +66,3 @@ func TestAutoTuneLambdaRejectsBadCandidates(t *testing.T) {
 		t.Fatal("λ < 1 candidate must error")
 	}
 }
-
-func TestMaxAspectShapesFills(t *testing.T) {
-	lay := tinyLayout(t)
-	opts := DefaultOptions()
-	opts.MaxAspect = 2
-	e, err := New(lay, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Measure the aspect distribution: the constrained run must have a
-	// lower mean aspect than the unconstrained one (exact enforcement is
-	// impossible for cells that are already thin — fills only shrink).
-	meanAspect := func(r *Result) float64 {
-		var s float64
-		for _, f := range r.Solution.Fills {
-			w, h := float64(f.Rect.W()), float64(f.Rect.H())
-			a := w / h
-			if a < 1 {
-				a = 1 / a
-			}
-			s += a
-		}
-		return s / float64(len(r.Solution.Fills))
-	}
-	e2, err := New(lay, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := e2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meanAspect(res) >= meanAspect(base) {
-		t.Fatalf("MaxAspect did not reduce mean aspect: %.2f vs %.2f",
-			meanAspect(res), meanAspect(base))
-	}
-}

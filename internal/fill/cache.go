@@ -135,7 +135,6 @@ func (e *Engine) cacheFingerprint() fillcache.Key {
 	h.Float64(o.Gamma)
 	h.Int64(o.Eta)
 	h.Int64(int64(o.MaxSizingPasses))
-	h.Float64(o.MaxAspect)
 	h.String(solverID(o))
 	h.String(e.mode.cacheID())
 	return h.Sum()

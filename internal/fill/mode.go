@@ -3,7 +3,6 @@ package fill
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"dummyfill/internal/fillcache"
 	"dummyfill/internal/geom"
@@ -53,10 +52,11 @@ type fillMode interface {
 	// selectCandidates populates w.sel from the window's free pieces
 	// under the round-1 target densities td.
 	selectCandidates(w *window, td []float64)
-	// sizeWindow reduces w.sel toward the per-layer target areas.
-	// cacheable reports whether the result is a pure function of window
-	// content (fit for the persistent cache); degraded results are not.
-	sizeWindow(ctx context.Context, k int, w *window, targets []int64, sc *sizeScratch, hc *healthCollector, start time.Time) (cells []cell, cacheable bool, err error)
+	// sizeWindow reduces the non-empty w.sel toward the per-layer target
+	// areas; produceWindow has already applied the soft budget. cacheable
+	// reports whether the result is a pure function of window content
+	// (fit for the persistent cache); degraded results are not.
+	sizeWindow(ctx context.Context, k int, w *window, targets []int64, sc *sizeScratch, hc *healthCollector) (cells []cell, cacheable bool, err error)
 }
 
 // newFillMode resolves Options.Mode against the layout.
@@ -115,6 +115,6 @@ func (m rectMode) selectCandidates(w *window, td []float64) {
 
 // sizeWindow shrinks the selection through the resilient LP fallback
 // chain (warm MCF → cold SSP → simplex → no-shrink degradation).
-func (m rectMode) sizeWindow(ctx context.Context, k int, w *window, targets []int64, sc *sizeScratch, hc *healthCollector, start time.Time) ([]cell, bool, error) {
-	return m.e.sizeWindowResilient(ctx, k, w, targets, sc, hc, start)
+func (m rectMode) sizeWindow(ctx context.Context, k int, w *window, targets []int64, sc *sizeScratch, hc *healthCollector) ([]cell, bool, error) {
+	return m.e.sizeWindowResilient(ctx, k, w, targets, sc, hc)
 }

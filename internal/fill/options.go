@@ -62,12 +62,6 @@ type Options struct {
 	// require a minimum metal density per window; the contest objective
 	// alone would happily leave an empty layer empty.
 	MinDensity float64
-	// MaxAspect is an optional lithography-friendliness rule (the paper's
-	// stated future work): fills are sized toward an aspect ratio of at
-	// most MaxAspect where shrinking suffices to achieve it (fills can
-	// only shrink, so a cell already thinner than 1/MaxAspect stays as
-	// is). 0 disables.
-	MaxAspect float64
 	// Budget is a soft per-run time budget (0 = unlimited). When it
 	// expires mid-run, remaining windows skip LP sizing and emit their
 	// candidates unshrunk — still DRC-clean — and the run completes with

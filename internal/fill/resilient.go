@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"dummyfill/internal/dlp"
 	"dummyfill/internal/faultinject"
@@ -49,33 +48,18 @@ func corruptSolver(base dlp.PSolver) dlp.PSolver {
 
 // sizeWindowResilient sizes one window through the solver fallback chain —
 // warm MCF → cold SPFA → dense simplex → no-shrink degradation — with
-// per-window panic isolation and the soft time budget. Only context
-// cancellation propagates as an error; every other failure degrades the
-// window and is accounted in hc. Decisions are keyed by the window index
-// k, never by worker identity, so results and health counters are
-// identical for any Workers setting.
+// per-window panic isolation. Only context cancellation propagates as an
+// error; every other failure degrades the window and is accounted in hc.
+// Decisions are keyed by the window index k, never by worker identity, so
+// results and health counters are identical for any Workers setting.
 //
 // cacheable reports whether the result is safe to persist in the fill
 // cache: only a first-tier solve with no recovered panic qualifies.
-// Budget degradation is wall-clock driven and fallback-tier outcomes
-// depend on which tier failed — neither is a pure function of window
-// content, so neither may become sticky through the cache.
-func (e *Engine) sizeWindowResilient(ctx context.Context, k int, w *window, targets []int64, sc *sizeScratch, hc *healthCollector, start time.Time) (cells []cell, cacheable bool, err error) {
+// Fallback-tier outcomes depend on which tier failed, not on window
+// content alone, so they may not become sticky through the cache.
+func (e *Engine) sizeWindowResilient(ctx context.Context, k int, w *window, targets []int64, sc *sizeScratch, hc *healthCollector) (cells []cell, cacheable bool, err error) {
 	inj := e.opts.Inject
 	key := uint64(k)
-
-	// Soft budget. Wall-clock expiry is sticky — once over budget, every
-	// remaining window skips straight to degradation so the run finishes
-	// promptly. The injected variant is window-keyed (not sticky) to keep
-	// fault patterns deterministic across schedules.
-	//filllint:allow nodeterm -- Options.Budget degradation is intentionally wall-clock; documented in DESIGN.md §7
-	if e.opts.Budget > 0 && !hc.budgetExceeded.Load() && time.Since(start) > e.opts.Budget {
-		hc.budgetExceeded.Store(true)
-	}
-	if (e.opts.Budget > 0 && hc.budgetExceeded.Load()) || inj.Hit(faultinject.SiteBudget, key) {
-		hc.degraded.Add(1)
-		return e.noShrinkCells(w, targets, sc), false, nil
-	}
 
 	tiers := [...]struct {
 		site  faultinject.Site

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
-	"dummyfill/internal/faultinject"
 	"dummyfill/internal/fillcache"
 	"dummyfill/internal/geom"
 	"dummyfill/internal/layout"
@@ -188,28 +186,9 @@ func (m *siteMode) selectCandidates(w *window, td []float64) {
 // and the rounding remainder diffuses forward so the layer total tracks
 // the target despite the discrete widths. Cells are left-anchored and
 // only ever shrink, so legality (site alignment, padding, pairwise gaps)
-// is inherited from candidate generation. No solver runs, so the whole
-// path is a pure function of window content — tier-0 cacheable — except
-// the budget degradation, which mirrors rect mode's.
-func (m *siteMode) sizeWindow(ctx context.Context, k int, w *window, targets []int64, sc *sizeScratch, hc *healthCollector, start time.Time) ([]cell, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	inj := m.e.opts.Inject
-	key := uint64(k)
-	//filllint:allow nodeterm -- Options.Budget degradation is intentionally wall-clock; documented in DESIGN.md §7
-	if m.e.opts.Budget > 0 && !hc.budgetExceeded.Load() && time.Since(start) > m.e.opts.Budget {
-		hc.budgetExceeded.Store(true)
-	}
-	if (m.e.opts.Budget > 0 && hc.budgetExceeded.Load()) || inj.Hit(faultinject.SiteBudget, key) {
-		hc.degraded.Add(1)
-		return m.e.noShrinkCells(w, targets, sc), false, nil
-	}
-	if len(w.sel) == 0 {
-		hc.sized.Add(1)
-		return nil, true, nil
-	}
-
+// is inherited from candidate generation. No solver runs, so the result
+// is a pure function of window content and always tier-0 cacheable.
+func (m *siteMode) sizeWindow(_ context.Context, _ int, w *window, targets []int64, sc *sizeScratch, hc *healthCollector) ([]cell, bool, error) {
 	cells := append(sc.cells[:0], w.sel...)
 	sc.cells = cells
 	nl := len(m.e.lay.Layers)

@@ -368,20 +368,6 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 			// Spacing resolution needs freedom regardless of the budget.
 			step = dim - minDim
 		}
-		// Lithography aspect rule (Options.MaxAspect): cells longer than
-		// MaxAspect×cross get enough freedom to shrink to the cap, rule
-		// before density.
-		var aspectCap int64
-		if opts.MaxAspect > 0 {
-			aspectCap = int64(opts.MaxAspect * float64(crossDim))
-			if aspectCap < minDim {
-				aspectCap = 0 // cell too thin to ever satisfy the rule
-			} else if dim > aspectCap {
-				if need := dim - aspectCap; step < need {
-					step = need
-				}
-			}
-		}
 		if step > dim-minDim {
 			step = dim - minDim
 		}
@@ -396,11 +382,6 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 		p.Hi[2*i+1] = hi
 		// Width constraint: high − low ≥ minKeep.
 		p.AddConstraint(2*i+1, 2*i, minKeep)
-		// Aspect cap as a difference constraint: dim ≤ aspectCap, i.e.
-		// low − high ≥ −aspectCap.
-		if aspectCap > 0 && aspectCap < dim {
-			p.AddConstraint(2*i, 2*i+1, -aspectCap)
-		}
 		// Cost: density-gap slope ± crossDim plus overlay slope η·ov/dim.
 		var cost int64
 		switch {

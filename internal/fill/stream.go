@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dummyfill/internal/density"
+	"dummyfill/internal/faultinject"
 	"dummyfill/internal/grid"
 	"dummyfill/internal/layout"
 )
@@ -226,10 +227,17 @@ func (e *Engine) assembleBounds(ctx context.Context, wins []*window, selected bo
 	return bounds, wd, nil
 }
 
-// produceWindow sizes window k through the resilient fallback chain and
+// produceWindow sizes window k through the mode's sizing step and
 // converts the surviving cells to fills. A nil fill slice (window skipped
 // or everything shrunk away) still counts as produced and must be
 // released to advance the emission frontier.
+//
+// The soft budget gates every mode alike. Wall-clock expiry is sticky:
+// once over budget, every remaining window skips sizing and emits its
+// unshrunk candidates (noShrinkCells), so the run finishes promptly. The
+// injected variant is window-keyed (not sticky) to keep fault patterns
+// deterministic across schedules. A degraded window depends on the clock
+// or on the injector, not on window content alone, so it is never cached.
 //
 // With an active cache, replay windows return their stored fills without
 // touching the solver, and every cleanly computed window (including
@@ -245,8 +253,22 @@ func (e *Engine) produceWindow(ctx context.Context, k int, wins []*window, td []
 		return nil, nil
 	}
 	targets := e.windowTargets(w, td, sc)
-	cs, cacheable, err := e.mode.sizeWindow(ctx, k, w, targets, sc, hc, start)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	//filllint:allow nodeterm -- Options.Budget degradation is intentionally wall-clock; documented in DESIGN.md §7
+	if e.opts.Budget > 0 && !hc.budgetExceeded.Load() && time.Since(start) > e.opts.Budget {
+		hc.budgetExceeded.Store(true)
+	}
+	var (
+		cs        []cell
+		cacheable bool
+		err       error
+	)
+	if (e.opts.Budget > 0 && hc.budgetExceeded.Load()) || e.opts.Inject.Hit(faultinject.SiteBudget, uint64(k)) {
+		hc.degraded.Add(1)
+		cs = e.noShrinkCells(w, targets, sc)
+	} else if cs, cacheable, err = e.mode.sizeWindow(ctx, k, w, targets, sc, hc); err != nil {
 		return nil, err
 	}
 	var fills []layout.Fill

@@ -158,3 +158,12 @@ func TestAreaTableBuildSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("AreaTable.Build allocates %.1f per steady-state call, want 0", n)
 	}
 }
+
+// BoundingBox returns the bounding box of rects (empty Rect if none).
+func BoundingBox(rects []Rect) Rect {
+	var bb Rect
+	for _, r := range rects {
+		bb = bb.Union(r)
+	}
+	return bb
+}

@@ -62,9 +62,6 @@ func (r Rect) H() int64 {
 // Area returns the area of r, 0 for empty rectangles.
 func (r Rect) Area() int64 { return r.W() * r.H() }
 
-// Center returns the (floor) center point of r.
-func (r Rect) Center() Point { return Point{(r.XL + r.XH) / 2, (r.YL + r.YH) / 2} }
-
 // Contains reports whether p lies inside r (half-open).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.XL && p.X < r.XH && p.Y >= r.YL && p.Y < r.YH

@@ -459,3 +459,32 @@ func BenchmarkDifference200Holes(b *testing.B) {
 		Difference(w, holes)
 	}
 }
+
+// intersections returns every non-empty pairwise intersection of a rect
+// of a with a rect of b. The pieces may overlap.
+func intersections(a, b []Rect) []Rect {
+	var pieces []Rect
+	for _, ra := range a {
+		for _, rb := range b {
+			if c := ra.Intersect(rb); !c.Empty() {
+				pieces = append(pieces, c)
+			}
+		}
+	}
+	return pieces
+}
+
+// IntersectSets returns the disjoint decomposition of the intersection of
+// the unions of a and b: region covered by at least one rect of a AND at
+// least one rect of b.
+func IntersectSets(a, b []Rect) []Rect {
+	pieces := intersections(a, b)
+	if len(pieces) <= 1 {
+		return pieces
+	}
+	return UnionSlabs(pieces)
+}
+
+// OverlapAreaSets returns the area of the intersection of the unions of a
+// and b.
+func OverlapAreaSets(a, b []Rect) int64 { return UnionArea(intersections(a, b)) }

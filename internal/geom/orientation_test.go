@@ -123,3 +123,12 @@ func TestQuickDifferenceComplement(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TransposeRects swaps the axes of every rect (freshly allocated).
+func TransposeRects(rs []Rect) []Rect {
+	out := make([]Rect, len(rs))
+	for i, r := range rs {
+		out[i] = r.Transpose()
+	}
+	return out
+}

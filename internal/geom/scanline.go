@@ -36,7 +36,6 @@ type sweepScratch struct {
 	cov        coverage
 	prev, curr []covIval
 	open       []openSlab
-	pieces     []Rect
 }
 
 var sweepPool = sync.Pool{New: func() any { return new(sweepScratch) }}
@@ -370,15 +369,6 @@ func dedup64(xs []int64) []int64 {
 // Transpose swaps the axes of r.
 func (r Rect) Transpose() Rect { return Rect{r.YL, r.XL, r.YH, r.XH} }
 
-// TransposeRects swaps the axes of every rect (freshly allocated).
-func TransposeRects(rs []Rect) []Rect {
-	out := make([]Rect, len(rs))
-	for i, r := range rs {
-		out[i] = r.Transpose()
-	}
-	return out
-}
-
 // DifferenceVert is Difference with the output decomposed into vertical
 // (maximal-height) slabs instead of horizontal ones. For free-space
 // extraction around vertical wires this yields far fewer, fatter pieces.
@@ -405,62 +395,6 @@ func DifferenceOriented(window Rect, holes []Rect, vertical bool) []Rect {
 		return DifferenceVert(window, holes)
 	}
 	return Difference(window, holes)
-}
-
-// IntersectSets returns the disjoint decomposition of the intersection of
-// the unions of a and b: region covered by at least one rect of a AND at
-// least one rect of b.
-func IntersectSets(a, b []Rect) []Rect {
-	// Compute pairwise intersections then take their union decomposition
-	// to remove double counting. Pairwise cost is acceptable at window
-	// granularity; a sweep would be used for full-chip scale.
-	sc := sweepPool.Get().(*sweepScratch)
-	pieces := sc.pieces[:0]
-	for _, ra := range a {
-		for _, rb := range b {
-			c := ra.Intersect(rb)
-			if !c.Empty() {
-				pieces = append(pieces, c)
-			}
-		}
-	}
-	sc.pieces = pieces
-	var out []Rect
-	if len(pieces) <= 1 {
-		out = append(out, pieces...)
-	} else {
-		out = UnionSlabs(pieces)
-	}
-	sweepPool.Put(sc)
-	return out
-}
-
-// OverlapAreaSets returns the area of the intersection of the unions of a
-// and b.
-func OverlapAreaSets(a, b []Rect) int64 {
-	sc := sweepPool.Get().(*sweepScratch)
-	pieces := sc.pieces[:0]
-	for _, ra := range a {
-		for _, rb := range b {
-			c := ra.Intersect(rb)
-			if !c.Empty() {
-				pieces = append(pieces, c)
-			}
-		}
-	}
-	sc.pieces = pieces
-	area := UnionArea(pieces)
-	sweepPool.Put(sc)
-	return area
-}
-
-// BoundingBox returns the bounding box of rects (empty Rect if none).
-func BoundingBox(rects []Rect) Rect {
-	var bb Rect
-	for _, r := range rects {
-		bb = bb.Union(r)
-	}
-	return bb
 }
 
 // TotalArea sums rect areas without overlap removal.

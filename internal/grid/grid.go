@@ -47,26 +47,6 @@ func (g *Grid) Window(i, j int) geom.Rect {
 	return r.Intersect(g.Die)
 }
 
-// Locate returns the window indices containing point p (clamped to the
-// grid).
-func (g *Grid) Locate(p geom.Point) (i, j int) {
-	i = int((p.X - g.Die.XL) / g.W)
-	j = int((p.Y - g.Die.YL) / g.W)
-	if i < 0 {
-		i = 0
-	}
-	if i >= g.NX {
-		i = g.NX - 1
-	}
-	if j < 0 {
-		j = 0
-	}
-	if j >= g.NY {
-		j = g.NY - 1
-	}
-	return
-}
-
 // CellRange returns the inclusive window index ranges [i0,i1]×[j0,j1]
 // overlapped by r; ok is false when r misses the die entirely. It is the
 // index arithmetic of RangeOverlapping exposed for callers that shard

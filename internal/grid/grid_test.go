@@ -157,3 +157,23 @@ func TestRangeOverlappingEmptyRect(t *testing.T) {
 		t.Fatal("empty rect must not visit windows")
 	})
 }
+
+// Locate returns the window indices containing point p (clamped to the
+// grid).
+func (g *Grid) Locate(p geom.Point) (i, j int) {
+	i = int((p.X - g.Die.XL) / g.W)
+	j = int((p.Y - g.Die.YL) / g.W)
+	if i < 0 {
+		i = 0
+	}
+	if i >= g.NX {
+		i = g.NX - 1
+	}
+	if j < 0 {
+		j = 0
+	}
+	if j >= g.NY {
+		j = g.NY - 1
+	}
+	return
+}

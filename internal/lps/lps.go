@@ -66,12 +66,6 @@ var Inf = math.Inf(1)
 // NewProblem returns an empty problem.
 func NewProblem() *Problem { return &Problem{} }
 
-// NumVars returns the number of variables added so far.
-func (p *Problem) NumVars() int { return len(p.c) }
-
-// NumRows returns the number of constraints added so far.
-func (p *Problem) NumRows() int { return len(p.rows) }
-
 // AddVar appends a variable with the given objective coefficient and
 // bounds, returning its index.
 func (p *Problem) AddVar(cost, lo, hi float64) int {
