@@ -87,12 +87,12 @@ func BenchmarkFig6_DualMCF(b *testing.B) {
 	}
 	for _, s := range []struct {
 		name   string
-		solver dlp.Solver
-	}{{"SSP", dlp.SSP}, {"NetworkSimplex", dlp.NetworkSimplex}} {
+		solver dlp.PSolver
+	}{{"SSP", dlp.ViaSSP}, {"NetworkSimplex", dlp.ViaNetworkSimplex}} {
 		b.Run(s.name, func(b *testing.B) {
 			p := build()
 			for i := 0; i < b.N; i++ {
-				x, obj, err := p.SolveWith(s.solver)
+				x, obj, err := s.solver(context.Background(), p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -141,7 +141,7 @@ func BenchmarkAblation_MCFvsSimplex(b *testing.B) {
 		p := sizingLP(n)
 		b.Run(fmt.Sprintf("DualMCF/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := p.Solve(); err != nil {
+				if _, _, err := dlp.ViaSSP(context.Background(), p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -193,7 +193,8 @@ func BenchmarkAblation_SSPvsNetworkSimplex(b *testing.B) {
 		g := build(sz.n, sz.m)
 		b.Run(fmt.Sprintf("SSP/n=%d", sz.n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := g.SolveSSP(); err != nil {
+				var ws mcf.Workspace // one-shot, like SolveNetworkSimplex below
+				if err := ws.SolveSSP(context.Background(), g, &mcf.Result{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -241,7 +241,7 @@ func DensityScore(maps []*grid.Map, w PlanWeights) float64 {
 		sumLine += met.Line
 		sumOut += met.Outlier
 	}
-	return w.AlphaVar*scoreF(sumSigma, w.BetaVar) +
-		w.AlphaLine*scoreF(sumLine, w.BetaLine) +
-		w.AlphaOutlier*scoreF(sumSigma*sumOut, w.BetaOutlier)
+	return w.AlphaVar*F(sumSigma, w.BetaVar) +
+		w.AlphaLine*F(sumLine, w.BetaLine) +
+		w.AlphaOutlier*F(sumSigma*sumOut, w.BetaOutlier)
 }

@@ -24,8 +24,10 @@ type PlanWeights struct {
 	AlphaOutlier, BetaOutlier float64
 }
 
-// scoreF is Eqn. (4): f(x) = max(0, 1 - x/β).
-func scoreF(x, beta float64) float64 {
+// F is Eqn. (4): f(x) = max(0, 1 − x/β), the contest's per-metric score.
+// A non-positive β yields 0. Planning optimizes it and package score
+// reports it.
+func F(x, beta float64) float64 {
 	if beta <= 0 {
 		return 0
 	}
@@ -114,9 +116,9 @@ func PlanTargets(bounds []LayerBounds, w PlanWeights, steps int) (*Plan, error) 
 			sumLine += m.Line
 			sumOut += m.Outlier
 		}
-		return w.AlphaVar*scoreF(sumSigma, w.BetaVar) +
-			w.AlphaLine*scoreF(sumLine, w.BetaLine) +
-			w.AlphaOutlier*scoreF(sumSigma*sumOut, w.BetaOutlier)
+		return w.AlphaVar*F(sumSigma, w.BetaVar) +
+			w.AlphaLine*F(sumLine, w.BetaLine) +
+			w.AlphaOutlier*F(sumSigma*sumOut, w.BetaOutlier)
 	}
 
 	combos := 1

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dummyfill/internal/mcf"
 )
@@ -101,14 +102,6 @@ func (p *Problem) validate() error {
 	return nil
 }
 
-// Solver solves a min-cost-flow instance; the two implementations in
-// package mcf both satisfy this signature.
-type Solver func(*mcf.Graph) (*mcf.Result, error)
-
-// SSP and NetworkSimplex adapt the mcf solvers to the Solver type.
-func SSP(g *mcf.Graph) (*mcf.Result, error)            { return g.SolveSSP() }
-func NetworkSimplex(g *mcf.Graph) (*mcf.Result, error) { return g.SolveNetworkSimplex() }
-
 // PSolver solves a whole difference-constraint problem. The three
 // implementations — dual min-cost flow via SSP or network simplex, and a
 // dense general-purpose simplex — are interchangeable (the constraint
@@ -121,17 +114,51 @@ func NetworkSimplex(g *mcf.Graph) (*mcf.Result, error) { return g.SolveNetworkSi
 // cancelled solve returns an error unwrapping to ctx.Err().
 type PSolver func(ctx context.Context, p *Problem) ([]int64, int64, error)
 
-// ViaSSP solves through the dual min-cost flow with successive shortest
-// paths (the default). Cancellation is honoured mid-solve.
+// sspSolver solves through the dual min-cost flow with successive shortest
+// paths, reusing one graph arena, one mcf.Workspace and one solution
+// buffer across calls. Only storage is reused: every solve starts from
+// its own problem, so a result never depends on the solves before it.
+// An sspSolver is not safe for concurrent use.
+type sspSolver struct {
+	g   mcf.Graph
+	ws  mcf.Workspace
+	res mcf.Result
+	x   []int64
+}
+
+// solve is the PSolver of s. The returned slice is reused by the next call.
+func (s *sspSolver) solve(ctx context.Context, p *Problem) ([]int64, int64, error) {
+	if err := p.validate(); err != nil {
+		return nil, 0, err
+	}
+	p.buildDual(&s.g)
+	if err := s.ws.SolveSSP(ctx, &s.g, &s.res); err != nil {
+		return nil, 0, dualErr(err)
+	}
+	s.x = slices.Grow(s.x[:0], len(p.C))[:len(p.C)]
+	obj, err := p.readPrimal(s.res.Potential, s.x)
+	if err != nil {
+		return nil, 0, err
+	}
+	return s.x, obj, nil
+}
+
+// NewWarmSSP returns an SSP PSolver with its own reusable arena — the
+// factory the fill engine calls to give each window worker a solver that
+// sizes thousands of LPs without steady-state allocation. The returned
+// slice is reused by the next call; callers that retain it must copy.
+//
+// The solver keeps no warm start: consecutive sizing LPs alternate
+// between the H and V axes, and every bound arc's cost is a coordinate,
+// so the previous solve's potentials are never dual-feasible for the
+// next. "Warm" in the name is historical; it stays because the fill
+// cache fingerprints the factory symbol.
+func NewWarmSSP() PSolver { return new(sspSolver).solve }
+
+// ViaSSP solves p once through the dual min-cost flow with successive
+// shortest paths. Cancellation is honoured mid-solve.
 func ViaSSP(ctx context.Context, p *Problem) ([]int64, int64, error) {
-	return p.SolveWith(func(g *mcf.Graph) (*mcf.Result, error) {
-		var ws mcf.Workspace
-		out := &mcf.Result{}
-		if err := ws.SolveSSP(ctx, g, false, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	})
+	return new(sspSolver).solve(ctx, p)
 }
 
 // ViaNetworkSimplex solves through the dual min-cost flow with network
@@ -141,28 +168,12 @@ func ViaNetworkSimplex(ctx context.Context, p *Problem) ([]int64, int64, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	return p.SolveWith(NetworkSimplex)
-}
-
-// Solve optimizes the problem via dual min-cost flow using the SSP solver
-// and returns the optimal variable assignment and objective value.
-func (p *Problem) Solve() ([]int64, int64, error) { return p.SolveWith(SSP) }
-
-// SolveWith is Solve with an explicit min-cost-flow solver.
-//
-// Construction (following Eqn. 15/16): one flow node per variable plus a
-// reference node 0 pinned at x=0. Each constraint x_i − x_j ≥ b becomes an
-// uncapacitated arc j→i with cost −b; bounds become constraints against
-// the reference node. Node supplies are −c_i (the reference node absorbs
-// +Σc_i so supplies balance). Optimal node potentials y of the flow
-// problem are dual-optimal for the LP, and x_i = y_i − y_0.
-func (p *Problem) SolveWith(solve Solver) ([]int64, int64, error) {
 	if err := p.validate(); err != nil {
 		return nil, 0, err
 	}
 	var g mcf.Graph
 	p.buildDual(&g)
-	res, err := solve(&g)
+	res, err := g.SolveNetworkSimplex()
 	if err != nil {
 		return nil, 0, dualErr(err)
 	}
@@ -174,8 +185,13 @@ func (p *Problem) SolveWith(solve Solver) ([]int64, int64, error) {
 	return x, obj, nil
 }
 
-// buildDual resets g to the Eqn. 15/16 dual of p: node 0 is the reference
-// and node i+1 is variable i.
+// buildDual resets g to the Eqn. 15/16 dual of p: one flow node per
+// variable plus a reference node 0 pinned at x=0, so node i+1 is variable
+// i. Each constraint x_i − x_j ≥ b becomes an uncapacitated arc j→i with
+// cost −b; bounds become constraints against the reference node. Node
+// supplies are −c_i (the reference node absorbs +Σc_i so supplies
+// balance). Optimal node potentials y of the flow problem are
+// dual-optimal for the LP, and x_i = y_i − y_0.
 func (p *Problem) buildDual(g *mcf.Graph) {
 	n := len(p.C)
 	g.Reset(n + 1)

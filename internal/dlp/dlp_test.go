@@ -1,6 +1,7 @@
 package dlp
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -46,10 +47,10 @@ func TestPaperFig6Example(t *testing.T) {
 	p.AddConstraint(3, 2, 6)
 	for _, solver := range []struct {
 		name string
-		s    Solver
-	}{{"SSP", SSP}, {"NetworkSimplex", NetworkSimplex}} {
+		s    PSolver
+	}{{"SSP", ViaSSP}, {"NetworkSimplex", ViaNetworkSimplex}} {
 		t.Run(solver.name, func(t *testing.T) {
-			x, obj, err := p.SolveWith(solver.s)
+			x, obj, err := solver.s(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +70,7 @@ func TestPaperFig6Example(t *testing.T) {
 func TestUnconstrainedGoesToBound(t *testing.T) {
 	p := NewProblem(3, 100)
 	p.C = []int64{1, -1, 0}
-	x, obj, err := p.Solve()
+	x, obj, err := ViaSSP(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestNonzeroLowerBounds(t *testing.T) {
 	p := NewProblem(2, 50)
 	p.C = []int64{3, 1}
 	p.Lo = []int64{7, 2}
-	x, obj, err := p.Solve()
+	x, obj, err := ViaSSP(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestNegativeBoundsRange(t *testing.T) {
 	p.Hi = []int64{10, 10}
 	p.C = []int64{1, -1}
 	p.AddConstraint(1, 0, 5) // x1 - x0 >= 5
-	x, obj, err := p.Solve()
+	x, obj, err := ViaSSP(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestNegativeBoundsRange(t *testing.T) {
 func TestInfeasibleConstraintVsBounds(t *testing.T) {
 	p := NewProblem(2, 3)
 	p.AddConstraint(0, 1, 10) // x0 - x1 >= 10 impossible within [0,3]
-	_, _, err := p.Solve()
+	_, _, err := ViaSSP(context.Background(), p)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -132,7 +133,7 @@ func TestInfeasibleCycle(t *testing.T) {
 	p := NewProblem(2, 100)
 	p.AddConstraint(0, 1, 5)
 	p.AddConstraint(1, 0, 5) // x0-x1>=5 and x1-x0>=5: impossible
-	_, _, err := p.Solve()
+	_, _, err := ViaSSP(context.Background(), p)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -141,7 +142,7 @@ func TestInfeasibleCycle(t *testing.T) {
 func TestEmptyBoundRange(t *testing.T) {
 	p := NewProblem(1, 10)
 	p.Lo[0] = 20
-	_, _, err := p.Solve()
+	_, _, err := ViaSSP(context.Background(), p)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -155,7 +156,7 @@ func TestChainOfConstraints(t *testing.T) {
 	p.AddConstraint(0, 1, 2)
 	p.AddConstraint(1, 2, 2)
 	p.AddConstraint(2, 3, 2)
-	x, obj, err := p.Solve()
+	x, obj, err := ViaSSP(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestRandomVsBruteForce(t *testing.T) {
 			p.AddConstraint(i, j, int64(rng.Intn(7)-3))
 		}
 		wantX, wantObj, feasible := bruteForce(p)
-		x, obj, err := p.Solve()
+		x, obj, err := ViaSSP(context.Background(), p)
 		if !feasible {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("it %d: brute says infeasible, solver says %v (x=%v)", it, err, x)
@@ -214,8 +215,8 @@ func TestRandomSolverAgreement(t *testing.T) {
 			}
 			p.AddConstraint(i, j, int64(rng.Intn(21)-10))
 		}
-		_, o1, e1 := p.SolveWith(SSP)
-		_, o2, e2 := p.SolveWith(NetworkSimplex)
+		_, o1, e1 := ViaSSP(context.Background(), p)
+		_, o2, e2 := ViaNetworkSimplex(context.Background(), p)
 		if (e1 == nil) != (e2 == nil) {
 			t.Fatalf("it %d: disagreement: %v vs %v", it, e1, e2)
 		}
@@ -244,17 +245,17 @@ func TestCheckRejects(t *testing.T) {
 
 func TestValidateBadProblem(t *testing.T) {
 	p := &Problem{C: []int64{1}, Lo: []int64{0, 0}, Hi: []int64{5}}
-	if _, _, err := p.Solve(); err == nil {
+	if _, _, err := ViaSSP(context.Background(), p); err == nil {
 		t.Fatal("inconsistent slice lengths must error")
 	}
 	p2 := NewProblem(2, 10)
 	p2.AddConstraint(0, 0, 1)
-	if _, _, err := p2.Solve(); err == nil {
+	if _, _, err := ViaSSP(context.Background(), p2); err == nil {
 		t.Fatal("self-referential constraint must error")
 	}
 	p3 := NewProblem(2, 10)
 	p3.AddConstraint(0, 5, 1)
-	if _, _, err := p3.Solve(); err == nil {
+	if _, _, err := ViaSSP(context.Background(), p3); err == nil {
 		t.Fatal("out-of-range constraint must error")
 	}
 }
@@ -271,7 +272,7 @@ func BenchmarkDualMCFChain100(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.Solve(); err != nil {
+		if _, _, err := ViaSSP(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}

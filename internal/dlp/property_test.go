@@ -1,6 +1,7 @@
 package dlp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -26,7 +27,7 @@ func TestShiftInvariance(t *testing.T) {
 				p.AddConstraint(i, j, int64(rng.Intn(5)-2))
 			}
 		}
-		_, obj1, err1 := p.Solve()
+		_, obj1, err1 := ViaSSP(context.Background(), p)
 
 		shift := int64(shiftQ%17) - 8
 		q := NewProblem(n, 0)
@@ -36,7 +37,7 @@ func TestShiftInvariance(t *testing.T) {
 			q.Hi[i] = p.Hi[i] + shift
 		}
 		q.Cons = append(q.Cons, p.Cons...)
-		_, obj2, err2 := q.Solve()
+		_, obj2, err2 := ViaSSP(context.Background(), q)
 
 		if (err1 == nil) != (err2 == nil) {
 			return false
@@ -69,7 +70,7 @@ func TestCostScaling(t *testing.T) {
 				p.AddConstraint(i, j, int64(rng.Intn(5)-2))
 			}
 		}
-		_, obj1, err1 := p.Solve()
+		_, obj1, err1 := ViaSSP(context.Background(), p)
 
 		q := NewProblem(n, 0)
 		copy(q.Lo, p.Lo)
@@ -78,7 +79,7 @@ func TestCostScaling(t *testing.T) {
 			q.C[i] = k * p.C[i]
 		}
 		q.Cons = append(q.Cons, p.Cons...)
-		_, obj2, err2 := q.Solve()
+		_, obj2, err2 := ViaSSP(context.Background(), q)
 
 		if (err1 == nil) != (err2 == nil) {
 			return false
@@ -109,7 +110,7 @@ func TestTighteningBoundsNeverImproves(t *testing.T) {
 				p.AddConstraint(i, j, int64(rng.Intn(5)-2))
 			}
 		}
-		_, obj1, err1 := p.Solve()
+		_, obj1, err1 := ViaSSP(context.Background(), p)
 		if err1 != nil {
 			continue
 		}
@@ -120,7 +121,7 @@ func TestTighteningBoundsNeverImproves(t *testing.T) {
 			q.Lo[i] = p.Lo[i] + int64(rng.Intn(2))
 			q.Hi[i] = p.Hi[i] - int64(rng.Intn(2))
 		}
-		_, obj2, err2 := q.Solve()
+		_, obj2, err2 := ViaSSP(context.Background(), q)
 		if err2 != nil {
 			continue // tightening made it infeasible: fine
 		}

@@ -201,9 +201,9 @@ func Fig6() ([]Fig6Result, error) {
 	var out []Fig6Result
 	for _, s := range []struct {
 		name string
-		sv   dlp.Solver
-	}{{"SSP", dlp.SSP}, {"NetworkSimplex", dlp.NetworkSimplex}} {
-		x, obj, err := build().SolveWith(s.sv)
+		sv   dlp.PSolver
+	}{{"SSP", dlp.ViaSSP}, {"NetworkSimplex", dlp.ViaNetworkSimplex}} {
+		x, obj, err := s.sv(context.Background(), build())
 		if err != nil {
 			return nil, err
 		}

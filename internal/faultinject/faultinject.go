@@ -23,10 +23,10 @@ import (
 type Site uint64
 
 const (
-	// SiteWarmSolve fails the per-worker warm-started MCF solve, forcing
-	// the engine onto the cold SPFA tier.
+	// SiteWarmSolve fails the per-worker first-tier solve
+	// (Options.NewSolver), forcing the engine onto the one-shot SSP tier.
 	SiteWarmSolve Site = iota + 1
-	// SiteColdSolve fails the cold SSP solve, forcing the dense simplex.
+	// SiteColdSolve fails the one-shot SSP solve, forcing the dense simplex.
 	SiteColdSolve
 	// SiteSimplexSolve fails the dense-simplex tier, exhausting the solver
 	// chain and forcing no-shrink degradation.

@@ -20,7 +20,7 @@ import (
 // Caching leans on the determinism contract the golden-hash tests pin:
 // a window's sized fills are a pure function of (window content, plan-1
 // targets, plan-2 targets, engine options) — never of scheduling, worker
-// identity, or warm solver state. So the cache keys on the content and
+// identity, or solver state. So the cache keys on the content and
 // the fingerprint alone, stores the plan targets inside the entry, and
 // validates them bit-for-bit at use time:
 //
@@ -46,8 +46,8 @@ import (
 //     the cache's own site and does not disable it.
 //   - budget-degraded and no-shrink windows are never written back:
 //     degradation is wall-clock (or fault) driven, not content-driven,
-//     and must not become sticky through the cache. Only tier-0 (warm
-//     solver, no panic) results are stored.
+//     and must not become sticky through the cache. Only tier-0 (the
+//     worker's own solver, no panic) results are stored.
 //   - a corrupt, truncated or torn entry — organic or injected — counts
 //     in Health.CacheErrors and falls back to a clean recompute.
 

@@ -13,8 +13,7 @@ import (
 	"dummyfill/internal/score"
 )
 
-// sizeWindowScratch sizes one window with the scratch's own (possibly
-// warm-started) solver.
+// sizeWindowScratch sizes one window with the scratch's own solver.
 func sizeWindowScratch(ctx context.Context, w *window, lay *layout.Layout, targets []int64, opts Options, sc *sizeScratch) ([]cell, error) {
 	return sizeWindowWith(ctx, w, lay, targets, opts, sc, sc.solver())
 }

@@ -22,8 +22,8 @@ type Health struct {
 	Sized int `json:"sized"`
 	// Skipped counts windows with no selected candidates (nothing to size).
 	Skipped int `json:"skipped,omitempty"`
-	// FallbackCold counts sized windows that needed the cold SPFA tier
-	// after the warm-started solver failed.
+	// FallbackCold counts sized windows that needed the one-shot SSP
+	// tier after the worker's solver failed.
 	FallbackCold int `json:"fallback_cold,omitempty"`
 	// FallbackSimplex counts sized windows that fell through to the dense
 	// simplex tier.

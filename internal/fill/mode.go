@@ -114,7 +114,8 @@ func (m rectMode) selectCandidates(w *window, td []float64) {
 }
 
 // sizeWindow shrinks the selection through the resilient LP fallback
-// chain (warm MCF → cold SSP → simplex → no-shrink degradation).
+// chain (worker's solver → one-shot SSP → simplex → no-shrink
+// degradation).
 func (m rectMode) sizeWindow(ctx context.Context, k int, w *window, targets []int64, sc *sizeScratch, hc *healthCollector) ([]cell, bool, error) {
 	return m.e.sizeWindowResilient(ctx, k, w, targets, sc, hc)
 }

@@ -45,10 +45,11 @@ type Options struct {
 	// MaxSizingPasses bounds the alternating H/V sizing iterations.
 	MaxSizingPasses int
 	// NewSolver supplies a fresh solver per worker for the per-direction
-	// difference-constraint LPs, letting stateful solvers carry
-	// warm-start state across the windows a worker sizes without any
-	// cross-worker sharing. DefaultOptions uses dlp.NewWarmSSP, the
-	// warm-started dual min-cost-flow solver. For ablation studies, a
+	// difference-constraint LPs, letting a solver reuse its buffers
+	// across the windows a worker sizes without any cross-worker sharing.
+	// DefaultOptions uses dlp.NewWarmSSP, the dual min-cost-flow solver
+	// with a reusable arena (it keeps no state between solves despite
+	// its name). For ablation studies, a
 	// closure returning a stateless solver such as dlp.ViaSSP,
 	// dlp.ViaNetworkSimplex or the dense-simplex dlp.ViaSimplexLP is a
 	// drop-in choice. The fill cache keys entries on the factory's

@@ -89,10 +89,11 @@ func TestHealthyRunReportsHealthy(t *testing.T) {
 	}
 }
 
-// TestWarmFailureFallsBackCold forces the warm MCF tier to fail on ~25%
-// of windows. The run must complete DRC-clean, produce identical fills
-// for Workers=1 and Workers=4, and report the exact deterministic count
-// of cold-tier fallbacks.
+// TestWarmFailureFallsBackCold forces the first solver tier (the
+// worker's own solver, fault site SiteWarmSolve) to fail on ~25% of
+// windows. The run must complete DRC-clean, produce identical fills for
+// Workers=1 and Workers=4, and report the exact deterministic count of
+// fallbacks to the one-shot SSP tier.
 func TestWarmFailureFallsBackCold(t *testing.T) {
 	mkInj := func() *faultinject.Injector {
 		return faultinject.New(42).WithRate(faultinject.SiteWarmSolve, 0.25)
@@ -197,9 +198,10 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestCorruptSolutionNeverApplied corrupts the warm tier's solution
+// TestCorruptSolutionNeverApplied corrupts the first tier's solution
 // vector on ~25% of windows. The engine-side validation must reject it —
-// falling back cold — and no corrupted coordinate may reach the output.
+// falling back to the one-shot tier — and no corrupted coordinate may
+// reach the output.
 func TestCorruptSolutionNeverApplied(t *testing.T) {
 	inj := faultinject.New(99).WithRate(faultinject.SiteCorrupt, 0.25)
 	res := runWith(t, 4, func(o *Options) { o.Inject = inj })

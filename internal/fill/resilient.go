@@ -47,9 +47,10 @@ func corruptSolver(base dlp.PSolver) dlp.PSolver {
 }
 
 // sizeWindowResilient sizes one window through the solver fallback chain —
-// warm MCF → cold SPFA → dense simplex → no-shrink degradation — with
-// per-window panic isolation. Only context cancellation propagates as an
-// error; every other failure degrades the window and is accounted in hc.
+// the worker's solver → one-shot SSP → dense simplex → no-shrink
+// degradation — with per-window panic isolation. Only context
+// cancellation propagates as an error; every other failure degrades the
+// window and is accounted in hc.
 // Decisions are keyed by the window index k, never by worker identity, so
 // results and health counters are identical for any Workers setting.
 //
@@ -78,7 +79,7 @@ func (e *Engine) sizeWindowResilient(ctx context.Context, k int, w *window, targ
 		}
 		solve := tier.solve
 		if t == 0 {
-			// Crash and corruption faults target the warm tier only, so
+			// Crash and corruption faults target the first tier only, so
 			// the chain below it stays available to recover.
 			if inj.Hit(faultinject.SitePanic, key) {
 				solve = panicSolver
@@ -101,8 +102,8 @@ func (e *Engine) sizeWindowResilient(ctx context.Context, k int, w *window, targ
 		if errors.As(err, &pe) {
 			hc.recovered.Add(1)
 			if t == 0 {
-				// The warm solver's carried state is suspect after a
-				// panic; give this scratch a fresh one for later windows.
+				// Whatever state the panic left in the solver is suspect;
+				// give this scratch a fresh one for later windows.
 				sc.solve = e.opts.NewSolver()
 			}
 		}

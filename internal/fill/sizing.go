@@ -12,8 +12,8 @@ import (
 )
 
 // sizeScratch bundles the reusable per-worker state of window sizing: the
-// LP solver from Options.NewSolver (a warm-started one carries its state
-// across the windows a worker processes), the LP arena, the spatial
+// LP solver from Options.NewSolver (the default one reuses its graph
+// arena across the windows a worker processes), the LP arena, the spatial
 // indexes and every per-cell buffer of sizingPass. One worker sizes
 // hundreds of windows over thousands of passes; with the scratch the
 // whole loop performs no steady-state allocation. A sizeScratch is not
@@ -27,6 +27,10 @@ type sizeScratch struct {
 	wireCov []geom.AreaTable
 	wclips  []geom.Rect
 	fillIx  []*geom.Index
+	members [][]int // members[l][id] is the cell behind fillIx[l]'s rect id
+
+	pairs []cellPair // same-layer cells closer than MinSpace, this pass
+	near  []int
 
 	// Per-layer accumulators.
 	area, surplus, totalCross []int64
@@ -42,6 +46,10 @@ type sizeScratch struct {
 	selArea     []int64
 }
 
+// cellPair is two same-layer cells i < j closer than MinSpace in both
+// axes: the pairs the spacing rule (Eqn. 13) constrains.
+type cellPair struct{ i, j int }
+
 // budgetAcc accumulates the per-pass shrink-budget classes of one layer.
 type budgetAcc struct {
 	ovCross, plainCross int64 // Σ cross dims by class
@@ -55,7 +63,7 @@ func newSizeScratch(opts Options) *sizeScratch {
 	return &sizeScratch{newSolve: opts.NewSolver}
 }
 
-// solver returns the scratch's warm solver, creating it on first use.
+// solver returns the scratch's solver, creating it on first use.
 func (sc *sizeScratch) solver() dlp.PSolver {
 	if sc.solve == nil {
 		sc.solve = sc.newSolve()
@@ -98,6 +106,51 @@ func growBool(s []bool, n int) []bool {
 	return s
 }
 
+// indexCells rebuilds the per-layer fill indexes over bounds from cells,
+// recording which cell each index id belongs to.
+func (sc *sizeScratch) indexCells(cells []cell, nl int, bounds geom.Rect) {
+	sc.fillIx = indexes(sc.fillIx, nl, bounds)
+	sc.members = slices.Grow(sc.members[:0], nl)[:nl]
+	for l := range sc.members {
+		sc.members[l] = sc.members[l][:0]
+	}
+	for i, c := range cells {
+		sc.fillIx[c.layer].Insert(c.rect)
+		sc.members[c.layer] = append(sc.members[c.layer], i)
+	}
+}
+
+// crowdedPairs returns every same-layer pair of cells closer than
+// minSpace in both axes, in ascending (i, j) order, and marks the cells
+// of each pair in sc.conflicted. Each cell queries the fill indexes of
+// indexCells with its rect expanded by minSpace, so a pass costs one
+// index query per cell instead of a scan over all pairs.
+func (sc *sizeScratch) crowdedPairs(cells []cell, minSpace int64) []cellPair {
+	conflicted := growBool(sc.conflicted, len(cells))
+	sc.conflicted = conflicted
+	pairs := sc.pairs[:0]
+	for i, c := range cells {
+		near := sc.near[:0]
+		members := sc.members[c.layer]
+		sc.fillIx[c.layer].Query(c.rect.Expand(minSpace), func(id int, r geom.Rect) bool {
+			if j := members[id]; j > i {
+				if gx, gy := c.rect.Gap(r); gx < minSpace && gy < minSpace {
+					near = append(near, j)
+				}
+			}
+			return true
+		})
+		slices.Sort(near)
+		for _, j := range near {
+			pairs = append(pairs, cellPair{i, j})
+			conflicted[i], conflicted[j] = true, true
+		}
+		sc.near = near
+	}
+	sc.pairs = pairs
+	return pairs
+}
+
 // indexes resizes dst to nl indexes over bounds, reusing Index arenas.
 func indexes(dst []*geom.Index, nl int, bounds geom.Rect) []*geom.Index {
 	if cap(dst) < nl {
@@ -125,8 +178,7 @@ func indexes(dst []*geom.Index, nl int, bounds geom.Rect) []*geom.Index {
 // this window. Returns the surviving sized fills; the slice aliases the
 // caller-owned scratch and is only valid until the next call with the
 // same scratch. Solving uses the explicit LP solver solve — the hook the
-// engine's fallback chain uses to retry a window on a different tier
-// without disturbing the scratch's warm solver.
+// engine's fallback chain uses to retry a window on a different tier.
 func sizeWindowWith(ctx context.Context, w *window, lay *layout.Layout, targets []int64, opts Options, sc *sizeScratch, solve dlp.PSolver) ([]cell, error) {
 	if len(w.sel) == 0 {
 		return nil, nil
@@ -167,7 +219,7 @@ func sizeWindowWith(ctx context.Context, w *window, lay *layout.Layout, targets 
 		for dropN := 1; errors.Is(err, dlp.ErrInfeasible); dropN *= 2 {
 			// The spacing chains cannot fit: delete the lowest-quality
 			// conflicted cells, doubling the batch on every retry.
-			cells, err = dropCrowded(cells, dropN, rules, sc)
+			cells, err = dropCrowded(cells, dropN, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -251,11 +303,10 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 	// of the adjacent layers) for overlay linearization.
 	area := growI64(sc.area, nl)
 	sc.area = area
-	sc.fillIx = indexes(sc.fillIx, nl, w.rect)
+	sc.indexCells(cells, nl, w.rect)
 	fillIx, wireCov := sc.fillIx, sc.wireCov
 	for _, c := range cells {
 		area[c.layer] += c.rect.Area()
-		fillIx[c.layer].Insert(c.rect)
 	}
 	surplus := growI64(sc.surplus, nl)
 	totalCross := growI64(sc.totalCross, nl) // Σ of cross dimension per layer
@@ -291,20 +342,8 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 	// Cells involved in a spacing conflict must retain shrink freedom even
 	// when their layer is under target, or the spacing constraints below
 	// could be infeasible against frozen sizes.
-	conflicted := growBool(sc.conflicted, n)
-	sc.conflicted = conflicted
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if cells[i].layer != cells[j].layer {
-				continue
-			}
-			gx, gy := cells[i].rect.Gap(cells[j].rect)
-			if gx < rules.MinSpace && gy < rules.MinSpace {
-				conflicted[i] = true
-				conflicted[j] = true
-			}
-		}
-	}
+	pairs := sc.crowdedPairs(cells, rules.MinSpace)
+	conflicted := sc.conflicted
 
 	// Per-pass shrink budget (§3.3.3): only layers above target shed area,
 	// and each pass removes at most ≈ the surplus, so fill density cannot
@@ -397,44 +436,37 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 		p.C[2*i] = -cost
 	}
 
-	// Spacing constraints between same-layer cells that are close in the
-	// cross direction and separable in the active direction. Each
-	// unordered pair is visited exactly once, so no dedup is needed.
+	// Spacing constraints between crowded same-layer cells that are
+	// separable in the active direction; pairs already MinSpace apart stay
+	// legal because sizing only shrinks. Each unordered pair appears once,
+	// so no dedup is needed.
 	spacingPairs := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if cells[i].layer != cells[j].layer {
-				continue
+	for _, pr := range pairs {
+		i, j := pr.i, pr.j
+		var lowIdx, highIdx int
+		var sep bool
+		if horizontal {
+			switch {
+			case cells[i].rect.XH <= cells[j].rect.XL:
+				lowIdx, highIdx, sep = i, j, true
+			case cells[j].rect.XH <= cells[i].rect.XL:
+				lowIdx, highIdx, sep = j, i, true
 			}
-			gx, gy := cells[i].rect.Gap(cells[j].rect)
-			if gx >= rules.MinSpace || gy >= rules.MinSpace {
-				continue // already legal and shrink-only keeps it so
+		} else {
+			switch {
+			case cells[i].rect.YH <= cells[j].rect.YL:
+				lowIdx, highIdx, sep = i, j, true
+			case cells[j].rect.YH <= cells[i].rect.YL:
+				lowIdx, highIdx, sep = j, i, true
 			}
-			var lowIdx, highIdx int
-			var sep bool
-			if horizontal {
-				switch {
-				case cells[i].rect.XH <= cells[j].rect.XL:
-					lowIdx, highIdx, sep = i, j, true
-				case cells[j].rect.XH <= cells[i].rect.XL:
-					lowIdx, highIdx, sep = j, i, true
-				}
-			} else {
-				switch {
-				case cells[i].rect.YH <= cells[j].rect.YL:
-					lowIdx, highIdx, sep = i, j, true
-				case cells[j].rect.YH <= cells[i].rect.YL:
-					lowIdx, highIdx, sep = j, i, true
-				}
-			}
-			if !sep {
-				continue // the other pass will separate this pair
-			}
-			// low edge of the right/top cell minus high edge of the
-			// left/bottom cell ≥ MinSpace.
-			p.AddConstraint(2*highIdx, 2*lowIdx+1, rules.MinSpace)
-			spacingPairs++
 		}
+		if !sep {
+			continue // the other pass will separate this pair
+		}
+		// low edge of the right/top cell minus high edge of the
+		// left/bottom cell ≥ MinSpace.
+		p.AddConstraint(2*highIdx, 2*lowIdx+1, rules.MinSpace)
+		spacingPairs++
 	}
 
 	x, _, err := solve(ctx, p)
@@ -488,19 +520,14 @@ func minDimFor(rules layout.Rules, cross int64) int64 {
 }
 
 // dropCrowded deletes the dropN lowest-quality cells that participate in
-// a spacing conflict (ties broken by index for determinism).
-func dropCrowded(cells []cell, dropN int, rules layout.Rules, sc *sizeScratch) ([]cell, error) {
+// a spacing conflict (ties broken by index for determinism). The
+// conflicts are the ones sc.conflicted holds from the sizing pass that
+// just failed over cells; a failed pass leaves cells untouched.
+func dropCrowded(cells []cell, dropN int, sc *sizeScratch) ([]cell, error) {
 	conflictIdx := sc.idx[:0]
-	for i := range cells {
-		for j := range cells {
-			if i == j || cells[i].layer != cells[j].layer {
-				continue
-			}
-			gx, gy := cells[i].rect.Gap(cells[j].rect)
-			if gx < rules.MinSpace && gy < rules.MinSpace {
-				conflictIdx = append(conflictIdx, i)
-				break
-			}
+	for i, c := range sc.conflicted {
+		if c {
+			conflictIdx = append(conflictIdx, i)
 		}
 	}
 	sc.idx = conflictIdx

@@ -294,8 +294,8 @@ func (e *Engine) produceWindow(ctx context.Context, k int, wins []*window, td []
 // it is delivered.
 //
 // Each worker owns one lazily-initialized sizing scratch for its whole
-// lifetime (the warm solver state flows from window to window), so the
-// run creates exactly min(Workers, windows) scratches.
+// lifetime (its buffers and solver arena are reused from window to
+// window), so the run creates exactly min(Workers, windows) scratches.
 func (e *Engine) sizeAndEmit(ctx context.Context, wins []*window, td []float64, sink Sink, hc *healthCollector, start time.Time, cst *cacheState) error {
 	nw := len(wins)
 	if nw == 0 {

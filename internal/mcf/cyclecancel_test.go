@@ -45,7 +45,7 @@ func TestThreeSolversAgree(t *testing.T) {
 	for it := 0; it < 120; it++ {
 		n := 2 + rng.Intn(7)
 		g := randomInstance(rng, n, rng.Intn(10))
-		r1, e1 := g.SolveSSP()
+		r1, e1 := g.solveSSP()
 		r2, e2 := g.SolveNetworkSimplex()
 		r3, e3 := g.SolveCycleCanceling()
 		if (e1 == nil) != (e2 == nil) || (e1 == nil) != (e3 == nil) {
@@ -89,7 +89,7 @@ func TestSolversAgainstBruteForce(t *testing.T) {
 		g.SetSupply(n-1, -tot)
 
 		want, feasible := g.bruteForceMinCost(4)
-		res, err := g.SolveSSP()
+		res, err := g.solveSSP()
 		if !feasible {
 			if err == nil {
 				t.Fatalf("it %d: brute says infeasible, SSP cost %d", it, res.Cost)

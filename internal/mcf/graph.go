@@ -1,8 +1,8 @@
 // Package mcf implements minimum-cost flow on directed graphs with node
 // supplies, arc capacities and (possibly negative) arc costs. It provides
 // two independent solvers — successive shortest paths (SPFA-based, robust
-// to negative costs) and network simplex (the algorithm family used by
-// LEMON, which the paper relied on) — plus solution validation helpers.
+// to negative costs, run through a reusable Workspace) and network simplex
+// (the algorithm family used by LEMON, which the paper relied on).
 //
 // It is the substrate for the dual min-cost-flow formulation (Eqn. 15/16
 // of the paper) used to size dummy fills.
@@ -146,50 +146,6 @@ func (g *Graph) checkSolvable() error {
 	}
 	if s != 0 {
 		return fmt.Errorf("%w (sum=%d)", ErrUnbalanced, s)
-	}
-	return nil
-}
-
-// Validate checks that res is a feasible flow for g and returns its cost.
-// It verifies capacity bounds and flow conservation.
-func (g *Graph) Validate(res *Result) (int64, error) {
-	if len(res.Flow) != len(g.arcs) {
-		return 0, fmt.Errorf("mcf: flow vector length %d, want %d", len(res.Flow), len(g.arcs))
-	}
-	imb := make([]int64, len(g.supply))
-	copy(imb, g.supply)
-	var cost int64
-	for i, a := range g.arcs {
-		f := res.Flow[i]
-		if f < 0 || f > a.Cap {
-			return 0, fmt.Errorf("mcf: arc %d flow %d outside [0,%d]", i, f, a.Cap)
-		}
-		imb[a.From] -= f
-		imb[a.To] += f
-		cost += f * a.Cost
-	}
-	for i, v := range imb {
-		if v != 0 {
-			return 0, fmt.Errorf("mcf: node %d conservation violated by %d", i, v)
-		}
-	}
-	return cost, nil
-}
-
-// VerifyOptimal checks complementary slackness of res against its own
-// potentials: every residual arc must have non-negative reduced cost.
-func (g *Graph) VerifyOptimal(res *Result) error {
-	if len(res.Potential) != len(g.supply) {
-		return fmt.Errorf("mcf: potential vector length %d, want %d", len(res.Potential), len(g.supply))
-	}
-	for i, a := range g.arcs {
-		rc := a.Cost - res.Potential[a.From] + res.Potential[a.To]
-		if res.Flow[i] < a.Cap && rc < 0 {
-			return fmt.Errorf("mcf: arc %d (%d->%d) has residual capacity and reduced cost %d < 0", i, a.From, a.To, rc)
-		}
-		if res.Flow[i] > 0 && rc > 0 {
-			return fmt.Errorf("mcf: arc %d (%d->%d) carries flow with reduced cost %d > 0", i, a.From, a.To, rc)
-		}
 	}
 	return nil
 }

@@ -35,7 +35,7 @@ func TestAddArcRejectsMalformedArcs(t *testing.T) {
 		name string
 		run  func() (*Result, error)
 	}{
-		{"ssp", g.SolveSSP},
+		{"ssp", g.solveSSP},
 		{"netsimplex", g.SolveNetworkSimplex},
 		{"cyclecancel", g.SolveCycleCanceling},
 	} {
@@ -54,7 +54,7 @@ func TestAddArcRejectsMalformedArcs(t *testing.T) {
 	}
 	g.SetSupply(0, 1)
 	g.SetSupply(1, -1)
-	if _, err := g.SolveSSP(); err != nil {
+	if _, err := g.solveSSP(); err != nil {
 		t.Fatalf("solve after Reset: %v", err)
 	}
 }

@@ -11,7 +11,7 @@ var solvers = []struct {
 	name  string
 	solve func(*Graph) (*Result, error)
 }{
-	{"SSP", (*Graph).SolveSSP},
+	{"SSP", (*Graph).solveSSP},
 	{"NetworkSimplex", (*Graph).SolveNetworkSimplex},
 }
 
@@ -255,7 +255,7 @@ func TestCrossValidateSolvers(t *testing.T) {
 	for it := 0; it < 200; it++ {
 		n := 2 + rng.Intn(8)
 		g := randomInstance(rng, n, rng.Intn(12))
-		r1, err1 := g.SolveSSP()
+		r1, err1 := g.solveSSP()
 		r2, err2 := g.SolveNetworkSimplex()
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("it %d: solver disagreement: ssp=%v ns=%v", it, err1, err2)
@@ -284,7 +284,7 @@ func TestLargerCrossValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for it := 0; it < 20; it++ {
 		g := randomInstance(rng, 40, 120)
-		r1, err1 := g.SolveSSP()
+		r1, err1 := g.solveSSP()
 		r2, err2 := g.SolveNetworkSimplex()
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("it %d: disagreement: %v vs %v", it, err1, err2)
@@ -319,7 +319,7 @@ func BenchmarkSSPMedium(b *testing.B) {
 	g := randomInstance(rng, 200, 800)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.SolveSSP(); err != nil {
+		if _, err := g.solveSSP(); err != nil {
 			b.Fatal(err)
 		}
 	}

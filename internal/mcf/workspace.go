@@ -5,13 +5,12 @@ import (
 	"math"
 )
 
-// Workspace is a reusable min-cost-flow solver state: the residual-graph
-// arena, the shortest-path buffers and the node potentials of the last
-// solve. Reusing one Workspace across many solves of similarly-sized
-// problems keeps the hot path allocation-free, and consecutive solves of
-// near-identical instances can warm-start from the carried potentials
-// (skipping the Bellman-Ford initialization entirely when they are still
-// dual-feasible).
+// Workspace is the reusable arena of the successive-shortest-path solver:
+// the residual graph, the shortest-path buffers and the node potentials.
+// Reusing one Workspace across many solves of similarly-sized problems
+// keeps the hot path allocation-free. Nothing else carries over: every
+// solve seeds its potentials from scratch, so its result depends on the
+// instance alone.
 //
 // A Workspace is not safe for concurrent use; give each goroutine its own.
 // The zero value is ready to use.
@@ -25,7 +24,7 @@ type Workspace struct {
 
 	excess  []int64
 	dist    []int64
-	pot     []int64 // potentials carried across solves (warm-start seed)
+	pot     []int64
 	prevArc []int
 
 	// SPFA state.
@@ -53,6 +52,7 @@ func (ws *Workspace) grow(n, m int) {
 	ws.first = growInt(ws.first, n)
 	ws.excess = growI64(ws.excess, n)
 	ws.dist = growI64(ws.dist, n)
+	ws.pot = growI64(ws.pot, n)
 	ws.prevArc = growInt(ws.prevArc, n)
 	if cap(ws.inQueue) < n {
 		ws.inQueue = make([]bool, n)
@@ -90,19 +90,20 @@ func growInt(s []int, n int) []int {
 const ctxCheckStride = 64
 
 // SolveSSP solves g by successive shortest paths into out, reusing the
-// workspace buffers. When warm is true and the potentials left by the
-// previous solve are still dual-feasible for g (checked in O(m)), the
-// Bellman-Ford initialization is skipped and every augmentation runs
-// Dijkstra on reduced costs directly.
+// workspace buffers. Node potentials are seeded once with SPFA
+// (queue-based Bellman-Ford, so negative arc costs need no
+// pre-transformation), negative residual cycles are cancelled (or
+// reported as ErrUnbounded when uncapacitated), and every augmentation
+// then runs Dijkstra over reduced costs.
 //
 // The context is honoured mid-solve: cancellation is checked every
 // ctxCheckStride augmentations, so a runaway instance can be abandoned
 // promptly. A cancelled solve returns a SolverError unwrapping to
-// ctx.Err() and leaves no usable warm-start state.
+// ctx.Err().
 //
 // out's slices are resized in place, so a caller that reuses one Result
 // across solves performs no allocations in steady state.
-func (ws *Workspace) SolveSSP(ctx context.Context, g *Graph, warm bool, out *Result) error {
+func (ws *Workspace) SolveSSP(ctx context.Context, g *Graph, out *Result) error {
 	if err := g.checkSolvable(); err != nil {
 		return err
 	}
@@ -125,27 +126,8 @@ func (ws *Workspace) SolveSSP(ctx context.Context, g *Graph, warm bool, out *Res
 	}
 	copy(ws.excess, g.supply)
 
-	// Potential initialization. A warm seed is usable iff every residual
-	// arc has non-negative reduced cost under it (the flow is zero, so the
-	// residual arcs are exactly the forward arcs). Otherwise fall back to
-	// Bellman-Ford from a virtual source, cancelling any finite negative
-	// cycles on the way (an InfCap-bottleneck cycle means unbounded).
-	warmOK := warm && len(ws.pot) == n
-	if warmOK {
-		for i, a := range g.arcs {
-			if ws.res[2*i] > 0 && a.Cost-ws.pot[a.From]+ws.pot[a.To] < 0 {
-				warmOK = false
-				break
-			}
-		}
-	}
-	if !warmOK {
-		ws.pot = growI64(ws.pot, n)
-		if err := ws.initPotentials(ctx, n); err != nil {
-			return err
-		}
-	} else {
-		ws.pot = ws.pot[:n]
+	if err := ws.initPotentials(ctx, n); err != nil {
+		return err
 	}
 
 	// Successive shortest paths: repeatedly send flow from an excess node

@@ -53,17 +53,6 @@ func (c Coefficients) PlanWeights() density.PlanWeights {
 	}
 }
 
-// F is Eqn. (4): max(0, 1 − x/β). A non-positive β yields 0.
-func F(x, beta float64) float64 {
-	if beta <= 0 {
-		return 0
-	}
-	if s := 1 - x/beta; s > 0 {
-		return s
-	}
-	return 0
-}
-
 // Raw holds the unscored measurements of a solution.
 type Raw struct {
 	Overlay    int64   // Σ_l ov(l,l+1), DBU²
@@ -89,13 +78,13 @@ type Report struct {
 // Score converts raw measurements into a report under c.
 func Score(raw Raw, c Coefficients) *Report {
 	r := &Report{Raw: raw}
-	r.Overlay = F(float64(raw.Overlay), c.BetaOverlay)
-	r.Variation = F(raw.SumSigma, c.BetaVar)
-	r.Line = F(raw.SumLine, c.BetaLine)
-	r.Outlier = F(raw.SumSigma*raw.SumOutlier, c.BetaOutlier)
-	r.Size = F(float64(raw.FileSizeB)/(1<<20), c.BetaSize)
-	r.Runtime = F(raw.RuntimeSec, c.BetaRuntime)
-	r.Memory = F(raw.MemoryMiB, c.BetaMemory)
+	r.Overlay = density.F(float64(raw.Overlay), c.BetaOverlay)
+	r.Variation = density.F(raw.SumSigma, c.BetaVar)
+	r.Line = density.F(raw.SumLine, c.BetaLine)
+	r.Outlier = density.F(raw.SumSigma*raw.SumOutlier, c.BetaOutlier)
+	r.Size = density.F(float64(raw.FileSizeB)/(1<<20), c.BetaSize)
+	r.Runtime = density.F(raw.RuntimeSec, c.BetaRuntime)
+	r.Memory = density.F(raw.MemoryMiB, c.BetaMemory)
 	r.Quality = c.AlphaOverlay*r.Overlay + c.AlphaVar*r.Variation +
 		c.AlphaLine*r.Line + c.AlphaOutlier*r.Outlier + c.AlphaSize*r.Size
 	r.Total = r.Quality + c.AlphaRuntime*r.Runtime + c.AlphaMemory*r.Memory

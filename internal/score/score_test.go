@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dummyfill/internal/density"
 	"dummyfill/internal/geom"
 	"dummyfill/internal/layout"
 )
@@ -20,7 +21,7 @@ func TestF(t *testing.T) {
 		{-5, 10, 1.5}, // negative raw values can exceed 1 (not used in practice)
 	}
 	for _, c := range cases {
-		if got := F(c.x, c.beta); math.Abs(got-c.want) > 1e-12 {
+		if got := density.F(c.x, c.beta); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("F(%v,%v) = %v, want %v", c.x, c.beta, got, c.want)
 		}
 	}
