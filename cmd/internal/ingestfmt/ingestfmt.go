@@ -21,7 +21,7 @@ var DefaultRules = dummyfill.Rules{MinWidth: 8, MinSpace: 8, MinArea: 64, MaxFil
 // else a name from dummyfill.Formats(). A zero opts.Rules is defaulted
 // to DefaultRules unless the stream format states its own rules.
 func Read(r io.Reader, format string, opts dummyfill.IngestOptions) (*dummyfill.Layout, error) {
-	f, src, err := Resolve(r, format)
+	f, src, err := layio.Resolve(r, format)
 	if err != nil {
 		return nil, err
 	}
@@ -29,22 +29,4 @@ func Read(r io.Reader, format string, opts dummyfill.IngestOptions) (*dummyfill.
 		opts.Rules = DefaultRules
 	}
 	return ingest.FromShapes(f.NewShapeReader(src, f.Limits), opts)
-}
-
-// Resolve maps a -format flag value to a registered format, sniffing r
-// when the value is "auto" or empty. The returned reader replaces r (it
-// holds the peeked prefix).
-func Resolve(r io.Reader, format string) (layio.Format, io.Reader, error) {
-	if format == "" || format == "auto" {
-		f, br, err := layio.DetectReader(r)
-		if err != nil {
-			return layio.Format{}, nil, err
-		}
-		return f, br, nil
-	}
-	f, err := layio.Lookup(format)
-	if err != nil {
-		return layio.Format{}, nil, err
-	}
-	return f, r, nil
 }

@@ -22,7 +22,7 @@ type (
 	Planarity = cmppad.Planarity
 	// DensityGrid is a per-window scalar field (densities, heights).
 	DensityGrid = grid.Map
-	// IngestOptions control building a Layout from a GDSII library.
+	// IngestOptions control building a Layout from a layout stream.
 	IngestOptions = ingest.Options
 )
 
@@ -63,21 +63,17 @@ func Formats() []string { return layio.Formats() }
 // fields defer to metadata the stream itself carries (text layouts name
 // their die, window and rules; binary formats need Rules set).
 func ReadLayout(r io.Reader, opts IngestOptions) (*Layout, error) {
-	f, br, err := layio.DetectReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return ingest.FromShapes(f.NewShapeReader(br, f.Limits), opts)
+	return ReadLayoutFormat(r, "auto", opts)
 }
 
 // ReadLayoutFormat is ReadLayout with the format fixed by name instead
-// of sniffed (see Formats).
+// of sniffed (see Formats); "auto" or "" sniff as ReadLayout does.
 func ReadLayoutFormat(r io.Reader, format string, opts IngestOptions) (*Layout, error) {
-	f, err := layio.Lookup(format)
+	f, src, err := layio.Resolve(r, format)
 	if err != nil {
 		return nil, err
 	}
-	return ingest.FromShapes(f.NewShapeReader(r, f.Limits), opts)
+	return ingest.FromShapes(f.NewShapeReader(src, f.Limits), opts)
 }
 
 // WriteTextLayout emits the layout in the line-oriented text format (see
@@ -85,17 +81,9 @@ func ReadLayoutFormat(r io.Reader, format string, opts IngestOptions) (*Layout, 
 // GDSII.
 func WriteTextLayout(w io.Writer, lay *Layout) error { return textfmt.WriteLayout(w, lay) }
 
-// ReadTextLayout parses a text-format layout (validated).
-func ReadTextLayout(r io.Reader) (*Layout, error) { return textfmt.ReadLayout(r) }
-
 // WriteTextSolution emits a fill solution in the text format.
 func WriteTextSolution(w io.Writer, name string, sol *Solution) error {
 	return writeDeck(w, textfmt.FormatName, layio.SolutionDeck, &Layout{Name: name}, sol)
-}
-
-// ReadTextSolution parses a text-format fill solution.
-func ReadTextSolution(r io.Reader) (name string, sol *Solution, err error) {
-	return textfmt.ReadSolution(r)
 }
 
 // WriteDEFLayout emits the layout (wires, plus sol's fills when

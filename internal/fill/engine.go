@@ -35,10 +35,6 @@ type Result struct {
 	// Candidates is the number of candidate fills selected by Alg. 1
 	// before sizing and pruning.
 	Candidates int
-	// UpperBounds are the per-layer achievable-density maps used by the
-	// second planning round (wire + selected candidate area per window),
-	// useful for diagnosing coverage limits.
-	UpperBounds []*grid.Map
 	// Windows is the number of grid windows processed.
 	Windows int
 	// Health reports how gracefully the run completed: solver fallback

@@ -137,10 +137,6 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 	if err := e.cacheResolve(ctx, wins, cst, plan2.Td, hc); err != nil {
 		return nil, err
 	}
-	uppers := make([]*grid.Map, len(bounds2))
-	for i := range bounds2 {
-		uppers[i] = bounds2[i].Upper
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -153,7 +149,6 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 		FirstTargets: plan1.Td,
 		Targets:      plan2.Td,
 		Candidates:   numCand,
-		UpperBounds:  uppers,
 		Windows:      len(wins),
 		//filllint:allow nodeterm -- Health reports observed wall-clock spend; it never feeds back into geometry
 		Health: hc.health(len(wins), e.opts.Budget, time.Since(start)),

@@ -474,6 +474,43 @@ func intersections(a, b []Rect) []Rect {
 	return pieces
 }
 
+// UnionSlabs decomposes the union of rects into disjoint rectangles
+// (maximal horizontal slabs). The output rectangles are non-overlapping
+// and their total area equals UnionArea(rects). Tests use it as the
+// reference decomposition.
+func UnionSlabs(rects []Rect) []Rect {
+	var sc sweepScratch
+	evs := sc.buildEvents(rects)
+	cov := &sc.cov
+	var out []Rect
+	var open []openSlab
+	var prev, curr []covIval
+	for i := 0; i < len(evs); {
+		y := evs[i].y
+		for i < len(evs) && evs[i].y == y {
+			cov.update(evs[i].xl, evs[i].xh, evs[i].delta)
+			i++
+		}
+		curr = cov.coveredInto(curr)
+		if !sameIvals(prev, curr) {
+			// Close all open slabs at y, open new ones from curr.
+			for _, s := range open {
+				if y > s.yl {
+					out = append(out, Rect{s.xl, s.yl, s.xh, y})
+				}
+			}
+			open = open[:0]
+			for _, iv := range curr {
+				open = append(open, openSlab{iv.xl, iv.xh, y})
+			}
+			prev, curr = curr, prev
+		}
+	}
+	// All rects are closed by their own close event, so the active set is
+	// empty here and nothing is left open.
+	return out
+}
+
 // IntersectSets returns the disjoint decomposition of the intersection of
 // the unions of a and b: region covered by at least one rect of a AND at
 // least one rect of b.

@@ -6,9 +6,8 @@ import (
 )
 
 // This file implements scanline boolean operations over sets of (possibly
-// overlapping) rectangles: exact union area, union decomposition into
-// disjoint maximal horizontal slabs, difference (free-space extraction),
-// and pairwise intersection of two rectangle sets.
+// overlapping) rectangles: exact union area and difference (free-space
+// extraction).
 //
 // These run in the innermost loops of candidate generation and density
 // accounting, so they are written for zero steady-state allocation: event
@@ -32,10 +31,8 @@ type openSlab struct {
 // sweepScratch bundles the reusable buffers of one union sweep. Instances
 // ping-pong through sweepPool so concurrent sweeps never share state.
 type sweepScratch struct {
-	evs        []sweepEvent
-	cov        coverage
-	prev, curr []covIval
-	open       []openSlab
+	evs []sweepEvent
+	cov coverage
 }
 
 var sweepPool = sync.Pool{New: func() any { return new(sweepScratch) }}
@@ -191,49 +188,6 @@ func (c *coverage) coveredInto(dst []covIval) []covIval {
 		dst = append(dst, covIval{iv.xl, iv.xh, 1})
 	}
 	return dst
-}
-
-// UnionSlabs decomposes the union of rects into disjoint rectangles
-// (maximal horizontal slabs). The output rectangles are non-overlapping
-// and their total area equals UnionArea(rects).
-func UnionSlabs(rects []Rect) []Rect {
-	sc := sweepPool.Get().(*sweepScratch)
-	evs := sc.buildEvents(rects)
-	if len(evs) == 0 {
-		sweepPool.Put(sc)
-		return nil
-	}
-	cov := &sc.cov
-	cov.reset()
-	var out []Rect
-	open := sc.open[:0]
-	prev, curr := sc.prev[:0], sc.curr[:0]
-	for i := 0; i < len(evs); {
-		y := evs[i].y
-		for i < len(evs) && evs[i].y == y {
-			cov.update(evs[i].xl, evs[i].xh, evs[i].delta)
-			i++
-		}
-		curr = cov.coveredInto(curr)
-		if !sameIvals(prev, curr) {
-			// Close all open slabs at y, open new ones from curr.
-			for _, s := range open {
-				if y > s.yl {
-					out = append(out, Rect{s.xl, s.yl, s.xh, y})
-				}
-			}
-			open = open[:0]
-			for _, iv := range curr {
-				open = append(open, openSlab{iv.xl, iv.xh, y})
-			}
-			prev, curr = curr, prev
-		}
-	}
-	// All rects are closed by their own close event, so the active set is
-	// empty here and nothing is left open.
-	sc.open, sc.prev, sc.curr = open, prev, curr
-	sweepPool.Put(sc)
-	return out
 }
 
 func sameIvals(a, b []covIval) bool {

@@ -12,7 +12,7 @@ import (
 
 // maxAllocPerDeckByte caps streaming GDSII ingest on design "m": the
 // cumulative allocation of NewShapeReader + FromShapes divided by the
-// deck's size. Streaming ingest allocates about 30 B per deck byte; a
+// deck's size. Streaming ingest allocates about 24 B per deck byte; a
 // parser that materialized the whole library first allocated about 38.
 const maxAllocPerDeckByte = 36
 

@@ -15,6 +15,12 @@ import (
 	"dummyfill/internal/layout"
 )
 
+// MaxLayers caps the layer stack FromShapes will build. Layer ids come
+// straight off untrusted streams; without a cap a single hostile shape
+// on layer 2^40 would allocate a dense slice that large. Real processes
+// stop well short of 65536 routing layers.
+const MaxLayers = 1 << 16
+
 // Options control layout construction.
 type Options struct {
 	// Window is the density-analysis window size. Zero picks the stream
@@ -28,19 +34,18 @@ type Options struct {
 	// Die overrides the die area; zero value uses the stream header's die
 	// if present, else the bounding box of all shapes.
 	Die geom.Rect
-	// KeepFills controls whether existing fill shapes (datatype 1) found
-	// in the input are treated as wires (blocking new fill) or dropped.
-	KeepFills bool
 }
 
 // FromShapes drains a streaming shape reader into a Layout ready for the
 // fill engine, without materializing any per-format library. Wires
-// (datatype 0) block fill; existing fills (datatype 1) are kept as wires
-// or dropped per Options.KeepFills; explicit fill regions (datatype 2,
-// text layouts) are trusted as-is. For formats without layout metadata
-// (GDSII, OASIS) the feasible fill regions are computed: the free space
-// at least MinSpace away from any shape, extracted per window with the
-// slab orientation chosen per layer from the dominant wire direction.
+// (datatype 0) block fill; existing fills (datatype 1) are dropped;
+// explicit fill regions (datatype 2, text layouts) are trusted as-is.
+// For formats without layout metadata (GDSII, OASIS, DEF) the feasible
+// fill regions are computed: the free space at least MinSpace away from
+// any wire, extracted per window with the slab orientation chosen per
+// layer from the dominant wire direction. A layer id at or above
+// MaxLayers, on a shape or in the header, fails with an error wrapping
+// layio.ErrLimit.
 func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 	if opts.Rules != (layout.Rules{}) {
 		if err := opts.Rules.Validate(); err != nil {
@@ -48,18 +53,8 @@ func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 		}
 	}
 
-	ensure := func(sl *[][]geom.Rect, n int) error {
-		if n > layout.MaxBuilderLayers {
-			return fmt.Errorf("ingest: layer count %d exceeds cap %d", n, layout.MaxBuilderLayers)
-		}
-		for len(*sl) < n {
-			*sl = append(*sl, nil)
-		}
-		return nil
-	}
-	var wires, fills, regions [][]geom.Rect // dense, per layer
+	var wires, regions [][]geom.Rect // dense, per layer
 	var bbox geom.Rect
-	nshapes := 0
 	for {
 		s, err := sr.Next()
 		if err == io.EOF {
@@ -71,128 +66,127 @@ func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 		if s.Layer < 0 {
 			return nil, fmt.Errorf("ingest: negative layer id %d", s.Layer)
 		}
+		if s.Layer >= MaxLayers {
+			return nil, fmt.Errorf("ingest: %w: layer id %d at or above cap %d", layio.ErrLimit, s.Layer, MaxLayers)
+		}
 		dst := &wires
 		switch s.Datatype {
 		case layio.DatatypeFill:
-			if !opts.KeepFills {
-				continue
-			}
-			dst = &fills
+			continue
 		case layio.DatatypeRegion:
 			dst = &regions
+		default:
+			bbox = bbox.Union(s.Rect)
 		}
-		if err := ensure(dst, s.Layer+1); err != nil {
-			return nil, err
+		for len(*dst) <= s.Layer {
+			*dst = append(*dst, nil)
 		}
 		(*dst)[s.Layer] = append((*dst)[s.Layer], s.Rect)
-		if dst != &regions {
-			bbox = bbox.Union(s.Rect)
-			nshapes++
-		}
 	}
 	hdr := sr.Header()
+	if hdr.NumLayers > MaxLayers {
+		return nil, fmt.Errorf("ingest: %w: header declares %d layers, above cap %d", layio.ErrLimit, hdr.NumLayers, MaxLayers)
+	}
 
-	if nshapes == 0 && !hdr.HasLayoutMeta {
+	if len(wires) == 0 && !hdr.HasLayoutMeta {
 		return nil, fmt.Errorf("ingest: library %q contains no shapes", hdr.Name)
 	}
-	die := opts.Die
-	if die.Empty() {
-		die = hdr.Die
+	lay := &layout.Layout{Name: hdr.Name, Die: opts.Die, Window: opts.Window, Rules: opts.Rules}
+	if lay.Die.Empty() {
+		lay.Die = hdr.Die
 	}
-	if die.Empty() {
-		die = bbox
+	if lay.Die.Empty() {
+		lay.Die = bbox
 	}
-	window := opts.Window
-	if window <= 0 {
-		window = hdr.Window
+	if lay.Window <= 0 {
+		lay.Window = hdr.Window
 	}
-	if window <= 0 {
-		window = max64(die.W(), die.H()) / 16
-		if window < 1 {
-			window = 1
+	if lay.Window <= 0 {
+		lay.Window = max(lay.Die.W(), lay.Die.H()) / 16
+		if lay.Window < 1 {
+			lay.Window = 1
 		}
 	}
-	rules := opts.Rules
-	if rules == (layout.Rules{}) {
-		rules = hdr.Rules
+	if lay.Rules == (layout.Rules{}) {
+		lay.Rules = hdr.Rules
 	}
-	if err := rules.Validate(); err != nil {
+	if err := lay.Rules.Validate(); err != nil {
 		return nil, err
 	}
-	numLayers := len(wires)
-	for _, n := range [...]int{len(fills), len(regions), hdr.NumLayers} {
-		if n > numLayers {
-			numLayers = n
-		}
+	if hdr.Sites != nil {
+		sites := *hdr.Sites
+		lay.Sites = &sites
 	}
 
-	b := layout.NewBuilder().
-		SetName(hdr.Name).SetDie(die).SetWindow(window).SetRules(rules).
-		EnsureLayers(numLayers)
-	if hdr.Sites != nil {
-		b.SetSites(*hdr.Sites)
-	}
 	at := func(sl [][]geom.Rect, li int) []geom.Rect {
 		if li < len(sl) {
 			return sl[li]
 		}
 		return nil
 	}
+	lay.Layers = make([]*layout.Layer, max(len(wires), len(regions), hdr.NumLayers))
 	if hdr.HasLayoutMeta {
 		// The file states its own geometry; trust it unmodified and let
 		// validation police it.
-		for li := 0; li < numLayers; li++ {
-			for _, r := range at(wires, li) {
-				b.AddWire(li, r)
-			}
-			for _, r := range at(fills, li) {
-				b.AddWire(li, r)
-			}
-			for _, r := range at(regions, li) {
-				b.AddFillRegion(li, r)
-			}
+		for li := range lay.Layers {
+			lay.Layers[li] = &layout.Layer{Wires: at(wires, li), FillRegions: at(regions, li)}
 		}
 	} else {
-		g, err := grid.New(die, window)
+		g, err := grid.New(lay.Die, lay.Window)
 		if err != nil {
 			return nil, err
 		}
-		for li := 0; li < numLayers; li++ {
-			shapes := append(append([]geom.Rect(nil), at(wires, li)...), at(fills, li)...)
-			clipped := make([]geom.Rect, 0, len(shapes))
-			for _, s := range shapes {
-				if c := s.Intersect(die); !c.Empty() {
-					clipped = append(clipped, c)
-				}
-			}
-			for _, r := range clipped {
-				b.AddWire(li, r)
-			}
-			for _, r := range ExtractFillRegions(g, clipped, rules) {
-				b.AddFillRegion(li, r)
+		for li := range lay.Layers {
+			clipped := clipToDie(at(wires, li), lay.Die)
+			lay.Layers[li] = &layout.Layer{
+				Wires:       clipped,
+				FillRegions: ExtractFillRegions(g, clipped, lay.Rules, dominantlyVertical(clipped)),
 			}
 		}
 	}
-	lay, err := b.Build()
-	if err != nil {
+	if err := lay.Validate(); err != nil {
 		return nil, fmt.Errorf("ingest: constructed layout invalid: %v", err)
 	}
 	return lay, nil
 }
 
-// ExtractFillRegions computes the feasible fill regions of one layer:
-// per window, the free space after expanding every shape by the minimum
-// spacing, with the slab orientation picked from the layer's dominant
-// wire direction, and slivers unable to host a legal fill dropped.
-func ExtractFillRegions(g *grid.Grid, shapes []geom.Rect, rules layout.Rules) []geom.Rect {
-	// Dominant direction: compare summed widths vs. heights.
+// clipToDie returns the non-empty intersections of shapes with die in one
+// exact-size slice (nil when none survive).
+func clipToDie(shapes []geom.Rect, die geom.Rect) []geom.Rect {
+	n := 0
+	for _, s := range shapes {
+		if !s.Intersect(die).Empty() {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]geom.Rect, 0, n)
+	for _, s := range shapes {
+		if c := s.Intersect(die); !c.Empty() {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// dominantlyVertical reports whether shapes run mostly vertically: their
+// summed heights exceed their summed widths.
+func dominantlyVertical(shapes []geom.Rect) bool {
 	var sumW, sumH int64
 	for _, s := range shapes {
 		sumW += s.W()
 		sumH += s.H()
 	}
-	vertical := sumH > sumW
+	return sumH > sumW
+}
 
+// ExtractFillRegions computes the feasible fill regions of one layer:
+// per window, the free space after expanding every shape by the minimum
+// spacing, decomposed into vertical slabs when vertical is set (else
+// horizontal), with slivers unable to host a legal fill dropped.
+func ExtractFillRegions(g *grid.Grid, shapes []geom.Rect, rules layout.Rules, vertical bool) []geom.Rect {
 	perWin := make([][]geom.Rect, g.NumWindows())
 	for _, s := range shapes {
 		ex := s.Expand(rules.MinSpace)
@@ -211,11 +205,4 @@ func ExtractFillRegions(g *grid.Grid, shapes []geom.Rect, rules layout.Rules) []
 		}
 	}
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

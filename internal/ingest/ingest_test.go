@@ -1,7 +1,11 @@
-package ingest
+package ingest_test
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"slices"
+	"strings"
 	"testing"
 
 	"dummyfill/internal/drc"
@@ -9,9 +13,11 @@ import (
 	"dummyfill/internal/gdsii"
 	"dummyfill/internal/geom"
 	"dummyfill/internal/grid"
+	"dummyfill/internal/ingest"
 	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 	"dummyfill/internal/synth"
+	"dummyfill/internal/textfmt"
 )
 
 // gdsReader encodes the boundaries as a one-structure GDSII stream and
@@ -40,8 +46,8 @@ func gdsReader(t *testing.T, bs ...gdsii.Boundary) layio.ShapeReader {
 	return gdsii.NewShapeReader(&buf, gdsii.DefaultLimits())
 }
 
-func testOpts() Options {
-	return Options{
+func testOpts() ingest.Options {
+	return ingest.Options{
 		Window: 500,
 		Rules:  layout.Rules{MinWidth: 8, MinSpace: 8, MinArea: 64, MaxFillDim: 200},
 	}
@@ -67,7 +73,7 @@ func TestFromShapesRoundTripSynthDesign(t *testing.T) {
 	opts.Die = src.Die
 	opts.Rules = src.Rules
 	opts.Window = src.Window
-	lay, err := FromShapes(gdsii.NewShapeReader(&buf, gdsii.DefaultLimits()), opts)
+	lay, err := ingest.FromShapes(gdsii.NewShapeReader(&buf, gdsii.DefaultLimits()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +111,7 @@ func TestFromShapesPolygonWires(t *testing.T) {
 	}
 	opts := testOpts()
 	opts.Die = geom.R(0, 0, 1000, 1000)
-	lay, err := FromShapes(gdsReader(t, lShape), opts)
+	lay, err := ingest.FromShapes(gdsReader(t, lShape), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,36 +133,35 @@ func TestFromShapesPolygonWires(t *testing.T) {
 	}
 }
 
-func TestFromShapesKeepFills(t *testing.T) {
+// TestFromShapesDropsFills checks that existing fill shapes (datatype 1)
+// in the input neither block new fill nor survive as wires.
+func TestFromShapesDropsFills(t *testing.T) {
 	shapes := []gdsii.Boundary{
 		{Layer: 1, Datatype: 0, Pts: rectPts(geom.R(0, 0, 100, 100))},
 		{Layer: 1, Datatype: 1, Pts: rectPts(geom.R(300, 300, 400, 400))},
 	}
 	opts := testOpts()
 	opts.Die = geom.R(0, 0, 1000, 1000)
-
-	lay, err := FromShapes(gdsReader(t, shapes...), opts)
+	lay, err := ingest.FromShapes(gdsReader(t, shapes...), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lay.Layers[0].Wires) != 1 {
-		t.Fatalf("dropped-fills mode: wires = %d, want 1", len(lay.Layers[0].Wires))
+		t.Fatalf("wires = %d, want 1 (the fill dropped)", len(lay.Layers[0].Wires))
 	}
-
-	opts.KeepFills = true
-	lay, err = FromShapes(gdsReader(t, shapes...), opts)
-	if err != nil {
-		t.Fatal(err)
+	covered := false
+	for _, fr := range lay.Layers[0].FillRegions {
+		covered = covered || fr.ContainsRect(geom.R(300, 300, 400, 400))
 	}
-	if len(lay.Layers[0].Wires) != 2 {
-		t.Fatalf("keep-fills mode: blocking shapes = %d, want 2", len(lay.Layers[0].Wires))
+	if !covered {
+		t.Fatal("a dropped fill still blocks the fill regions")
 	}
 }
 
 func TestFromShapesDefaults(t *testing.T) {
 	wire := gdsii.Boundary{Layer: 1, Datatype: 0, Pts: rectPts(geom.R(0, 0, 1600, 50))}
-	opts := Options{Rules: testOpts().Rules} // no window, no die
-	lay, err := FromShapes(gdsReader(t, wire), opts)
+	opts := ingest.Options{Rules: testOpts().Rules} // no window, no die
+	lay, err := ingest.FromShapes(gdsReader(t, wire), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,39 +174,139 @@ func TestFromShapesDefaults(t *testing.T) {
 }
 
 func TestFromShapesErrors(t *testing.T) {
-	if _, err := FromShapes(gdsReader(t), testOpts()); err == nil {
+	if _, err := ingest.FromShapes(gdsReader(t), testOpts()); err == nil {
 		t.Fatal("shapeless library must error")
 	}
 	wire := gdsii.Boundary{Layer: 1, Pts: rectPts(geom.R(0, 0, 10, 10))}
-	if _, err := FromShapes(gdsReader(t, wire), Options{}); err == nil {
+	if _, err := ingest.FromShapes(gdsReader(t, wire), ingest.Options{}); err == nil {
 		t.Fatal("zero rules must error")
 	}
 }
 
-func TestExtractFillRegionsOrientation(t *testing.T) {
-	rules := testOpts().Rules
-	g, err := grid.New(geom.R(0, 0, 1000, 1000), 1000)
+// TestFromShapesNegativeLayer checks that a shape on a negative layer id
+// fails ingest; a negative id is malformed input, not a limit.
+func TestFromShapesNegativeLayer(t *testing.T) {
+	neg := &stubReader{shapes: []layio.Shape{{Layer: -3, Rect: geom.R(0, 0, 1, 1)}}}
+	if _, err := ingest.FromShapes(neg, testOpts()); err == nil || !strings.Contains(err.Error(), "negative layer id -3") {
+		t.Fatalf("negative layer: err = %v, want negative layer id", err)
+	}
+}
+
+// stubReader replays fixed shapes, then reports hdr.
+type stubReader struct {
+	shapes []layio.Shape
+	hdr    layio.Header
+}
+
+func (s *stubReader) Next() (layio.Shape, error) {
+	if len(s.shapes) == 0 {
+		return layio.Shape{}, io.EOF
+	}
+	sh := s.shapes[0]
+	s.shapes = s.shapes[1:]
+	return sh, nil
+}
+
+func (s *stubReader) Header() layio.Header { return s.hdr }
+
+// TestFromShapesLayerCap checks the layer cap: a layer id at or above
+// MaxLayers, on any shape or in the header, fails with an error wrapping
+// layio.ErrLimit, while the top layer under the cap still builds.
+func TestFromShapesLayerCap(t *testing.T) {
+	meta := layio.Header{
+		Die: geom.R(0, 0, 10, 10), Window: 5, HasLayoutMeta: true,
+		Rules: layout.Rules{MinWidth: 1, MinArea: 1},
+	}
+	unit := geom.R(0, 0, 1, 1)
+	over := map[string]layio.ShapeReader{
+		"text fill":   textfmt.NewShapeReader(strings.NewReader("fill 65536 0 0 1 1\n"), textfmt.DefaultLimits()),
+		"shape wire":  &stubReader{shapes: []layio.Shape{{Layer: ingest.MaxLayers, Rect: unit}}},
+		"header only": &stubReader{hdr: layio.Header{NumLayers: ingest.MaxLayers + 1, HasLayoutMeta: true}},
+	}
+	for name, sr := range over {
+		if _, err := ingest.FromShapes(sr, ingest.Options{}); !errors.Is(err, layio.ErrLimit) {
+			t.Errorf("%s: err = %v, want one wrapping layio.ErrLimit", name, err)
+		}
+	}
+	top := &stubReader{shapes: []layio.Shape{{Layer: ingest.MaxLayers - 1, Rect: unit}}, hdr: meta}
+	lay, err := ingest.FromShapes(top, ingest.Options{})
+	if err != nil {
+		t.Fatalf("wire on layer MaxLayers-1: %v", err)
+	}
+	if len(lay.Layers) != ingest.MaxLayers {
+		t.Fatalf("built %d layers, want %d", len(lay.Layers), ingest.MaxLayers)
+	}
+}
+
+// readText ingests a text layout made of a fixed header and body.
+func readText(body string) (*layout.Layout, error) {
+	const head = "layout chip\ndie 0 0 100 100\nwindow 25\nrules 2 1 4 0\n"
+	sr := textfmt.NewShapeReader(strings.NewReader(head+body), textfmt.DefaultLimits())
+	return ingest.FromShapes(sr, ingest.Options{})
+}
+
+// TestFromShapesBuild checks that FromShapes builds a text layout's name,
+// layers, wires and regions as stated.
+func TestFromShapesBuild(t *testing.T) {
+	lay, err := readText("layer 0\nwire 10 10 20 20\nregion 50 50 60 60\nlayer 1\nwire 30 30 40 40\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Vertical wires → vertical slabs preferred → free pieces should be
-	// tall, not wide.
-	var vert []geom.Rect
-	for x := int64(100); x < 900; x += 100 {
-		vert = append(vert, geom.R(x, 0, x+16, 1000))
+	if lay.Name != "chip" || len(lay.Layers) != 2 {
+		t.Fatalf("built %q with %d layers, want chip with 2", lay.Name, len(lay.Layers))
 	}
-	regions := ExtractFillRegions(g, vert, rules)
-	if len(regions) == 0 {
-		t.Fatal("no regions extracted")
+	if len(lay.Layers[0].Wires) != 1 || len(lay.Layers[0].FillRegions) != 1 || len(lay.Layers[1].Wires) != 1 {
+		t.Fatalf("shape counts wrong: %+v", lay.Layers)
 	}
-	tall := 0
-	for _, r := range regions {
-		if r.H() > r.W() {
-			tall++
+}
+
+// TestFromShapesValidates checks that a layout failing Layout.Validate
+// (here a wire escaping the die) fails ingest.
+func TestFromShapesValidates(t *testing.T) {
+	if _, err := readText("layer 0\nwire 50 50 150 150\n"); err == nil || !strings.Contains(err.Error(), "escapes die") {
+		t.Fatalf("err = %v, want escapes-die validation error", err)
+	}
+}
+
+// TestExtractFillRegionsOrientation checks the dominant-direction rule
+// FromShapes applies per layer: mostly-vertical wires get vertical slabs
+// and mostly-horizontal wires horizontal ones, on wires staggered so
+// that the two decompositions differ.
+func TestExtractFillRegionsOrientation(t *testing.T) {
+	rules := testOpts().Rules
+	die := geom.R(0, 0, 1000, 1000)
+	g, err := grid.New(die, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vert, horiz []geom.Rect
+	for k, x := 0, int64(100); x < 900; k, x = k+1, x+100 {
+		v := geom.R(x, 0, x+16, 300+int64(k)*80)
+		vert = append(vert, v)
+		horiz = append(horiz, geom.R(v.YL, v.XL, v.YH, v.XH))
+	}
+	for _, c := range []struct {
+		name     string
+		wires    []geom.Rect
+		vertical bool
+	}{{"vertical", vert, true}, {"horizontal", horiz, false}} {
+		want := ingest.ExtractFillRegions(g, c.wires, rules, c.vertical)
+		if other := ingest.ExtractFillRegions(g, c.wires, rules, !c.vertical); slices.Equal(want, other) {
+			t.Fatalf("%s: both slab orientations agree; the case cannot tell them apart", c.name)
 		}
-	}
-	if tall < len(regions)/2 {
-		t.Fatalf("vertical wires should produce mostly tall regions: %d of %d", tall, len(regions))
+		var bs []gdsii.Boundary
+		for _, w := range c.wires {
+			bs = append(bs, gdsii.Boundary{Layer: 1, Pts: rectPts(w)})
+		}
+		opts := testOpts()
+		opts.Die, opts.Window = die, 1000
+		lay, err := ingest.FromShapes(gdsReader(t, bs...), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(lay.Layers[0].FillRegions, want) {
+			t.Fatalf("%s wires: FromShapes did not pick %s slabs", c.name, c.name)
+		}
 	}
 }
 

@@ -129,3 +129,21 @@ func DetectReader(r io.Reader) (Format, *bufio.Reader, error) {
 	}
 	return f, br, nil
 }
+
+// Resolve maps a format name to a registered format: "auto" or "" sniff
+// r (DetectReader), any other value is looked up by name. The returned
+// reader replaces r, since sniffing holds the peeked prefix.
+func Resolve(r io.Reader, format string) (Format, io.Reader, error) {
+	if format == "" || format == "auto" {
+		f, br, err := DetectReader(r)
+		if err != nil {
+			return Format{}, nil, err
+		}
+		return f, br, nil
+	}
+	f, err := Lookup(format)
+	if err != nil {
+		return Format{}, nil, err
+	}
+	return f, r, nil
+}

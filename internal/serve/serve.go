@@ -533,14 +533,8 @@ func (s *Server) runJob(ctx context.Context, lay *layout.Layout, opts fill.Optio
 // parseLayout ingests a payload under the format's limits tightened by
 // the server's own.
 func (s *Server) parseLayout(body []byte, p jobParams) (*layout.Layout, error) {
-	var f layio.Format
-	var src io.Reader = bytes.NewReader(body)
-	var err error
-	if p.format == "" || p.format == "auto" {
-		if f, src, err = layio.DetectReader(src); err != nil {
-			return nil, err
-		}
-	} else if f, err = layio.Lookup(p.format); err != nil {
+	f, src, err := layio.Resolve(bytes.NewReader(body), p.format)
+	if err != nil {
 		return nil, err
 	}
 	iopts := ingest.Options{Window: p.window}

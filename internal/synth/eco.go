@@ -7,6 +7,7 @@ import (
 
 	"dummyfill/internal/geom"
 	"dummyfill/internal/grid"
+	"dummyfill/internal/ingest"
 	"dummyfill/internal/layout"
 )
 
@@ -112,7 +113,7 @@ func PerturbECO(lay *layout.Layout, frac float64, seed int64) (*layout.Layout, i
 			// Re-extract window by window, exactly as Generate does: the
 			// windows whose wires did not move reproduce their original
 			// free pieces bit-for-bit, in the same order.
-			nl.FillRegions = freeRegions(g, wires, lay.Rules, li%2 == 1)
+			nl.FillRegions = ingest.ExtractFillRegions(g, wires, lay.Rules, li%2 == 1)
 		} else {
 			nl.FillRegions = append([]geom.Rect(nil), layer.FillRegions...)
 		}

@@ -14,6 +14,7 @@ import (
 	"dummyfill/internal/gdsii"
 	"dummyfill/internal/geom"
 	"dummyfill/internal/grid"
+	"dummyfill/internal/ingest"
 	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 	"dummyfill/internal/score"
@@ -152,7 +153,7 @@ func Generate(sp Spec) (*layout.Layout, error) {
 		layer.Wires = genWires(rng, sp, li)
 		// Odd layers route vertically; vertical slab decomposition keeps
 		// their free regions fat instead of shredded into thin bands.
-		layer.FillRegions = freeRegions(g, layer.Wires, sp.Rules, li%2 == 1)
+		layer.FillRegions = ingest.ExtractFillRegions(g, layer.Wires, sp.Rules, li%2 == 1)
 		lay.Layers = append(lay.Layers, layer)
 	}
 	if err := lay.Validate(); err != nil {
@@ -211,7 +212,7 @@ func generateRow(sp Spec) (*layout.Layout, error) {
 			x += w
 		}
 	}
-	layer.FillRegions = freeRegions(g, layer.Wires, sp.Rules, false)
+	layer.FillRegions = ingest.ExtractFillRegions(g, layer.Wires, sp.Rules, false)
 	lay.Layers = append(lay.Layers, layer)
 	if err := lay.Validate(); err != nil {
 		return nil, fmt.Errorf("synth: generated invalid layout: %v", err)
@@ -287,32 +288,6 @@ func genWires(rng *rand.Rand, sp Spec, li int) []geom.Rect {
 		wires = append(wires, r)
 	}
 	return wires
-}
-
-// freeRegions extracts, window by window, the free space left after
-// expanding every wire by the minimum spacing — the feasible fill regions.
-func freeRegions(g *grid.Grid, wires []geom.Rect, rules layout.Rules, vertical bool) []geom.Rect {
-	// Bin wires (expanded by keepout) by window.
-	perWin := make([][]geom.Rect, g.NumWindows())
-	for _, w := range wires {
-		ex := w.Expand(rules.MinSpace)
-		g.RangeOverlapping(ex, func(i, j int, clip geom.Rect) {
-			k := j*g.NX + i
-			perWin[k] = append(perWin[k], clip)
-		})
-	}
-	var out []geom.Rect
-	for k := 0; k < g.NumWindows(); k++ {
-		i, j := k%g.NX, k/g.NX
-		win := g.Window(i, j)
-		for _, f := range geom.DifferenceOriented(win, perWin[k], vertical) {
-			// Drop slivers that can never host a legal fill.
-			if f.W() >= rules.MinWidth && f.H() >= rules.MinWidth && f.Area() >= rules.MinArea {
-				out = append(out, f)
-			}
-		}
-	}
-	return out
 }
 
 // Coefficients calibrates the α/β score table for a generated layout (our

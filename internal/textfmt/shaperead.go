@@ -16,32 +16,20 @@ import (
 // wire/region/fill directives among them).
 type Limits = layio.Limits
 
-// DefaultLimits returns the caps the package-level readers enforce.
+// DefaultLimits returns the caps the registered text reader enforces.
 func DefaultLimits() Limits { return layio.DefaultLimits() }
 
 // ErrLimit is the shared layio sentinel wrapped when a limit trips.
 var ErrLimit = layio.ErrLimit
-
-// grammarMode restricts which directives a parse accepts: the layout
-// grammar, the solution grammar, or (for format-agnostic streaming)
-// either.
-type grammarMode int
-
-const (
-	modeAny grammarMode = iota
-	modeLayout
-	modeSolution
-)
 
 // ShapeReader streams shapes out of a text layout or solution file,
 // accepting either grammar: wires and fill regions carry the layer of
 // the preceding 'layer' directive, fills their inline layer. Metadata
 // directives (layout/die/window/rules) accumulate into Header.
 type ShapeReader struct {
-	sc   *bufio.Scanner
-	lim  Limits
-	mode grammarMode
-	hdr  layio.Header
+	sc  *bufio.Scanner
+	lim Limits
+	hdr layio.Header
 
 	cur    int // last 'layer' index, -1 before any
 	lineNo int
@@ -54,13 +42,9 @@ type ShapeReader struct {
 // NewShapeReader opens a streaming reader over r under lim, accepting
 // both the layout and solution grammars.
 func NewShapeReader(r io.Reader, lim Limits) *ShapeReader {
-	return newShapeReader(r, lim, modeAny)
-}
-
-func newShapeReader(r io.Reader, lim Limits, mode grammarMode) *ShapeReader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	return &ShapeReader{sc: sc, lim: lim, mode: mode, cur: -1}
+	return &ShapeReader{sc: sc, lim: lim, cur: -1}
 }
 
 // Header returns the metadata gathered so far; after Next has returned
@@ -95,34 +79,24 @@ func (sr *ShapeReader) advance() (layio.Shape, error) {
 			return layio.Shape{}, fmt.Errorf("textfmt: %w: more than %d records", ErrLimit, sr.lim.MaxRecords)
 		}
 		fields := strings.Fields(line)
-		// Layout-grammar diagnostics quote the whole line; solution-grammar
-		// diagnostics predate that style and name only the bad token.
+		// Every parse diagnostic quotes the whole offending line.
 		bad := func(msg string) error {
 			return fmt.Errorf("textfmt: line %d: %s: %q", sr.lineNo, msg, line)
 		}
 		switch fields[0] {
 		case "layout":
-			if sr.mode == modeSolution {
-				return layio.Shape{}, fmt.Errorf("textfmt: line %d: unknown directive %q", sr.lineNo, fields[0])
-			}
 			if len(fields) != 2 {
 				return layio.Shape{}, bad("layout needs a name")
 			}
 			sr.hdr.Name = fields[1]
 			sr.hdr.HasLayoutMeta = true
 		case "die":
-			if sr.mode == modeSolution {
-				return layio.Shape{}, fmt.Errorf("textfmt: line %d: unknown directive %q", sr.lineNo, fields[0])
-			}
 			r, err := parseRect(fields[1:])
 			if err != nil {
 				return layio.Shape{}, bad(err.Error())
 			}
 			sr.hdr.Die = r
 		case "window":
-			if sr.mode == modeSolution {
-				return layio.Shape{}, fmt.Errorf("textfmt: line %d: unknown directive %q", sr.lineNo, fields[0])
-			}
 			if len(fields) != 2 {
 				return layio.Shape{}, bad("window needs a size")
 			}
@@ -132,9 +106,6 @@ func (sr *ShapeReader) advance() (layio.Shape, error) {
 			}
 			sr.hdr.Window = v
 		case "rules":
-			if sr.mode == modeSolution {
-				return layio.Shape{}, fmt.Errorf("textfmt: line %d: unknown directive %q", sr.lineNo, fields[0])
-			}
 			if len(fields) != 5 {
 				return layio.Shape{}, bad("rules needs 4 values")
 			}
@@ -147,9 +118,6 @@ func (sr *ShapeReader) advance() (layio.Shape, error) {
 				MinArea: vals[2], MaxFillDim: vals[3],
 			}
 		case "layer":
-			if sr.mode == modeSolution {
-				return layio.Shape{}, fmt.Errorf("textfmt: line %d: unknown directive %q", sr.lineNo, fields[0])
-			}
 			if len(fields) != 2 {
 				return layio.Shape{}, bad("layer needs an index")
 			}
@@ -160,9 +128,6 @@ func (sr *ShapeReader) advance() (layio.Shape, error) {
 			sr.cur = idx
 			sr.hdr.NumLayers = idx + 1
 		case "wire", "region":
-			if sr.mode == modeSolution {
-				return layio.Shape{}, fmt.Errorf("textfmt: line %d: unknown directive %q", sr.lineNo, fields[0])
-			}
 			if sr.cur < 0 {
 				return layio.Shape{}, bad("shape before any 'layer' directive")
 			}
@@ -180,27 +145,21 @@ func (sr *ShapeReader) advance() (layio.Shape, error) {
 			}
 			return layio.Shape{Layer: sr.cur, Datatype: dt, Rect: r}, nil
 		case "solution":
-			if sr.mode == modeLayout {
-				return layio.Shape{}, bad("unknown directive")
-			}
 			if len(fields) != 2 {
-				return layio.Shape{}, fmt.Errorf("textfmt: line %d: solution needs a name", sr.lineNo)
+				return layio.Shape{}, bad("solution needs a name")
 			}
 			sr.hdr.Name = fields[1]
 		case "fill":
-			if sr.mode == modeLayout {
-				return layio.Shape{}, bad("unknown directive")
-			}
 			if len(fields) != 6 {
-				return layio.Shape{}, fmt.Errorf("textfmt: line %d: fill needs 5 values", sr.lineNo)
+				return layio.Shape{}, bad("fill needs 5 values")
 			}
 			li, err := strconv.Atoi(fields[1])
 			if err != nil || li < 0 {
-				return layio.Shape{}, fmt.Errorf("textfmt: line %d: bad layer %q", sr.lineNo, fields[1])
+				return layio.Shape{}, bad("bad layer")
 			}
 			r, err := parseRect(fields[2:])
 			if err != nil {
-				return layio.Shape{}, fmt.Errorf("textfmt: line %d: %v", sr.lineNo, err)
+				return layio.Shape{}, bad(err.Error())
 			}
 			sr.shapes++
 			if sr.lim.MaxShapes > 0 && sr.shapes > sr.lim.MaxShapes {
@@ -211,9 +170,6 @@ func (sr *ShapeReader) advance() (layio.Shape, error) {
 			}
 			return layio.Shape{Layer: li, Datatype: layio.DatatypeFill, Rect: r}, nil
 		default:
-			if sr.mode == modeSolution {
-				return layio.Shape{}, fmt.Errorf("textfmt: line %d: unknown directive %q", sr.lineNo, fields[0])
-			}
 			return layio.Shape{}, bad("unknown directive")
 		}
 	}

@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"dummyfill/internal/geom"
-	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 )
 
@@ -49,62 +48,6 @@ func WriteLayout(w io.Writer, lay *layout.Layout) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadLayout parses the text format into a Layout (validated). It is a
-// materializing convenience over the streaming parser, restricted to the
-// layout grammar.
-func ReadLayout(r io.Reader) (*layout.Layout, error) {
-	sr := newShapeReader(r, Limits{}, modeLayout)
-	lay := &layout.Layout{}
-	ensure := func(n int) {
-		for len(lay.Layers) < n {
-			lay.Layers = append(lay.Layers, &layout.Layer{})
-		}
-	}
-	for {
-		s, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		ensure(s.Layer + 1)
-		if s.Datatype == layio.DatatypeRegion {
-			lay.Layers[s.Layer].FillRegions = append(lay.Layers[s.Layer].FillRegions, s.Rect)
-		} else {
-			lay.Layers[s.Layer].Wires = append(lay.Layers[s.Layer].Wires, s.Rect)
-		}
-	}
-	hdr := sr.Header()
-	lay.Name = hdr.Name
-	lay.Die = hdr.Die
-	lay.Window = hdr.Window
-	lay.Rules = hdr.Rules
-	ensure(hdr.NumLayers)
-	if err := lay.Validate(); err != nil {
-		return nil, fmt.Errorf("textfmt: %v", err)
-	}
-	return lay, nil
-}
-
-// ReadSolution parses a text solution. It is a materializing convenience
-// over the streaming parser, restricted to the solution grammar.
-func ReadSolution(r io.Reader) (name string, sol *layout.Solution, err error) {
-	sr := newShapeReader(r, Limits{}, modeSolution)
-	sol = &layout.Solution{}
-	for {
-		s, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return "", nil, err
-		}
-		sol.Fills = append(sol.Fills, layout.Fill{Layer: s.Layer, Rect: s.Rect})
-	}
-	return sr.Header().Name, sol, nil
 }
 
 func parseRect(fields []string) (geom.Rect, error) {

@@ -2,15 +2,42 @@ package textfmt
 
 import (
 	"bytes"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 
 	"dummyfill/internal/fill"
 	"dummyfill/internal/geom"
+	"dummyfill/internal/ingest"
 	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 	"dummyfill/internal/synth"
 )
+
+// readLayout ingests a text layout the way every format is ingested:
+// the registered streaming reader under the default limits, drained by
+// ingest.FromShapes.
+func readLayout(r io.Reader) (*layout.Layout, error) {
+	return ingest.FromShapes(NewShapeReader(r, DefaultLimits()), ingest.Options{})
+}
+
+// readFills drains a text solution through the streaming reader,
+// returning its name and fills.
+func readFills(r io.Reader) (string, []layout.Fill, error) {
+	sr := NewShapeReader(r, DefaultLimits())
+	var fills []layout.Fill
+	for {
+		s, err := sr.Next()
+		if err == io.EOF {
+			return sr.Header().Name, fills, nil
+		}
+		if err != nil {
+			return "", nil, err
+		}
+		fills = append(fills, layout.Fill{Layer: s.Layer, Rect: s.Rect})
+	}
+}
 
 func TestLayoutRoundTrip(t *testing.T) {
 	src, err := synth.Generate(synth.DesignTiny())
@@ -21,7 +48,7 @@ func TestLayoutRoundTrip(t *testing.T) {
 	if err := WriteLayout(&buf, src); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadLayout(&buf)
+	back, err := readLayout(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,18 +94,18 @@ func TestSolutionRoundTrip(t *testing.T) {
 	if err := layio.WriteDeck(&buf, f, layio.SolutionDeck, src, &res.Solution); err != nil {
 		t.Fatal(err)
 	}
-	name, sol, err := ReadSolution(&buf)
+	name, fills, err := readFills(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if name != src.Name {
 		t.Fatalf("name %q", name)
 	}
-	if len(sol.Fills) != len(res.Solution.Fills) {
-		t.Fatalf("fills %d vs %d", len(sol.Fills), len(res.Solution.Fills))
+	if len(fills) != len(res.Solution.Fills) {
+		t.Fatalf("fills %d vs %d", len(fills), len(res.Solution.Fills))
 	}
-	for i := range sol.Fills {
-		if sol.Fills[i] != res.Solution.Fills[i] {
+	for i := range fills {
+		if fills[i] != res.Solution.Fills[i] {
 			t.Fatalf("fill %d mismatch", i)
 		}
 	}
@@ -99,7 +126,7 @@ region 10 40 190 190
 layer 1
 region 10 10 190 190
 `
-	lay, err := ReadLayout(strings.NewReader(in))
+	lay, err := readLayout(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +148,7 @@ func TestReadLayoutErrors(t *testing.T) {
 		"layout x\ndie 0 0 100 100\nwindow 50\nrules 8 8 64 0\nlayer 0\nwire 5 5 5 9", // degenerate rect
 	}
 	for i, c := range cases {
-		if _, err := ReadLayout(strings.NewReader(c)); err == nil {
+		if _, err := readLayout(strings.NewReader(c)); err == nil {
 			t.Fatalf("case %d parsed without error", i)
 		}
 	}
@@ -135,8 +162,12 @@ func TestReadSolutionErrors(t *testing.T) {
 		"fill a 0 0 10 10",  // bad layer
 	}
 	for i, c := range cases {
-		if _, _, err := ReadSolution(strings.NewReader(c)); err == nil {
+		_, _, err := readFills(strings.NewReader(c))
+		if err == nil {
 			t.Fatalf("case %d parsed without error", i)
+		}
+		if !strings.Contains(err.Error(), strconv.Quote(c)) {
+			t.Errorf("case %d: error %q does not quote the line", i, err)
 		}
 	}
 }
@@ -151,7 +182,7 @@ func TestSanitizeName(t *testing.T) {
 	if err := WriteLayout(&buf, lay); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadLayout(&buf)
+	back, err := readLayout(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"sort"
 	"testing"
 
 	dummyfill "dummyfill"
+	"dummyfill/internal/layio"
 )
 
 // goldenStream pins the SHA-256 of the streaming writers' output (and the
@@ -76,6 +78,33 @@ func TestGoldenStreamHashes(t *testing.T) {
 	}
 }
 
+// readShapes drains a deck through the registered reader of format,
+// returning its per-layer wire and fill rectangles.
+func readShapes(t *testing.T, data []byte, format string) (wires, fills map[int][]dummyfill.Rect) {
+	t.Helper()
+	f, err := layio.Lookup(format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := f.NewShapeReader(bytes.NewReader(data), f.Limits)
+	wires, fills = map[int][]dummyfill.Rect{}, map[int][]dummyfill.Rect{}
+	for {
+		s, err := sr.Next()
+		if err == io.EOF {
+			return wires, fills
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch s.Datatype {
+		case layio.DatatypeWire:
+			wires[s.Layer] = append(wires[s.Layer], s.Rect)
+		case layio.DatatypeFill:
+			fills[s.Layer] = append(fills[s.Layer], s.Rect)
+		}
+	}
+}
+
 // sortedWires canonicalizes a layer's wire set for comparison.
 func sortedWires(rs []dummyfill.Rect) []dummyfill.Rect {
 	out := append([]dummyfill.Rect(nil), rs...)
@@ -104,10 +133,7 @@ func TestCrossFormatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// KeepFills makes the fills-only OASIS deck below ingest its shapes
-	// as wires; GDSII and text decks carry no fills, so it is a no-op
-	// for them.
-	opts := dummyfill.IngestOptions{Die: lay.Die, Window: lay.Window, Rules: lay.Rules, KeepFills: true}
+	opts := dummyfill.IngestOptions{Die: lay.Die, Window: lay.Window, Rules: lay.Rules}
 
 	encode := map[string]func(*dummyfill.Layout) ([]byte, error){
 		"gds": func(l *dummyfill.Layout) ([]byte, error) {
@@ -115,18 +141,26 @@ func TestCrossFormatRoundTrip(t *testing.T) {
 			err := dummyfill.WriteGDS(&buf, l, nil)
 			return buf.Bytes(), err
 		},
-		// OASIS in this subset is a solution format (fills only), so its
-		// round trip expresses the wires as fills and relies on KeepFills
-		// to bring them back as wires.
+		// OASIS decks in this subset carry fills only, so the wires are
+		// written as datatype-0 shapes through the registered writer.
 		"oasis": func(l *dummyfill.Layout) ([]byte, error) {
-			var sol dummyfill.Solution
-			for li, layer := range l.Layers {
-				for _, w := range layer.Wires {
-					sol.Fills = append(sol.Fills, dummyfill.Fill{Layer: li, Rect: w})
-				}
+			f, err := layio.Lookup("oasis")
+			if err != nil {
+				return nil, err
 			}
 			var buf bytes.Buffer
-			err := dummyfill.WriteOASIS(&buf, l, &sol)
+			sw, err := f.NewShapeWriter(&buf, layio.Header{Name: l.Name})
+			if err != nil {
+				return nil, err
+			}
+			for li, layer := range l.Layers {
+				for _, w := range layer.Wires {
+					if err := sw.Write(layio.Shape{Layer: li, Datatype: layio.DatatypeWire, Rect: w}); err != nil {
+						return nil, err
+					}
+				}
+			}
+			err = sw.Close()
 			return buf.Bytes(), err
 		},
 		"text": func(l *dummyfill.Layout) ([]byte, error) {
@@ -238,19 +272,18 @@ func TestStreamWriterReadBack(t *testing.T) {
 		t.Fatalf("streamed GDS re-read %d fills, barrier solution has %d", nf, len(res.Solution.Fills))
 	}
 
-	// OASIS stream: fills only; KeepFills ingests them as wires.
+	// OASIS stream: fills only.
 	var o bytes.Buffer
 	if _, err := dummyfill.InsertStreamTo(context.Background(), &o, lay, opts, "oasis"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dummyfill.ReadLayoutFormat(bytes.NewReader(o.Bytes()), "oasis",
-		dummyfill.IngestOptions{Die: lay.Die, Window: lay.Window, Rules: lay.Rules, KeepFills: true})
-	if err != nil {
-		t.Fatal(err)
+	owires, ofills := readShapes(t, o.Bytes(), "oasis")
+	if len(owires) != 0 {
+		t.Fatalf("streamed OASIS carries wires on %d layers, want fills only", len(owires))
 	}
 	nf = 0
-	for li, layer := range got.Layers {
-		for _, r := range layer.Wires {
+	for li, rs := range ofills {
+		for _, r := range rs {
 			nf++
 			if !wantFills[dummyfill.Fill{Layer: li, Rect: r}] {
 				t.Fatalf("streamed OASIS carries fill %d/%v not in the barrier solution", li, r)

@@ -144,14 +144,17 @@ func TestSiteDEFRoundTripGolden(t *testing.T) {
 	if err := dummyfill.WriteDEFLayout(&filled, lay2, &res.Solution); err != nil {
 		t.Fatal(err)
 	}
-	lay3, err := dummyfill.ReadLayout(bytes.NewReader(filled.Bytes()),
-		dummyfill.IngestOptions{Window: lay.Window, KeepFills: true})
+	wires, fills := readShapes(t, filled.Bytes(), "def")
+	if len(wires[0]) != len(lay2.Layers[0].Wires) || len(fills[0]) != len(res.Solution.Fills) {
+		t.Fatalf("filled deck re-read %d wires + %d fills, want %d + %d",
+			len(wires[0]), len(fills[0]), len(lay2.Layers[0].Wires), len(res.Solution.Fills))
+	}
+	// Ingest drops the existing fills: the re-read layout has the wires only.
+	lay3, err := dummyfill.ReadLayout(bytes.NewReader(filled.Bytes()), dummyfill.IngestOptions{Window: lay.Window})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(lay2.Layers[0].Wires) + len(res.Solution.Fills)
-	if got := len(lay3.Layers[0].Wires); got != want {
-		t.Fatalf("filled deck re-read %d shapes, want %d wires + %d fills = %d",
-			got, len(lay2.Layers[0].Wires), len(res.Solution.Fills), want)
+	if got := len(lay3.Layers[0].Wires); got != len(lay2.Layers[0].Wires) {
+		t.Fatalf("filled deck ingested %d wires, want %d", got, len(lay2.Layers[0].Wires))
 	}
 }
