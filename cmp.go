@@ -5,7 +5,6 @@ import (
 
 	"dummyfill/internal/cmppad"
 	"dummyfill/internal/deffmt"
-	"dummyfill/internal/fill"
 	"dummyfill/internal/grid"
 	"dummyfill/internal/ingest"
 	"dummyfill/internal/layio"
@@ -94,12 +93,4 @@ func WriteTextSolution(w io.Writer, name string, sol *Solution) error {
 // (see internal/deffmt).
 func WriteDEFLayout(w io.Writer, lay *Layout, sol *Solution) error {
 	return writeDeck(w, deffmt.FormatName, layio.LayoutDeck, lay, sol)
-}
-
-// AutoTuneLambda runs the fill engine at several candidate overfill
-// factors λ and returns the best-scoring options and result (Testcase
-// Quality under c, runtime/memory excluded). Pass nil candidates for the
-// default sweep {1.0, 1.15, 1.3, 1.5}.
-func AutoTuneLambda(lay *Layout, c Coefficients, base Options, candidates []float64) (Options, *Result, error) {
-	return fill.AutoTuneLambda(lay, c, base, candidates)
 }

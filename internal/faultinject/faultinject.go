@@ -141,15 +141,7 @@ func splitmix64(x uint64) uint64 {
 // Hit reports whether the fault at site fires for key, and counts it when
 // it does. Deterministic in (seed, site, key); safe for concurrent use.
 func (in *Injector) Hit(site Site, key uint64) bool {
-	if in == nil {
-		return false
-	}
-	threshold, ok := in.rates[site]
-	if !ok || threshold == 0 {
-		return false
-	}
-	h := splitmix64(in.seed ^ splitmix64(uint64(site)<<32^key))
-	if uint32(h&0xffff) >= threshold {
+	if !in.Would(site, key) {
 		return false
 	}
 	if site <= siteMax {

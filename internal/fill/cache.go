@@ -51,10 +51,11 @@ import (
 //   - a corrupt, truncated or torn entry — organic or injected — counts
 //     in Health.CacheErrors and falls back to a clean recompute.
 
-// engineCacheVersion names the geometry-producing algorithm generation.
-// Bump it whenever a change alters emitted fills for unchanged inputs
-// (i.e. whenever the golden GDS hashes are re-recorded), so stale
-// entries from older binaries can never replay into new runs.
+// engineCacheVersion names the geometry-producing algorithm generation,
+// including the fixed γ and sizing-pass count. Bump it whenever a change
+// alters emitted fills for unchanged inputs (i.e. whenever the golden GDS
+// hashes are re-recorded), so stale entries from older binaries can never
+// replay into new runs.
 const engineCacheVersion = "dummyfill/fill-engine/v1"
 
 // cacheStatus is the per-window outcome of the lookup/resolve phases.
@@ -117,11 +118,9 @@ func solverID(o Options) string {
 
 // cacheFingerprint hashes every run-level input that shapes per-window
 // geometry besides the window content and the plan targets: engine
-// version, DRC rules, and the sizing/selection options. PlanSteps and
-// MinDensity are deliberately absent — they only act through the plan
-// targets, which entries validate directly. Workers, Budget and Inject
-// affect scheduling, wall-clock or fault patterns, never the fills of a
-// healthy window.
+// version, DRC rules, and the sizing/selection options. Workers, Budget
+// and Inject affect scheduling, wall-clock or fault patterns, never the
+// fills of a healthy window.
 func (e *Engine) cacheFingerprint() fillcache.Key {
 	h := fillcache.NewHasher()
 	h.String(engineCacheVersion)
@@ -132,9 +131,7 @@ func (e *Engine) cacheFingerprint() fillcache.Key {
 	h.Int64(r.MaxFillDim)
 	o := e.opts
 	h.Float64(o.Lambda)
-	h.Float64(o.Gamma)
 	h.Int64(o.Eta)
-	h.Int64(int64(o.MaxSizingPasses))
 	h.String(solverID(o))
 	h.String(e.mode.cacheID())
 	return h.Sum()

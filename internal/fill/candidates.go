@@ -88,19 +88,9 @@ func tileGrid(r geom.Rect, rules layout.Rules) (nx, ny int, cw, ch int64, ok boo
 // than MinWidth/MinArea. Slivers that cannot host a legal fill are
 // dropped. Exported for reuse by the baseline fillers.
 func TileRegion(r geom.Rect, rules layout.Rules) []geom.Rect {
-	nx, ny, cw, ch, ok := tileGrid(r, rules)
-	if !ok {
-		return nil
-	}
-	out := make([]geom.Rect, 0, nx*ny)
-	y := r.YL
-	for j := 0; j < ny; j++ {
-		x := r.XL
-		for i := 0; i < nx; i++ {
-			out = append(out, geom.Rect{XL: x, YL: y, XH: x + cw, YH: y + ch})
-			x += cw + rules.MinSpace
-		}
-		y += ch + rules.MinSpace
+	var out []geom.Rect
+	for _, c := range appendCells(nil, r, 0, rules) {
+		out = append(out, c.rect)
 	}
 	return out
 }
@@ -118,7 +108,7 @@ func TileRegionArea(r geom.Rect, rules layout.Rules) int64 {
 }
 
 // appendCells tiles r and appends the cells (layer l, zero quality) to
-// dst, in the same row-major order as TileRegion.
+// dst in row-major order.
 func appendCells(dst []cell, r geom.Rect, l int, rules layout.Rules) []cell {
 	nx, ny, cw, ch, ok := tileGrid(r, rules)
 	if !ok {
@@ -184,9 +174,9 @@ func (cs *candScratch) layerSlices(nl int, bounds geom.Rect) {
 
 // selectCandidates runs Alg. 1 on one window using pooled scratch. See
 // selectCandidatesScratch.
-func (w *window) selectCandidates(lay *layout.Layout, dt []float64, lambda, gamma float64) {
+func (w *window) selectCandidates(lay *layout.Layout, dt []float64, lambda float64) {
 	cs := candPool.Get().(*candScratch)
-	w.selectCandidatesScratch(lay, dt, lambda, gamma, cs)
+	w.selectCandidatesScratch(lay, dt, lambda, cs)
 	candPool.Put(cs)
 }
 
@@ -197,7 +187,7 @@ func (w *window) selectCandidates(lay *layout.Layout, dt []float64, lambda, gamm
 // densities; selection stops once the window density reaches λ·dt.
 // Candidate cells are tiled on the fly from the window's free pieces into
 // scratch, so only the selected cells outlive the call.
-func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambda, gamma float64, cs *candScratch) {
+func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambda float64, cs *candScratch) {
 	aw := float64(w.rect.Area())
 	if aw == 0 {
 		return

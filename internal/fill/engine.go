@@ -53,9 +53,6 @@ func New(lay *layout.Layout, opts Options) (*Engine, error) {
 	if opts.NewSolver == nil {
 		return nil, fmt.Errorf("fill: Options.NewSolver is required (use DefaultOptions)")
 	}
-	if opts.MaxSizingPasses < 1 {
-		return nil, fmt.Errorf("fill: MaxSizingPasses must be >= 1, got %d", opts.MaxSizingPasses)
-	}
 	if opts.Budget < 0 {
 		return nil, fmt.Errorf("fill: Budget must be >= 0 (0 = unlimited), got %v", opts.Budget)
 	}
@@ -124,18 +121,6 @@ func sortFills(fills []layout.Fill) {
 		}
 		return cmp64(a.Rect.XH, b.Rect.XH)
 	})
-}
-
-// applyMinDensity floors the planned targets at Options.MinDensity.
-func (e *Engine) applyMinDensity(td []float64) {
-	if e.opts.MinDensity <= 0 {
-		return
-	}
-	for l := range td {
-		if td[l] < e.opts.MinDensity {
-			td[l] = e.opts.MinDensity
-		}
-	}
 }
 
 // planWeights derives planning weights from contest α weights with
@@ -376,15 +361,24 @@ func (e *Engine) workerCount(n int) int {
 }
 
 // parallelFor runs fn(ctx, idx) for every idx in [0,n) across the worker
-// pool, every worker under the pprof label {"stage": stage} so CPU
-// profiles attribute samples to pipeline stages. One worker runs the
-// same pool with a single goroutine.
+// pool. See parallelForWorkers.
+func (e *Engine) parallelFor(ctx context.Context, n int, stage string, fn func(ctx context.Context, idx int) error) error {
+	return e.parallelForWorkers(ctx, n, stage, func() func(context.Context, int) error { return fn })
+}
+
+// parallelForWorkers runs the tasks [0,n) across the worker pool. Each
+// worker goroutine calls newWorker once and runs every task it claims
+// through the returned function, so per-worker state lives in its
+// closure. Workers claim tasks in ascending index order, every worker
+// under the pprof label {"stage": stage} so CPU profiles attribute
+// samples to pipeline stages. One worker runs the same pool with a
+// single goroutine.
 // The first error cancels the run promptly and is returned: the pool's
 // derived context is cancelled immediately, so in-flight siblings
-// blocked inside fn observe ctx.Done() without waiting for a task
+// blocked inside a task observe ctx.Done() without waiting for a task
 // boundary, and no new task is claimed after a failure. Cancellation of
 // the parent context likewise stops the pool and returns its error.
-func (e *Engine) parallelFor(ctx context.Context, n int, stage string, fn func(ctx context.Context, idx int) error) error {
+func (e *Engine) parallelForWorkers(ctx context.Context, n int, stage string, newWorker func() func(ctx context.Context, idx int) error) error {
 	labels := pprof.Labels("stage", stage)
 	workers := e.workerCount(n)
 	wctx, cancel := context.WithCancel(ctx)
@@ -399,6 +393,7 @@ func (e *Engine) parallelFor(ctx context.Context, n int, stage string, fn func(c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			fn := newWorker()
 			pprof.Do(wctx, labels, func(ctx context.Context) {
 				for ctx.Err() == nil {
 					idx := int(next.Add(1)) - 1

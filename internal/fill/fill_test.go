@@ -128,7 +128,7 @@ func TestCandidateZeroOverlayCase(t *testing.T) {
 	w := wins[0]
 	// Targets slightly above wire density: gap fits easily in the shared
 	// region x∈[24,76).
-	w.selectCandidates(lay, []float64{0.3, 0.3}, 1.0, 1.0)
+	w.selectCandidates(lay, []float64{0.3, 0.3}, 1.0)
 	if len(w.sel) == 0 {
 		t.Fatal("no candidates selected")
 	}
@@ -174,7 +174,7 @@ func TestCandidateNonZeroOverlayCase(t *testing.T) {
 	}
 	wins, _ := e.prepareWindows(context.Background())
 	w := wins[0]
-	w.selectCandidates(lay, []float64{0.7, 0.7}, 1.0, 1.0)
+	w.selectCandidates(lay, []float64{0.7, 0.7}, 1.0)
 	var area0 int64
 	outsideShared := false
 	shared := geom.R(24, 0, 76, 100)
@@ -198,9 +198,9 @@ func TestSelectRespectsLambda(t *testing.T) {
 	lay := fig4Layout()
 	e, _ := New(lay, DefaultOptions())
 	winsA, _ := e.prepareWindows(context.Background())
-	winsA[0].selectCandidates(lay, []float64{0.4, 0.4}, 1.0, 1.0)
+	winsA[0].selectCandidates(lay, []float64{0.4, 0.4}, 1.0)
 	winsB, _ := e.prepareWindows(context.Background())
-	winsB[0].selectCandidates(lay, []float64{0.4, 0.4}, 1.5, 1.0)
+	winsB[0].selectCandidates(lay, []float64{0.4, 0.4}, 1.5)
 	areaOf := func(w *window) (a int64) {
 		for _, c := range w.sel {
 			a += c.rect.Area()
@@ -218,7 +218,7 @@ func TestSizeWindowShrinksToTarget(t *testing.T) {
 	e, _ := New(lay, DefaultOptions())
 	wins, _ := e.prepareWindows(context.Background())
 	w := wins[0]
-	w.selectCandidates(lay, []float64{0.5, 0.5}, 1.3, 1.0)
+	w.selectCandidates(lay, []float64{0.5, 0.5}, 1.3)
 	var selArea int64
 	for _, c := range w.sel {
 		if c.layer == 0 {
@@ -458,11 +458,6 @@ func TestEngineOptionValidation(t *testing.T) {
 	ok.NewSolver = func() dlp.PSolver { return dlp.ViaSSP }
 	if _, err := New(lay, ok); err != nil {
 		t.Fatalf("stateless solver factory must be accepted: %v", err)
-	}
-	bad = DefaultOptions()
-	bad.MaxSizingPasses = 0
-	if _, err := New(lay, bad); err == nil {
-		t.Fatal("zero sizing passes must be rejected")
 	}
 	if _, err := New(&layout.Layout{}, DefaultOptions()); err == nil {
 		t.Fatal("invalid layout must be rejected")

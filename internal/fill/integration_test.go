@@ -133,9 +133,7 @@ func TestEngineEmptyLayerAmongOthers(t *testing.T) {
 			{Wires: []geom.Rect{geom.R(0, 0, 200, 200)}},
 		},
 	}
-	opts := DefaultOptions()
-	opts.MinDensity = 0.3 // an all-empty layer is "uniform" at 0; force fill
-	e, err := New(lay, opts)
+	e, err := New(lay, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,17 +141,10 @@ func TestEngineEmptyLayerAmongOthers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hasL0 := false
 	for _, f := range res.Solution.Fills {
 		if f.Layer == 1 {
 			t.Fatalf("fill on fully-covered layer: %v", f)
 		}
-		if f.Layer == 0 {
-			hasL0 = true
-		}
-	}
-	if !hasL0 {
-		t.Fatal("empty layer received no fills")
 	}
 	if vs := drc.Check(lay, &res.Solution, true); len(vs) != 0 {
 		t.Fatalf("DRC: %v", vs[0])
@@ -273,7 +264,7 @@ func BenchmarkCandidateGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, w := range wins {
 			w.sel = w.sel[:0]
-			w.selectCandidates(lay, td, 1.15, 1.0)
+			w.selectCandidates(lay, td, 1.15)
 		}
 	}
 }
@@ -287,7 +278,7 @@ func BenchmarkSizeWindow(b *testing.B) {
 	wins, _ := e.prepareWindows(context.Background())
 	td := []float64{0.4, 0.4, 0.4}
 	for _, w := range wins {
-		w.selectCandidates(lay, td, 1.15, 1.0)
+		w.selectCandidates(lay, td, 1.15)
 	}
 	sc := newSizeScratch(e.opts)
 	b.ReportAllocs()

@@ -33,8 +33,6 @@ const (
 // engine options: no wall-clock, scheduling or worker-identity inputs
 // (the nodeterm analyzer and the golden-hash tests police this).
 type fillMode interface {
-	// name is the mode's Options.Mode value.
-	name() string
 	// cacheID identifies the mode and its geometry-shaping parameters in
 	// the engine cache fingerprint, so entries never migrate across modes
 	// or mode configurations.
@@ -89,7 +87,6 @@ func newFillMode(e *Engine) (fillMode, error) {
 // output hash) is identical to the hard-coded code it replaced.
 type rectMode struct{ e *Engine }
 
-func (m rectMode) name() string    { return ModeRect }
 func (m rectMode) cacheID() string { return ModeRect }
 
 func (m rectMode) windowKeyExtra(*window, *fillcache.Hasher) {}
@@ -110,7 +107,7 @@ func (m rectMode) fillableArea(fr geom.Rect) int64 {
 
 // selectCandidates runs Alg. 1 (overlay-aware two-pass selection).
 func (m rectMode) selectCandidates(w *window, td []float64) {
-	w.selectCandidates(m.e.lay, td, m.e.opts.Lambda, m.e.opts.Gamma)
+	w.selectCandidates(m.e.lay, td, m.e.opts.Lambda)
 }
 
 // sizeWindow shrinks the selection through the resilient LP fallback

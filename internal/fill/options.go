@@ -35,15 +35,8 @@ type Options struct {
 	// Lambda is the candidate overfill factor λ ≥ 1 of Alg. 1: candidates
 	// are generated until each window reaches λ·(target density).
 	Lambda float64
-	// Gamma is the γ weight of the candidate quality score (Eqn. 8).
-	Gamma float64
 	// Eta is the overlay weight η in the sizing objective (Eqn. 9a).
 	Eta int64
-	// PlanSteps is the search resolution of Case-II target density
-	// planning (§3.1).
-	PlanSteps int
-	// MaxSizingPasses bounds the alternating H/V sizing iterations.
-	MaxSizingPasses int
 	// NewSolver supplies a fresh solver per worker for the per-direction
 	// difference-constraint LPs, letting a solver reuse its buffers
 	// across the windows a worker sizes without any cross-worker sharing.
@@ -58,11 +51,6 @@ type Options struct {
 	NewSolver func() dlp.PSolver
 	// Workers bounds window-level parallelism (0 = GOMAXPROCS).
 	Workers int
-	// MinDensity is an optional lower density rule: planned targets are
-	// floored at this value (0 disables). Foundry fill decks typically
-	// require a minimum metal density per window; the contest objective
-	// alone would happily leave an empty layer empty.
-	MinDensity float64
 	// Budget is a soft per-run time budget (0 = unlimited). When it
 	// expires mid-run, remaining windows skip LP sizing and emit their
 	// candidates unshrunk — still DRC-clean — and the run completes with
@@ -87,15 +75,27 @@ type Options struct {
 	Cache *fillcache.Cache
 }
 
+// Fixed engine parameters. gamma and maxSizingPasses shape window fills
+// and are covered by engineCacheVersion, so changing either needs a
+// version bump; planSteps acts only through the plan targets, which
+// cache entries validate directly.
+const (
+	// gamma is the γ weight of the candidate quality score (Eqn. 8); the
+	// paper's experiments use γ = 1.
+	gamma = 1
+	// planSteps is the search resolution of Case-II target density
+	// planning (§3.1).
+	planSteps = 24
+	// maxSizingPasses bounds the alternating H/V sizing iterations.
+	maxSizingPasses = 6
+)
+
 // DefaultOptions returns the parameters used in the paper's experiments
-// where stated (γ = 1, η = 1) and sensible defaults elsewhere.
+// where stated (η = 1) and sensible defaults elsewhere.
 func DefaultOptions() Options {
 	return Options{
-		Lambda:          1.15,
-		Gamma:           1,
-		Eta:             1,
-		PlanSteps:       24,
-		MaxSizingPasses: 6,
-		NewSolver:       dlp.NewWarmSSP,
+		Lambda:    1.15,
+		Eta:       1,
+		NewSolver: dlp.NewWarmSSP,
 	}
 }

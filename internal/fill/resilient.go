@@ -128,32 +128,27 @@ func (e *Engine) noShrinkCells(w *window, targets []int64, sc *sizeScratch) []ce
 	}
 	cells := append(sc.cells[:0], w.sel...)
 	sc.cells = cells
-	cells = pruneSurplusScratch(cells, targets, len(e.lay.Layers), sc)
+	nl := len(e.lay.Layers)
+	cells = pruneSurplusScratch(cells, targets, nl, sc)
 
 	// Defensive legalization: even if the candidate set was corrupted,
-	// never emit a spacing conflict or a sub-minimum shape. Conflicts keep
-	// the higher-quality cell (ties keep the earlier one) — deterministic
-	// because candidate order is window-owned.
+	// never emit a spacing conflict or a sub-minimum shape. Conflicts,
+	// walked in ascending (i, j) order, keep the higher-quality cell (ties
+	// keep the earlier one) — deterministic because candidate order is
+	// window-owned.
 	rules := e.lay.Rules
+	sc.indexCells(cells, nl, w.rect)
+	pairs := sc.crowdedPairs(cells, rules.MinSpace)
 	drop := growBool(sc.drop, len(cells))
 	sc.drop = drop
-	for i := 0; i < len(cells); i++ {
-		if drop[i] {
-			continue
-		}
-		for j := i + 1; j < len(cells); j++ {
-			if drop[j] || cells[i].layer != cells[j].layer {
-				continue
-			}
-			gx, gy := cells[i].rect.Gap(cells[j].rect)
-			if gx < rules.MinSpace && gy < rules.MinSpace {
-				if cells[j].quality <= cells[i].quality {
-					drop[j] = true
-				} else {
-					drop[i] = true
-					break
-				}
-			}
+	for _, pr := range pairs {
+		i, j := pr.i, pr.j
+		switch {
+		case drop[i] || drop[j]:
+		case cells[j].quality <= cells[i].quality:
+			drop[j] = true
+		default:
+			drop[i] = true
 		}
 	}
 	out := cells[:0]

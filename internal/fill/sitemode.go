@@ -23,8 +23,6 @@ type siteMode struct {
 	pad  int64 // keepout, in sites, against placed cells and wires
 }
 
-func (m *siteMode) name() string { return ModeSite }
-
 // cacheID folds in everything that shapes site-mode geometry beyond the
 // window content: the padding rule, the master library and the lattice
 // pitch. The lattice *phase* is per-window content and lives in
@@ -147,7 +145,7 @@ func (m *siteMode) selectCandidates(w *window, td []float64) {
 	w.sel = w.sel[:0]
 	cs := candPool.Get().(*candScratch)
 	defer candPool.Put(cs)
-	gamma, lambda := m.e.opts.Gamma, m.e.opts.Lambda
+	lambda := m.e.opts.Lambda
 	for l := range w.layers {
 		cells := cs.batch[:0]
 		for _, fr := range w.layers[l].free {

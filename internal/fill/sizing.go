@@ -210,7 +210,7 @@ func sizeWindowWith(ctx context.Context, w *window, lay *layout.Layout, targets 
 		sc.wireCov[l].Build(sc.wclips)
 	}
 
-	for pass := 0; pass < opts.MaxSizingPasses; pass++ {
+	for pass := 0; pass < maxSizingPasses; pass++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dummyfill/internal/geom"
+	"dummyfill/internal/layout"
 )
 
 // bruteCrowdedPairs is the all-pairs reference for crowdedPairs: every
@@ -71,5 +72,81 @@ func TestCrowdedPairsMatchesBruteForce(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no crowded pairs generated")
+	}
+}
+
+// allPairsNoShrink is the all-pairs reference for noShrinkCells'
+// legalization of already pruned cells: for i ascending, each later
+// same-layer cell closer than MinSpace loses unless it has the higher
+// quality, in which case cell i loses and stops scanning.
+func allPairsNoShrink(cells []cell, rules layout.Rules) []cell {
+	drop := make([]bool, len(cells))
+	for i := range cells {
+		if drop[i] {
+			continue
+		}
+		for j := i + 1; j < len(cells); j++ {
+			if drop[j] || cells[i].layer != cells[j].layer {
+				continue
+			}
+			if gx, gy := cells[i].rect.Gap(cells[j].rect); gx < rules.MinSpace && gy < rules.MinSpace {
+				if cells[j].quality <= cells[i].quality {
+					drop[j] = true
+				} else {
+					drop[i] = true
+					break
+				}
+			}
+		}
+	}
+	var out []cell
+	for i, c := range cells {
+		r := c.rect
+		if !drop[i] && r.W() >= rules.MinWidth && r.H() >= rules.MinWidth && r.Area() >= rules.MinArea {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestNoShrinkCellsMatchesAllPairs feeds noShrinkCells crowded and
+// overlapping candidate sets — random sizes (some below the minimum),
+// positions that collide or hang over the window edge, and qualities drawn
+// from a few values so ties are common — and checks the surviving cells
+// against the all-pairs reference applied after the same pruning.
+func TestNoShrinkCellsMatchesAllPairs(t *testing.T) {
+	rules := testRules()
+	rng := rand.New(rand.NewSource(5))
+	sc := &sizeScratch{}
+	dropped := 0
+	for trial := 0; trial < 40; trial++ {
+		nl := 1 + rng.Intn(3)
+		lay := &layout.Layout{Rules: rules, Layers: make([]*layout.Layer, nl)}
+		e := &Engine{lay: lay}
+		w := &window{rect: geom.R(0, 0, 120, 120), layers: make([]winLayer, nl)}
+		for n := 20 + rng.Intn(60); n > 0; n-- {
+			x, y := int64(rng.Intn(130)-5), int64(rng.Intn(130)-5)
+			cw, ch := int64(2+rng.Intn(20)), int64(2+rng.Intn(20))
+			w.sel = append(w.sel, cell{
+				rect:    geom.R(x, y, x+cw, y+ch),
+				layer:   rng.Intn(nl),
+				quality: float64(rng.Intn(3)),
+			})
+		}
+		targets := make([]int64, nl)
+		for l := range targets {
+			targets[l] = int64(rng.Intn(12000))
+		}
+
+		pruned := pruneSurplus(slices.Clone(w.sel), targets, nl)
+		want := allPairsNoShrink(pruned, rules)
+		got := e.noShrinkCells(w, targets, sc)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: %d cells kept, want %d", trial, len(got), len(want))
+		}
+		dropped += len(pruned) - len(want)
+	}
+	if dropped == 0 {
+		t.Fatal("no conflicts generated")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dummyfill/internal/density"
@@ -77,11 +76,10 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 		return nil, err
 	}
 	pw := e.planWeights(wd)
-	plan1, err := density.PlanTargets(bounds, pw, e.opts.PlanSteps)
+	plan1, err := density.PlanTargets(bounds, pw, planSteps)
 	if err != nil {
 		return nil, err
 	}
-	e.applyMinDensity(plan1.Td)
 
 	// Cache lookup (nil when Options.Cache is off or bypassed): windows
 	// whose content and round-1 targets match a stored entry skip
@@ -127,11 +125,10 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan2, err := density.PlanTargets(bounds2, pw, e.opts.PlanSteps)
+	plan2, err := density.PlanTargets(bounds2, pw, planSteps)
 	if err != nil {
 		return nil, err
 	}
-	e.applyMinDensity(plan2.Td)
 	// Cache resolve: decide replay vs stale now that round-2 targets are
 	// known; stale windows rerun candgen here.
 	if err := e.cacheResolve(ctx, wins, cst, plan2.Td, hc); err != nil {
@@ -291,15 +288,15 @@ func (e *Engine) produceWindow(ctx context.Context, k int, wins []*window, td []
 // Each worker owns one lazily-initialized sizing scratch for its whole
 // lifetime (its buffers and solver arena are reused from window to
 // window), so the run creates exactly min(Workers, windows) scratches.
+// A worker blocked on a full ring is woken by rb.abort: a failing task
+// aborts the ring itself, and cancelling the parent context aborts it
+// through context.AfterFunc.
 func (e *Engine) sizeAndEmit(ctx context.Context, wins []*window, td []float64, sink Sink, hc *healthCollector, start time.Time, cst *cacheState) error {
 	nw := len(wins)
 	if nw == 0 {
 		return nil
 	}
 
-	produce := func(ctx context.Context, k int, sc *sizeScratch) ([]layout.Fill, error) {
-		return e.produceWindow(ctx, k, wins, td, sc, hc, start, cst)
-	}
 	release := func(k int, fills []layout.Fill) error {
 		w := wins[k]
 		w.sel = nil
@@ -330,55 +327,23 @@ func (e *Engine) sizeAndEmit(ctx context.Context, wins []*window, td []float64, 
 		capacity = nw
 	}
 	rb := newReorderBuffer(capacity, release)
+	stop := context.AfterFunc(ctx, func() { rb.abort(context.Cause(ctx)) })
+	defer stop()
 
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Abort watcher: wakes workers blocked on a full buffer when the run
-	// is cancelled (or a sibling failed and cancelled wctx).
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		<-wctx.Done()
-		rb.abort(context.Cause(wctx))
-	}()
-
-	var (
-		next     atomic.Int64
-		firstErr error
-		once     sync.Once
-		wg       sync.WaitGroup
-	)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newSizeScratch(e.opts)
-			pprof.Do(wctx, pprof.Labels("stage", "size-emit"), func(ctx context.Context) {
-				for ctx.Err() == nil {
-					k := int(next.Add(1)) - 1
-					if k >= nw {
-						return
-					}
-					fills, err := produce(ctx, k, sc)
-					if err == nil {
-						err = rb.deliver(k, fills)
-					}
-					if err != nil {
-						once.Do(func() { firstErr = err })
-						cancel()
-						return
-					}
-				}
-			})
-		}()
-	}
-	wg.Wait()
-	cancel()
-	<-watcherDone
-	if firstErr != nil {
-		return firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	err := e.parallelForWorkers(ctx, nw, "size-emit", func() func(context.Context, int) error {
+		sc := newSizeScratch(e.opts)
+		return func(ctx context.Context, k int) error {
+			fills, err := e.produceWindow(ctx, k, wins, td, sc, hc, start, cst)
+			if err == nil {
+				err = rb.deliver(k, fills)
+			}
+			if err != nil {
+				rb.abort(err)
+			}
+			return err
+		}
+	})
+	if err != nil {
 		return err
 	}
 	hc.notePeak(rb.peak)

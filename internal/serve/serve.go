@@ -56,6 +56,11 @@ const (
 	StatusRejected Status = "rejected"
 )
 
+// budgetFraction is the share of a job's remaining deadline granted to
+// the engine's soft Options.Budget; the rest is headroom so the run
+// degrades windows and still completes before the hard abort.
+const budgetFraction = 0.8
+
 // Config tunes a Server. The zero value is usable: every field defaults
 // sensibly in New.
 type Config struct {
@@ -71,16 +76,8 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline clamps client-requested deadlines (0 = 5m).
 	MaxDeadline time.Duration
-	// BudgetFraction is the share of a job's remaining deadline granted
-	// to the engine's soft Options.Budget; the rest is headroom so the
-	// run degrades windows and still completes before the hard abort
-	// (0 = 0.8).
-	BudgetFraction float64
 	// MaxBodyBytes caps an ingest payload (0 = 256 MiB).
 	MaxBodyBytes int64
-	// Limits tightens the per-format ingest caps; zero fields keep each
-	// format's defaults.
-	Limits layio.Limits
 	// CacheEntries is the content-hash layout cache capacity
 	// (0 = 64; negative disables caching).
 	CacheEntries int
@@ -113,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDeadline <= 0 {
 		c.MaxDeadline = 5 * time.Minute
-	}
-	if c.BudgetFraction <= 0 || c.BudgetFraction >= 1 {
-		c.BudgetFraction = 0.8
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 256 << 20
@@ -436,7 +430,7 @@ func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
 	if p.lambda > 0 {
 		opts.Lambda = p.lambda
 	}
-	opts.Budget = time.Duration(float64(remaining) * s.cfg.BudgetFraction)
+	opts.Budget = time.Duration(float64(remaining) * budgetFraction)
 	opts.Cache = s.cfg.FillCache
 
 	buf := s.getBuf()
@@ -530,8 +524,7 @@ func (s *Server) runJob(ctx context.Context, lay *layout.Layout, opts fill.Optio
 	return res, deck.Fills(), nil
 }
 
-// parseLayout ingests a payload under the format's limits tightened by
-// the server's own.
+// parseLayout ingests a payload under the format's default limits.
 func (s *Server) parseLayout(body []byte, p jobParams) (*layout.Layout, error) {
 	f, src, err := layio.Resolve(bytes.NewReader(body), p.format)
 	if err != nil {
@@ -541,19 +534,7 @@ func (s *Server) parseLayout(body []byte, p jobParams) (*layout.Layout, error) {
 	if !f.CarriesMeta {
 		iopts.Rules = s.cfg.Rules
 	}
-	return ingest.FromShapes(f.NewShapeReader(src, mergeLimits(f.Limits, s.cfg.Limits)), iopts)
-}
-
-// mergeLimits tightens format defaults with the server's caps (zero
-// fields keep the default).
-func mergeLimits(def, cap layio.Limits) layio.Limits {
-	if cap.MaxRecords > 0 && (def.MaxRecords == 0 || cap.MaxRecords < def.MaxRecords) {
-		def.MaxRecords = cap.MaxRecords
-	}
-	if cap.MaxShapes > 0 && (def.MaxShapes == 0 || cap.MaxShapes < def.MaxShapes) {
-		def.MaxShapes = cap.MaxShapes
-	}
-	return def
+	return ingest.FromShapes(f.NewShapeReader(src, f.Limits), iopts)
 }
 
 // getBuf/putBuf wrap the output-buffer pool with balance accounting; the
