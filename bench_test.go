@@ -168,7 +168,8 @@ func BenchmarkAblation_MCFvsSimplex(b *testing.B) {
 func BenchmarkAblation_SSPvsNetworkSimplex(b *testing.B) {
 	build := func(n, m int) *mcf.Graph {
 		rng := rand.New(rand.NewSource(9))
-		g := mcf.NewGraph(n)
+		g := new(mcf.Graph)
+		g.Reset(n)
 		perm := rng.Perm(n)
 		for i := 0; i+1 < n; i++ {
 			g.AddArc(perm[i], perm[i+1], 1000, int64(rng.Intn(20)))

@@ -123,7 +123,8 @@ func TestWarmSequenceReusesState(t *testing.T) {
 }
 
 // TestSolveAfterInfeasible checks a reused solver recovers cleanly after
-// an infeasible instance (the dropCrowded retry pattern).
+// an infeasible instance: a worker's solver keeps sizing later windows
+// after one fails.
 func TestSolveAfterInfeasible(t *testing.T) {
 	s := NewWarmSSP()
 	bad := NewProblem(2, 10)

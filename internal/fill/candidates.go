@@ -147,17 +147,7 @@ var candPool = sync.Pool{New: func() any { return new(candScratch) }}
 // layerSlices resizes the per-layer members to nl layers, resetting the
 // selection indexes over the window bounds.
 func (cs *candScratch) layerSlices(nl int, bounds geom.Rect) {
-	if cap(cs.selIx) < nl {
-		cs.selIx = append(cs.selIx[:cap(cs.selIx)], make([]*geom.Index, nl-cap(cs.selIx))...)
-	}
-	cs.selIx = cs.selIx[:nl]
-	for l := range cs.selIx {
-		if cs.selIx[l] == nil {
-			cs.selIx[l] = geom.NewIndex(bounds, 0)
-		} else {
-			cs.selIx[l].Reset(bounds, 0)
-		}
-	}
+	cs.selIx = indexes(cs.selIx, nl, bounds)
 	if cap(cs.wireCov) < nl {
 		cs.wireCov = make([]geom.AreaTable, nl)
 	}
@@ -224,24 +214,6 @@ func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambd
 			cur += float64(c.rect.Area())
 		}
 	}
-	// assignSpaced additionally skips cells violating spacing against
-	// already-selected same-layer cells (the two even-layer batches come
-	// from different tilings and may collide).
-	assignSpaced := func(l int, cells []cell) {
-		target := lambda * dt[l] * aw
-		cur := float64(w.layers[l].wireArea)
-		for _, c := range cells {
-			if cur >= target {
-				break
-			}
-			if selIx[l].AnyWithin(c.rect, lay.Rules.MinSpace, -1) {
-				continue
-			}
-			w.sel = append(w.sel, c)
-			selIx[l].Insert(c.rect)
-			cur += float64(c.rect.Area())
-		}
-	}
 
 	// Pass 1: odd layers (1-based odd ⇒ 0-based even indices 0,2,4,…).
 	for l := 0; l < nl; l += 2 {
@@ -293,8 +265,8 @@ func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambd
 	// batches: first, cells carved from the region with no shape above or
 	// below (true Region 3 of Figs. 4/5 — zero overlay by construction);
 	// then the ordinary grid cells in quality order (Eqn. 8) to cover the
-	// remaining density demand. Grid cells that would violate spacing
-	// against already-selected same-layer cells are skipped.
+	// remaining density demand. Either batch is pairwise legal on its own,
+	// and only one of them is assigned.
 	inset := (lay.Rules.MinSpace + 1) / 2
 	for l := 1; l < nl; l += 2 {
 		neighbors := cs.neigh[:0]
@@ -355,9 +327,9 @@ func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambd
 			zeroArea += c.rect.Area()
 		}
 		if float64(w.layers[l].wireArea+zeroArea) >= lambda*dt[l]*aw {
-			assignSpaced(l, zero)
+			assign(l, zero)
 		} else {
-			assignSpaced(l, grid)
+			assign(l, grid)
 		}
 	}
 }

@@ -254,56 +254,6 @@ func TestSizeWindowShrinksToTarget(t *testing.T) {
 	}
 }
 
-func TestSizingFixesSpacingViolations(t *testing.T) {
-	lay := fig4Layout()
-	w := &window{rect: geom.R(0, 0, 100, 100), layers: make([]winLayer, 2)}
-	// Two abutting cells (gap 0 < MinSpace 4), horizontally separable.
-	w.sel = []cell{
-		{rect: geom.R(30, 30, 50, 50), layer: 0, quality: 1},
-		{rect: geom.R(50, 30, 70, 50), layer: 0, quality: 0.5},
-	}
-	targets := []int64{800, 0}
-	sized, err := sizeWindow(w, lay, targets, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sized) != 2 {
-		t.Fatalf("both cells should survive, got %d", len(sized))
-	}
-	gx, gy := sized[0].rect.Gap(sized[1].rect)
-	if gx < lay.Rules.MinSpace && gy < lay.Rules.MinSpace {
-		t.Fatalf("spacing violation not fixed: %v vs %v", sized[0].rect, sized[1].rect)
-	}
-}
-
-func TestSizingDropsHopelesslyCrowdedCells(t *testing.T) {
-	lay := fig4Layout()
-	w := &window{rect: geom.R(0, 0, 100, 100), layers: make([]winLayer, 2)}
-	// Three minimum-size cells stacked with zero gaps: the chain cannot
-	// satisfy spacing by shrinking (cells are already at min width), so
-	// at least one must be deleted.
-	w.sel = []cell{
-		{rect: geom.R(30, 30, 34, 34), layer: 0, quality: 3},
-		{rect: geom.R(34, 30, 38, 34), layer: 0, quality: 1},
-		{rect: geom.R(38, 30, 42, 34), layer: 0, quality: 2},
-	}
-	sized, err := sizeWindow(w, lay, []int64{48, 0}, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sized) >= 3 {
-		t.Fatalf("over-crowded chain should lose a cell, kept %d", len(sized))
-	}
-	for i := range sized {
-		for j := i + 1; j < len(sized); j++ {
-			gx, gy := sized[i].rect.Gap(sized[j].rect)
-			if gx < lay.Rules.MinSpace && gy < lay.Rules.MinSpace {
-				t.Fatalf("spacing still violated after deletion")
-			}
-		}
-	}
-}
-
 func TestPruneSurplus(t *testing.T) {
 	cells := []cell{
 		{rect: geom.R(0, 0, 10, 10), layer: 0, quality: 0.9},

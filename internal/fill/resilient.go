@@ -118,48 +118,17 @@ func (e *Engine) sizeWindowResilient(ctx context.Context, k int, w *window, targ
 
 // noShrinkCells is the terminal degradation: emit the window's selected
 // candidates unshrunk, pruned down to the target areas. Candidates are
-// legal from birth (the tiling pitch includes the spacing rule and
-// window-border pieces are inset by half of it), so the result stays
-// DRC-clean — the window just forgoes density/overlay optimization. The
-// returned slice aliases scratch storage.
+// legal from birth (the tiling pitch includes the spacing rule, every
+// window-clipped piece is inset by half of it, and Layout.Validate keeps
+// fill regions disjoint and MinSpace clear of the wires), so the result
+// keeps spacing — the window just forgoes density/overlay optimization.
+// Sub-minimum shapes are still dropped. The returned slice aliases
+// scratch storage.
 func (e *Engine) noShrinkCells(w *window, targets []int64, sc *sizeScratch) []cell {
 	if len(w.sel) == 0 {
 		return nil
 	}
 	cells := append(sc.cells[:0], w.sel...)
 	sc.cells = cells
-	nl := len(e.lay.Layers)
-	cells = pruneSurplusScratch(cells, targets, nl, sc)
-
-	// Defensive legalization: even if the candidate set was corrupted,
-	// never emit a spacing conflict or a sub-minimum shape. Conflicts,
-	// walked in ascending (i, j) order, keep the higher-quality cell (ties
-	// keep the earlier one) — deterministic because candidate order is
-	// window-owned.
-	rules := e.lay.Rules
-	sc.indexCells(cells, nl, w.rect)
-	pairs := sc.crowdedPairs(cells, rules.MinSpace)
-	drop := growBool(sc.drop, len(cells))
-	sc.drop = drop
-	for _, pr := range pairs {
-		i, j := pr.i, pr.j
-		switch {
-		case drop[i] || drop[j]:
-		case cells[j].quality <= cells[i].quality:
-			drop[j] = true
-		default:
-			drop[i] = true
-		}
-	}
-	out := cells[:0]
-	for i, c := range cells {
-		if drop[i] {
-			continue
-		}
-		r := c.rect
-		if r.W() >= rules.MinWidth && r.H() >= rules.MinWidth && r.Area() >= rules.MinArea {
-			out = append(out, c)
-		}
-	}
-	return out
+	return keepLegal(pruneSurplusScratch(cells, targets, len(e.lay.Layers), sc), e.lay.Rules)
 }

@@ -2,7 +2,6 @@ package fill
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -27,28 +26,19 @@ type sizeScratch struct {
 	wireCov []geom.AreaTable
 	wclips  []geom.Rect
 	fillIx  []*geom.Index
-	members [][]int // members[l][id] is the cell behind fillIx[l]'s rect id
-
-	pairs []cellPair // same-layer cells closer than MinSpace, this pass
-	near  []int
 
 	// Per-layer accumulators.
-	area, surplus, totalCross []int64
-	ovStep, plainStep         []int64
-	acc                       []budgetAcc
+	area, surplus     []int64
+	ovStep, plainStep []int64
+	acc               []budgetAcc
 
 	// Per-cell buffers.
 	ov, minDims []int64
-	conflicted  []bool
 	drop        []bool
 	idx         []int
 	targets     []int64
 	selArea     []int64
 }
-
-// cellPair is two same-layer cells i < j closer than MinSpace in both
-// axes: the pairs the spacing rule (Eqn. 13) constrains.
-type cellPair struct{ i, j int }
 
 // budgetAcc accumulates the per-pass shrink-budget classes of one layer.
 type budgetAcc struct {
@@ -75,7 +65,6 @@ func (sc *sizeScratch) solver() dlp.PSolver {
 func (sc *sizeScratch) layerSlices(nl int) {
 	sc.area = growI64(sc.area, nl)
 	sc.surplus = growI64(sc.surplus, nl)
-	sc.totalCross = growI64(sc.totalCross, nl)
 	sc.ovStep = growI64(sc.ovStep, nl)
 	sc.plainStep = growI64(sc.plainStep, nl)
 	if cap(sc.acc) < nl {
@@ -106,52 +95,16 @@ func growBool(s []bool, n int) []bool {
 	return s
 }
 
-// indexCells rebuilds the per-layer fill indexes over bounds from cells,
-// recording which cell each index id belongs to.
+// indexCells rebuilds the per-layer fill indexes over bounds from cells.
 func (sc *sizeScratch) indexCells(cells []cell, nl int, bounds geom.Rect) {
 	sc.fillIx = indexes(sc.fillIx, nl, bounds)
-	sc.members = slices.Grow(sc.members[:0], nl)[:nl]
-	for l := range sc.members {
-		sc.members[l] = sc.members[l][:0]
-	}
-	for i, c := range cells {
+	for _, c := range cells {
 		sc.fillIx[c.layer].Insert(c.rect)
-		sc.members[c.layer] = append(sc.members[c.layer], i)
 	}
 }
 
-// crowdedPairs returns every same-layer pair of cells closer than
-// minSpace in both axes, in ascending (i, j) order, and marks the cells
-// of each pair in sc.conflicted. Each cell queries the fill indexes of
-// indexCells with its rect expanded by minSpace, so a pass costs one
-// index query per cell instead of a scan over all pairs.
-func (sc *sizeScratch) crowdedPairs(cells []cell, minSpace int64) []cellPair {
-	conflicted := growBool(sc.conflicted, len(cells))
-	sc.conflicted = conflicted
-	pairs := sc.pairs[:0]
-	for i, c := range cells {
-		near := sc.near[:0]
-		members := sc.members[c.layer]
-		sc.fillIx[c.layer].Query(c.rect.Expand(minSpace), func(id int, r geom.Rect) bool {
-			if j := members[id]; j > i {
-				if gx, gy := c.rect.Gap(r); gx < minSpace && gy < minSpace {
-					near = append(near, j)
-				}
-			}
-			return true
-		})
-		slices.Sort(near)
-		for _, j := range near {
-			pairs = append(pairs, cellPair{i, j})
-			conflicted[i], conflicted[j] = true, true
-		}
-		sc.near = near
-	}
-	sc.pairs = pairs
-	return pairs
-}
-
-// indexes resizes dst to nl indexes over bounds, reusing Index arenas.
+// indexes resizes dst to nl empty indexes over bounds, reusing Index
+// arenas.
 func indexes(dst []*geom.Index, nl int, bounds geom.Rect) []*geom.Index {
 	if cap(dst) < nl {
 		dst = append(dst[:cap(dst)], make([]*geom.Index, nl-cap(dst))...)
@@ -171,8 +124,10 @@ func indexes(dst []*geom.Index, nl int, bounds geom.Rect) []*geom.Index {
 // each layer's fill area converges to its target area while overlay with
 // neighbouring layers is minimized (§3.3). The non-convex problem (Eqn. 9)
 // is relaxed by alternating directions: with heights fixed, widths are the
-// solution of a difference-constraint LP (Eqns. 10–13) solved exactly via
-// dual min-cost flow (Eqn. 14–16); then the roles swap.
+// solution of a difference-constraint LP (Eqns. 10–12) solved exactly via
+// dual min-cost flow (Eqn. 14–16); then the roles swap. The spacing rows
+// of Eqn. 13 are implied by the bounds: candidates are pairwise legal from
+// birth and every edge stays inside its own candidate (DESIGN §6.1).
 //
 // targets[l] is the desired fill area (not density) for layer l within
 // this window. Returns the surviving sized fills; the slice aliases the
@@ -183,7 +138,6 @@ func sizeWindowWith(ctx context.Context, w *window, lay *layout.Layout, targets 
 	if len(w.sel) == 0 {
 		return nil, nil
 	}
-	rules := lay.Rules
 	cells := append(sc.cells[:0], w.sel...)
 	sc.cells = cells
 
@@ -216,15 +170,6 @@ func sizeWindowWith(ctx context.Context, w *window, lay *layout.Layout, targets 
 		}
 		horizontal := pass%2 == 0
 		changed, err := sizingPass(ctx, cells, w, lay, targets, horizontal, opts, sc, solve)
-		for dropN := 1; errors.Is(err, dlp.ErrInfeasible); dropN *= 2 {
-			// The spacing chains cannot fit: delete the lowest-quality
-			// conflicted cells, doubling the batch on every retry.
-			cells, err = dropCrowded(cells, dropN, sc)
-			if err != nil {
-				return nil, err
-			}
-			changed, err = sizingPass(ctx, cells, w, lay, targets, horizontal, opts, sc, solve)
-		}
 		if err != nil {
 			return nil, err
 		}
@@ -234,6 +179,12 @@ func sizeWindowWith(ctx context.Context, w *window, lay *layout.Layout, targets 
 	}
 	// Drop cells that have been shrunk into illegality (defensive; the
 	// bounds should prevent this).
+	return keepLegal(cells, lay.Rules), nil
+}
+
+// keepLegal filters cells in place down to those meeting the minimum
+// width and area rules.
+func keepLegal(cells []cell, rules layout.Rules) []cell {
 	out := cells[:0]
 	for _, c := range cells {
 		r := c.rect
@@ -241,7 +192,7 @@ func sizeWindowWith(ctx context.Context, w *window, lay *layout.Layout, targets 
 			out = append(out, c)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // pruneSurplusScratch removes lowest-quality cells while a layer remains
@@ -309,17 +260,9 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 		area[c.layer] += c.rect.Area()
 	}
 	surplus := growI64(sc.surplus, nl)
-	totalCross := growI64(sc.totalCross, nl) // Σ of cross dimension per layer
-	sc.surplus, sc.totalCross = surplus, totalCross
+	sc.surplus = surplus
 	for l := range surplus {
 		surplus[l] = area[l] - targets[l]
-	}
-	for _, c := range cells {
-		if horizontal {
-			totalCross[c.layer] += c.rect.H()
-		} else {
-			totalCross[c.layer] += c.rect.W()
-		}
 	}
 
 	// Per-cell overlay with neighbour layers at current geometry.
@@ -338,12 +281,6 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 		}
 		ov[i] = o
 	}
-
-	// Cells involved in a spacing conflict must retain shrink freedom even
-	// when their layer is under target, or the spacing constraints below
-	// could be infeasible against frozen sizes.
-	pairs := sc.crowdedPairs(cells, rules.MinSpace)
-	conflicted := sc.conflicted
 
 	// Per-pass shrink budget (§3.3.3): only layers above target shed area,
 	// and each pass removes at most ≈ the surplus, so fill density cannot
@@ -403,10 +340,6 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 		if ov[i] > 0 {
 			step = ovStep[c.layer]
 		}
-		if conflicted[i] {
-			// Spacing resolution needs freedom regardless of the budget.
-			step = dim - minDim
-		}
 		if step > dim-minDim {
 			step = dim - minDim
 		}
@@ -436,46 +369,8 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 		p.C[2*i] = -cost
 	}
 
-	// Spacing constraints between crowded same-layer cells that are
-	// separable in the active direction; pairs already MinSpace apart stay
-	// legal because sizing only shrinks. Each unordered pair appears once,
-	// so no dedup is needed.
-	spacingPairs := 0
-	for _, pr := range pairs {
-		i, j := pr.i, pr.j
-		var lowIdx, highIdx int
-		var sep bool
-		if horizontal {
-			switch {
-			case cells[i].rect.XH <= cells[j].rect.XL:
-				lowIdx, highIdx, sep = i, j, true
-			case cells[j].rect.XH <= cells[i].rect.XL:
-				lowIdx, highIdx, sep = j, i, true
-			}
-		} else {
-			switch {
-			case cells[i].rect.YH <= cells[j].rect.YL:
-				lowIdx, highIdx, sep = i, j, true
-			case cells[j].rect.YH <= cells[i].rect.YL:
-				lowIdx, highIdx, sep = j, i, true
-			}
-		}
-		if !sep {
-			continue // the other pass will separate this pair
-		}
-		// low edge of the right/top cell minus high edge of the
-		// left/bottom cell ≥ MinSpace.
-		p.AddConstraint(2*highIdx, 2*lowIdx+1, rules.MinSpace)
-		spacingPairs++
-	}
-
 	x, _, err := solve(ctx, p)
 	if err != nil {
-		if errors.Is(err, dlp.ErrInfeasible) && spacingPairs > 0 {
-			// The spacing chain cannot fit within the shrink bounds; the
-			// caller deletes crowded cells and retries.
-			return false, err
-		}
 		return false, fmt.Errorf("fill: sizing LP failed: %w", err)
 	}
 	if err := p.Check(x); err != nil {
@@ -517,45 +412,4 @@ func minDimFor(rules layout.Rules, cross int64) int64 {
 		}
 	}
 	return m
-}
-
-// dropCrowded deletes the dropN lowest-quality cells that participate in
-// a spacing conflict (ties broken by index for determinism). The
-// conflicts are the ones sc.conflicted holds from the sizing pass that
-// just failed over cells; a failed pass leaves cells untouched.
-func dropCrowded(cells []cell, dropN int, sc *sizeScratch) ([]cell, error) {
-	conflictIdx := sc.idx[:0]
-	for i, c := range sc.conflicted {
-		if c {
-			conflictIdx = append(conflictIdx, i)
-		}
-	}
-	sc.idx = conflictIdx
-	if len(conflictIdx) == 0 {
-		return nil, fmt.Errorf("fill: sizing infeasible with no spacing conflicts")
-	}
-	slices.SortFunc(conflictIdx, func(a, b int) int {
-		switch {
-		case cells[a].quality < cells[b].quality:
-			return -1
-		case cells[a].quality > cells[b].quality:
-			return 1
-		}
-		return a - b
-	})
-	if dropN > len(conflictIdx) {
-		dropN = len(conflictIdx)
-	}
-	drop := growBool(sc.drop, len(cells))
-	sc.drop = drop
-	for _, i := range conflictIdx[:dropN] {
-		drop[i] = true
-	}
-	next := cells[:0]
-	for i, c := range cells {
-		if !drop[i] {
-			next = append(next, c)
-		}
-	}
-	return next, nil
 }

@@ -1,17 +1,20 @@
 package fill
 
 import (
-	"math/rand"
-	"slices"
+	"context"
 	"testing"
 
 	"dummyfill/internal/geom"
 	"dummyfill/internal/layout"
+	"dummyfill/internal/synth"
 )
 
-// bruteCrowdedPairs is the all-pairs reference for crowdedPairs: every
-// same-layer pair i < j closer than minSpace in both axes, in ascending
-// (i, j) order.
+// cellPair is two same-layer cells i < j closer than MinSpace in both
+// axes.
+type cellPair struct{ i, j int }
+
+// bruteCrowdedPairs is the all-pairs spacing scan: every same-layer pair
+// i < j closer than minSpace in both axes, in ascending (i, j) order.
 func bruteCrowdedPairs(cells []cell, minSpace int64) []cellPair {
 	var out []cellPair
 	for i := range cells {
@@ -27,126 +30,95 @@ func bruteCrowdedPairs(cells []cell, minSpace int64) []cellPair {
 	return out
 }
 
-// TestCrowdedPairsMatchesBruteForce builds crowded windows by hand —
-// same-layer cells on a pitch tighter than MinSpace, jittered, some
-// touching or hanging over the window edge — and checks the index-backed
-// neighbour list, and the conflicted marks derived from it, against the
-// all-pairs scan. One scratch serves every window, so reuse is covered.
-func TestCrowdedPairsMatchesBruteForce(t *testing.T) {
-	rules := testRules() // MinSpace 4
-	win := geom.R(0, 0, 200, 200)
-	rng := rand.New(rand.NewSource(3))
-	sc := &sizeScratch{}
-	total := 0
-	for trial := 0; trial < 30; trial++ {
-		nl := 1 + rng.Intn(3)
-		var cells []cell
-		for l := 0; l < nl; l++ {
-			pitch := int64(10 + rng.Intn(8)) // cells are 8 wide: gaps 2..9
-			for y := int64(-4); y < 200; y += pitch {
-				for x := int64(-4); x < 200; x += pitch {
-					if rng.Intn(3) == 0 {
-						continue
-					}
-					dx, dy := int64(rng.Intn(3)-1), int64(rng.Intn(3)-1)
-					cells = append(cells, cell{rect: geom.R(x+dx, y+dy, x+dx+8, y+dy+8), layer: l})
-				}
-			}
-		}
-		rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
-
-		sc.indexCells(cells, nl, win)
-		got := sc.crowdedPairs(cells, rules.MinSpace)
-		want := bruteCrowdedPairs(cells, rules.MinSpace)
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: %d pairs from the index, %d from the scan", trial, len(got), len(want))
-		}
-		marked := make([]bool, len(cells))
-		for _, p := range want {
-			marked[p.i], marked[p.j] = true, true
-		}
-		if !slices.Equal(sc.conflicted, marked) {
-			t.Fatalf("trial %d: conflicted marks differ from the scan", trial)
-		}
-		total += len(want)
-	}
-	if total == 0 {
-		t.Fatal("no crowded pairs generated")
+// abuttingRegionsLayout is a three-layer layout whose fill regions abut
+// each other, inside windows and across window borders, under an odd
+// MinSpace: the case where half-spacing insets must round up.
+func abuttingRegionsLayout() *layout.Layout {
+	return &layout.Layout{
+		Name:   "abut",
+		Die:    geom.R(0, 0, 200, 200),
+		Window: 50,
+		Rules:  layout.Rules{MinWidth: 2, MinSpace: 3, MinArea: 4, MaxFillDim: 20},
+		Layers: []*layout.Layer{
+			{
+				Wires: []geom.Rect{geom.R(0, 0, 30, 200)},
+				FillRegions: []geom.Rect{
+					geom.R(33, 0, 120, 200), geom.R(120, 0, 200, 90), geom.R(120, 90, 200, 200),
+				},
+			},
+			{
+				Wires: []geom.Rect{geom.R(0, 100, 200, 130)},
+				FillRegions: []geom.Rect{
+					geom.R(0, 0, 77, 97), geom.R(77, 0, 200, 97), geom.R(0, 133, 100, 200), geom.R(100, 133, 200, 200),
+				},
+			},
+			{
+				Wires:       []geom.Rect{geom.R(170, 0, 200, 200)},
+				FillRegions: []geom.Rect{geom.R(0, 0, 51, 200), geom.R(51, 0, 167, 200)},
+			},
+		},
 	}
 }
 
-// allPairsNoShrink is the all-pairs reference for noShrinkCells'
-// legalization of already pruned cells: for i ascending, each later
-// same-layer cell closer than MinSpace loses unless it has the higher
-// quality, in which case cell i loses and stops scanning.
-func allPairsNoShrink(cells []cell, rules layout.Rules) []cell {
-	drop := make([]bool, len(cells))
-	for i := range cells {
-		if drop[i] {
-			continue
+// TestSelectedCandidatesKeepSpacing asserts the invariant that carries the
+// spacing rule, which the sizing LP no longer encodes: Alg. 1's selection
+// is pairwise legal on every layer, at any target density. The selections
+// of tiny and the abutting-region layout are checked as a whole, so pairs
+// that straddle a window border count too; s is checked window by window.
+func TestSelectedCandidatesKeepSpacing(t *testing.T) {
+	s, err := synth.Generate(synth.DesignS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		lay       *layout.Layout
+		perWindow bool
+	}{
+		{abuttingRegionsLayout(), false},
+		{tinyLayout(t), false},
+		{s, true},
+	} {
+		lay := tc.lay
+		if err := lay.Validate(); err != nil {
+			t.Fatalf("%s: %v", lay.Name, err)
 		}
-		for j := i + 1; j < len(cells); j++ {
-			if drop[j] || cells[i].layer != cells[j].layer {
-				continue
+		e, err := New(lay, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl := len(lay.Layers)
+		for _, d := range []float64{0.3, 0.6, 1} {
+			wins, err := e.prepareWindows(context.Background())
+			if err != nil {
+				t.Fatal(err)
 			}
-			if gx, gy := cells[i].rect.Gap(cells[j].rect); gx < rules.MinSpace && gy < rules.MinSpace {
-				if cells[j].quality <= cells[i].quality {
-					drop[j] = true
+			dt := make([]float64, nl)
+			for l := range dt {
+				dt[l] = d
+			}
+			var groups [][]cell
+			var all []cell
+			for _, w := range wins {
+				w.selectCandidates(lay, dt, 1)
+				if tc.perWindow {
+					groups = append(groups, w.sel)
 				} else {
-					drop[i] = true
-					break
+					all = append(all, w.sel...)
+				}
+			}
+			if !tc.perWindow {
+				if len(all) == 0 {
+					t.Fatalf("%s at density %v: nothing selected", lay.Name, d)
+				}
+				groups = [][]cell{all}
+			}
+			for _, cells := range groups {
+				if pairs := bruteCrowdedPairs(cells, lay.Rules.MinSpace); len(pairs) > 0 {
+					p := pairs[0]
+					t.Fatalf("%s at density %v: %d selected pairs closer than MinSpace %d, first %v vs %v on layer %d",
+						lay.Name, d, len(pairs), lay.Rules.MinSpace, cells[p.i].rect, cells[p.j].rect, cells[p.i].layer)
 				}
 			}
 		}
-	}
-	var out []cell
-	for i, c := range cells {
-		r := c.rect
-		if !drop[i] && r.W() >= rules.MinWidth && r.H() >= rules.MinWidth && r.Area() >= rules.MinArea {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// TestNoShrinkCellsMatchesAllPairs feeds noShrinkCells crowded and
-// overlapping candidate sets — random sizes (some below the minimum),
-// positions that collide or hang over the window edge, and qualities drawn
-// from a few values so ties are common — and checks the surviving cells
-// against the all-pairs reference applied after the same pruning.
-func TestNoShrinkCellsMatchesAllPairs(t *testing.T) {
-	rules := testRules()
-	rng := rand.New(rand.NewSource(5))
-	sc := &sizeScratch{}
-	dropped := 0
-	for trial := 0; trial < 40; trial++ {
-		nl := 1 + rng.Intn(3)
-		lay := &layout.Layout{Rules: rules, Layers: make([]*layout.Layer, nl)}
-		e := &Engine{lay: lay}
-		w := &window{rect: geom.R(0, 0, 120, 120), layers: make([]winLayer, nl)}
-		for n := 20 + rng.Intn(60); n > 0; n-- {
-			x, y := int64(rng.Intn(130)-5), int64(rng.Intn(130)-5)
-			cw, ch := int64(2+rng.Intn(20)), int64(2+rng.Intn(20))
-			w.sel = append(w.sel, cell{
-				rect:    geom.R(x, y, x+cw, y+ch),
-				layer:   rng.Intn(nl),
-				quality: float64(rng.Intn(3)),
-			})
-		}
-		targets := make([]int64, nl)
-		for l := range targets {
-			targets[l] = int64(rng.Intn(12000))
-		}
-
-		pruned := pruneSurplus(slices.Clone(w.sel), targets, nl)
-		want := allPairsNoShrink(pruned, rules)
-		got := e.noShrinkCells(w, targets, sc)
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: %d cells kept, want %d", trial, len(got), len(want))
-		}
-		dropped += len(pruned) - len(want)
-	}
-	if dropped == 0 {
-		t.Fatal("no conflicts generated")
 	}
 }

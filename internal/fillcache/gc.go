@@ -56,17 +56,7 @@ type gcFile struct {
 func (c *Cache) GC(maxBytes int64, maxAge time.Duration, now time.Time) (GCResult, error) {
 	c.gcMu.Lock()
 	defer c.gcMu.Unlock()
-	res, err := c.gcLocked(maxBytes, maxAge, now)
-	c.lastGC = res
-	return res, err
-}
-
-// LastGC returns the result of the most recent GC pass made through this
-// handle (zero value if none has run).
-func (c *Cache) LastGC() GCResult {
-	c.gcMu.Lock()
-	defer c.gcMu.Unlock()
-	return c.lastGC
+	return c.gcLocked(maxBytes, maxAge, now)
 }
 
 // gcLocked is the GC pass body; the caller holds gcMu.

@@ -305,6 +305,13 @@ func TestQuickIntersectCommutativeAndBounded(t *testing.T) {
 	}
 }
 
+// FromRect returns the 4-vertex polygon of r (counter-clockwise).
+func FromRect(r Rect) Polygon {
+	return Polygon{Pts: []Point{
+		{r.XL, r.YL}, {r.XH, r.YL}, {r.XH, r.YH}, {r.XL, r.YH},
+	}}
+}
+
 func TestPolygonFromRect(t *testing.T) {
 	p := FromRect(R(0, 0, 10, 5))
 	if err := p.Validate(); err != nil {

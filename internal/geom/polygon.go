@@ -18,13 +18,6 @@ type Polygon struct {
 // degenerate edge.
 var ErrNotRectilinear = errors.New("geom: polygon is not rectilinear")
 
-// FromRect returns the 4-vertex polygon of r (counter-clockwise).
-func FromRect(r Rect) Polygon {
-	return Polygon{Pts: []Point{
-		{r.XL, r.YL}, {r.XH, r.YL}, {r.XH, r.YH}, {r.XL, r.YH},
-	}}
-}
-
 // Validate checks that the polygon is closed, rectilinear and has at least
 // 4 vertices.
 func (p Polygon) Validate() error {

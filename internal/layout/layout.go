@@ -5,6 +5,7 @@ package layout
 
 import (
 	"fmt"
+	"math"
 
 	"dummyfill/internal/geom"
 	"dummyfill/internal/grid"
@@ -43,9 +44,10 @@ type Layer struct {
 	// Wires are the signal shapes (rectangles; polygons are converted on
 	// input).
 	Wires []geom.Rect
-	// FillRegions are the feasible fill regions: disjoint rectangles where
-	// dummy fills may be placed. They already exclude wires and the
-	// wire-spacing keepout.
+	// FillRegions are the feasible fill regions: rectangles where dummy
+	// fills may be placed. They may abut but not overlap each other, and
+	// keep at least MinSpace from every wire of the layer (Validate
+	// enforces both), so candidates tiled from them are DRC-clean.
 	FillRegions []geom.Rect
 }
 
@@ -62,8 +64,11 @@ type Layout struct {
 	Sites *SiteGrid
 }
 
-// Validate checks structural consistency: shapes inside the die, fill
-// regions disjoint from wires.
+// Validate checks structural consistency: shapes inside the die, and the
+// fill-region contract of Layer.FillRegions — no region overlaps another
+// region of its layer or lies closer than MinSpace to one of its wires
+// (the same Gap test drc applies to fills). Candidates tiled from regions
+// that keep this contract are DRC-clean by construction.
 func (l *Layout) Validate() error {
 	if l.Die.Empty() {
 		return fmt.Errorf("layout: empty die")
@@ -82,26 +87,53 @@ func (l *Layout) Validate() error {
 			return err
 		}
 	}
+	ms := l.Rules.MinSpace
 	for li, layer := range l.Layers {
-		ix := geom.NewIndex(l.Die, 0)
 		for _, w := range layer.Wires {
 			if !l.Die.ContainsRect(w) {
 				return fmt.Errorf("layout: layer %d wire %v escapes die %v", li, w, l.Die)
 			}
+		}
+		if len(layer.FillRegions) == 0 {
+			continue
+		}
+		// One index holds the wires and, as they pass, the regions: each
+		// region is checked against both with a single query.
+		nw := len(layer.Wires)
+		ix := geom.NewIndex(l.Die, indexCell(l.Die, nw+len(layer.FillRegions)))
+		for _, w := range layer.Wires {
 			ix.Insert(w)
 		}
 		for _, fr := range layer.FillRegions {
 			if !l.Die.ContainsRect(fr) {
 				return fmt.Errorf("layout: layer %d fill region %v escapes die %v", li, fr, l.Die)
 			}
-			hit := false
-			ix.Query(fr, func(_ int, _ geom.Rect) bool { hit = true; return false })
-			if hit {
-				return fmt.Errorf("layout: layer %d fill region %v overlaps a wire", li, fr)
+			var err error
+			ix.Query(fr.Expand(ms), func(id int, r geom.Rect) bool {
+				switch gx, gy := fr.Gap(r); {
+				case id >= nw && fr.Overlaps(r):
+					err = fmt.Errorf("layout: layer %d fill region %v overlaps fill region %v", li, fr, r)
+				case id < nw && (fr.Overlaps(r) || gx < ms && gy < ms):
+					err = fmt.Errorf("layout: layer %d fill region %v lies within MinSpace %d of wire %v", li, fr, ms, r)
+				}
+				return err == nil
+			})
+			if err != nil {
+				return err
 			}
+			ix.Insert(fr)
 		}
 	}
 	return nil
+}
+
+// indexCell sizes the bins of an index over die holding n shapes so that
+// the grid has about n/4 bins, none narrower than max(W, H)/n: queries
+// then visit a handful of shapes however elongated the die is.
+func indexCell(die geom.Rect, n int) int64 {
+	w, h := die.W(), die.H()
+	cell := int64(2 * math.Sqrt(float64(w)*float64(h)/float64(n)))
+	return max(cell, max(w, h)/int64(n), 1)
 }
 
 // Grid returns the window dissection of the layout.

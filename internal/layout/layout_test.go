@@ -50,6 +50,18 @@ func TestValidateCatchesBadShapes(t *testing.T) {
 	}
 
 	l = smallLayout()
+	l.Layers[0].FillRegions = append(l.Layers[0].FillRegions, geom.R(80, 80, 100, 100))
+	if err := l.Validate(); err == nil {
+		t.Fatal("overlapping fill regions must fail")
+	}
+
+	l = smallLayout()
+	l.Layers[0].FillRegions = []geom.Rect{geom.R(41, 0, 100, 100)} // 1 from the wire, MinSpace 2
+	if err := l.Validate(); err == nil {
+		t.Fatal("fill region within MinSpace of a wire must fail")
+	}
+
+	l = smallLayout()
 	l.Window = 0
 	if err := l.Validate(); err == nil {
 		t.Fatal("zero window must fail")

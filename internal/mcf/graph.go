@@ -33,11 +33,6 @@ type Graph struct {
 	err    error // first construction error; sticky until Reset
 }
 
-// NewGraph returns a graph with n nodes and zero supplies.
-func NewGraph(n int) *Graph {
-	return &Graph{supply: make([]int64, n)}
-}
-
 // N returns the node count.
 func (g *Graph) N() int { return len(g.supply) }
 

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// NewGraph returns a graph with n nodes and zero supplies.
+func NewGraph(n int) *Graph {
+	g := new(Graph)
+	g.Reset(n)
+	return g
+}
+
 // solvers under test.
 var solvers = []struct {
 	name  string
