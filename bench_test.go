@@ -345,26 +345,30 @@ func BenchmarkCMP_PlanarityImprovement(b *testing.B) {
 }
 
 // BenchmarkAblation_Solver runs the full engine with each LP backend —
-// the end-to-end version of the §3.3.3 speedup claim.
+// the end-to-end version of the §3.3.3 speedup claim. The engine's sizing
+// LPs are independent pairs, which the default closed form (Pairs) solves
+// exactly: it emits the same fills as the SSP rows, while the two simplex
+// rows may pick other optimal vertices.
 func BenchmarkAblation_Solver(b *testing.B) {
 	lay, _, err := dummyfill.GenerateBenchmark("tiny")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, s := range []struct {
-		name   string
-		solver dlp.PSolver // nil keeps the default warm-started factory
+		name      string
+		newSolver func() dlp.PSolver // nil keeps the default closed form
 	}{
-		{"WarmSSP", nil},
-		{"SSP", dlp.ViaSSP},
-		{"NetworkSimplex", dlp.ViaNetworkSimplex},
-		{"Simplex", dlp.ViaSimplexLP},
+		{"Pairs", nil},
+		{"WarmSSP", dlp.NewWarmSSP},
+		{"SSP", func() dlp.PSolver { return dlp.ViaSSP }},
+		{"NetworkSimplex", func() dlp.PSolver { return dlp.ViaNetworkSimplex }},
+		{"Simplex", func() dlp.PSolver { return dlp.ViaSimplexLP }},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
 			opts := dummyfill.DefaultOptions()
-			if s.solver != nil {
-				opts.NewSolver = func() dlp.PSolver { return s.solver }
+			if s.newSolver != nil {
+				opts.NewSolver = s.newSolver
 			}
 			for i := 0; i < b.N; i++ {
 				if _, err := dummyfill.Insert(lay, opts); err != nil {

@@ -102,15 +102,17 @@ func (p *Problem) validate() error {
 	return nil
 }
 
-// PSolver solves a whole difference-constraint problem. The three
+// PSolver solves a whole difference-constraint problem. The three general
 // implementations — dual min-cost flow via SSP or network simplex, and a
 // dense general-purpose simplex — are interchangeable (the constraint
 // matrix is totally unimodular, so all return integral optima) and exist
 // so the engine can be benchmarked per backend, reproducing the paper's
-// §3.3.3 dual-MCF-beats-LP claim end to end.
+// §3.3.3 dual-MCF-beats-LP claim end to end. NewPairs is exact only on
+// the independent-pairs shape of the engine's sizing LPs and rejects any
+// other problem with ErrNotPairs.
 //
 // The context propagates cancellation into the solve: the SSP backend
-// checks it mid-augmentation, the one-shot backends check it up front. A
+// checks it mid-augmentation, the other backends check it up front. A
 // cancelled solve returns an error unwrapping to ctx.Err().
 type PSolver func(ctx context.Context, p *Problem) ([]int64, int64, error)
 
@@ -143,10 +145,13 @@ func (s *sspSolver) solve(ctx context.Context, p *Problem) ([]int64, int64, erro
 	return s.x, obj, nil
 }
 
-// NewWarmSSP returns an SSP PSolver with its own reusable arena — the
-// factory the fill engine calls to give each window worker a solver that
-// sizes thousands of LPs without steady-state allocation. The returned
-// slice is reused by the next call; callers that retain it must copy.
+// NewWarmSSP returns an SSP PSolver with its own reusable arena, so one
+// solver sizes thousands of LPs without steady-state allocation. The fill
+// engine's default is the closed-form NewPairs, which returns the same
+// solutions on sizing LPs; NewWarmSSP is the paper's dual min-cost flow
+// for callers that install it through the engine's NewSolver option. The
+// returned slice is reused by the next call; callers that retain it must
+// copy.
 //
 // The solver keeps no warm start: consecutive sizing LPs alternate
 // between the H and V axes, and every bound arc's cost is a coordinate,

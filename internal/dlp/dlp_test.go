@@ -277,3 +277,34 @@ func BenchmarkDualMCFChain100(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPairs solves a 100-variable sizing-shaped LP (50 cells, each a
+// low and a high edge with a width row) with the closed form and, for
+// reference, with the reused SSP arena the closed form replaced.
+func BenchmarkPairs(b *testing.B) {
+	p := NewProblem(100, 0)
+	for k := 0; k < 50; k++ {
+		lo, dim, minDim := int64(40*k), int64(30), int64(4)
+		p.Lo[2*k], p.Hi[2*k] = lo, lo+dim-minDim
+		p.Lo[2*k+1], p.Hi[2*k+1] = lo+minDim, lo+dim
+		p.AddConstraint(2*k+1, 2*k, minDim+int64(k%9))
+		c := int64(k%7 - 3)
+		p.C[2*k+1], p.C[2*k] = c, -c
+	}
+	for _, s := range []struct {
+		name  string
+		solve PSolver
+	}{
+		{"Pairs", NewPairs()},
+		{"WarmSSP", NewWarmSSP()},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.solve(context.Background(), p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

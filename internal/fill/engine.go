@@ -68,8 +68,8 @@ func New(lay *layout.Layout, opts Options) (*Engine, error) {
 }
 
 // Run executes the flow: prepare windows → density planning → candidate
-// generation (Alg. 1) → density re-planning → sizing via dual min-cost
-// flow → solution assembly. It is RunContext without cancellation.
+// generation (Alg. 1) → density re-planning → alternating-direction LP
+// sizing → solution assembly. It is RunContext without cancellation.
 func (e *Engine) Run() (*Result, error) { return e.RunContext(context.Background()) }
 
 // RunContext is Run under a context. Cancellation is a hard abort: the

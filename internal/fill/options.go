@@ -40,14 +40,15 @@ type Options struct {
 	// NewSolver supplies a fresh solver per worker for the per-direction
 	// difference-constraint LPs, letting a solver reuse its buffers
 	// across the windows a worker sizes without any cross-worker sharing.
-	// DefaultOptions uses dlp.NewWarmSSP, the dual min-cost-flow solver
-	// with a reusable arena (it keeps no state between solves despite
-	// its name). For ablation studies, a
-	// closure returning a stateless solver such as dlp.ViaSSP,
-	// dlp.ViaNetworkSimplex or the dense-simplex dlp.ViaSimplexLP is a
-	// drop-in choice. The fill cache keys entries on the factory's
-	// function symbol, so a cached run must not vary solvers through one
-	// shared closure.
+	// DefaultOptions uses dlp.NewPairs, which solves the sizing LP exactly
+	// in closed form: candidates are legal from birth, so the LP splits
+	// into one independent pair of edges per cell. dlp.NewWarmSSP, the
+	// paper's dual min-cost flow with a reusable arena, returns the same
+	// solutions. For ablation studies, a closure returning a stateless
+	// solver such as dlp.ViaSSP, dlp.ViaNetworkSimplex or the
+	// dense-simplex dlp.ViaSimplexLP is a drop-in choice. The fill cache
+	// keys entries on the factory's function symbol, so a cached run must
+	// not vary solvers through one shared closure.
 	NewSolver func() dlp.PSolver
 	// Workers bounds window-level parallelism (0 = GOMAXPROCS).
 	Workers int
@@ -96,6 +97,6 @@ func DefaultOptions() Options {
 	return Options{
 		Lambda:    1.15,
 		Eta:       1,
-		NewSolver: dlp.NewWarmSSP,
+		NewSolver: dlp.NewPairs,
 	}
 }

@@ -11,12 +11,12 @@ import (
 )
 
 // sizeScratch bundles the reusable per-worker state of window sizing: the
-// LP solver from Options.NewSolver (the default one reuses its graph
-// arena across the windows a worker processes), the LP arena, the spatial
-// indexes and every per-cell buffer of sizingPass. One worker sizes
-// hundreds of windows over thousands of passes; with the scratch the
-// whole loop performs no steady-state allocation. A sizeScratch is not
-// safe for concurrent use.
+// LP solver from Options.NewSolver (the default closed-form solver reuses
+// its solution buffer across the windows a worker processes), the LP
+// arena, the spatial indexes and every per-cell buffer of sizingPass. One
+// worker sizes hundreds of windows over thousands of passes; with the
+// scratch the whole loop performs no steady-state allocation. A
+// sizeScratch is not safe for concurrent use.
 type sizeScratch struct {
 	solve    dlp.PSolver
 	newSolve func() dlp.PSolver
@@ -124,10 +124,13 @@ func indexes(dst []*geom.Index, nl int, bounds geom.Rect) []*geom.Index {
 // each layer's fill area converges to its target area while overlay with
 // neighbouring layers is minimized (§3.3). The non-convex problem (Eqn. 9)
 // is relaxed by alternating directions: with heights fixed, widths are the
-// solution of a difference-constraint LP (Eqns. 10–12) solved exactly via
-// dual min-cost flow (Eqn. 14–16); then the roles swap. The spacing rows
-// of Eqn. 13 are implied by the bounds: candidates are pairwise legal from
-// birth and every edge stays inside its own candidate (DESIGN §6.1).
+// solution of a difference-constraint LP (Eqns. 10–12); then the roles
+// swap. The spacing rows of Eqn. 13 are implied by the bounds: candidates
+// are pairwise legal from birth and every edge stays inside its own
+// candidate (DESIGN §6.1). The LP therefore splits into one independent
+// pair of edges per cell, which the default solver (dlp.NewPairs) solves
+// exactly in closed form; the paper's dual min-cost flow (Eqns. 14–16)
+// returns the same solution.
 //
 // targets[l] is the desired fill area (not density) for layer l within
 // this window. Returns the surviving sized fills; the slice aliases the

@@ -2,8 +2,12 @@ package fill
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 
+	"dummyfill/internal/dlp"
 	"dummyfill/internal/geom"
 	"dummyfill/internal/layout"
 	"dummyfill/internal/synth"
@@ -118,6 +122,108 @@ func TestSelectedCandidatesKeepSpacing(t *testing.T) {
 					t.Fatalf("%s at density %v: %d selected pairs closer than MinSpace %d, first %v vs %v on layer %d",
 						lay.Name, d, len(pairs), lay.Rules.MinSpace, cells[p.i].rect, cells[p.j].rect, cells[p.i].layer)
 				}
+			}
+		}
+	}
+}
+
+// sizingDesigns returns tiny and s, the designs whose every sizing LP the
+// closed-form cross-checks cover.
+func sizingDesigns(t *testing.T) []*layout.Layout {
+	t.Helper()
+	s, err := synth.Generate(synth.DesignS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*layout.Layout{tinyLayout(t), s}
+}
+
+// TestPairsMatchesSSPOnSizingLPs solves every sizing LP of tiny and s
+// with the closed-form dlp.NewPairs and with both dual min-cost-flow
+// solvers. The solution must equal dlp.ViaSSP's exactly: the closed form
+// picks the same vertex as SSP among degenerate optima, which keeps the
+// default engine's output byte-identical to an SSP-sized run. The
+// objective must also equal dlp.ViaNetworkSimplex's.
+func TestPairsMatchesSSPOnSizingLPs(t *testing.T) {
+	for _, lay := range sizingDesigns(t) {
+		var solved, mismatched atomic.Int64
+		opts := DefaultOptions()
+		opts.NewSolver = func() dlp.PSolver {
+			pairs := dlp.NewPairs()
+			return func(ctx context.Context, p *dlp.Problem) ([]int64, int64, error) {
+				want, wantObj, wantErr := dlp.ViaSSP(ctx, p)
+				_, nsObj, nsErr := dlp.ViaNetworkSimplex(ctx, p)
+				x, obj, err := pairs(ctx, p)
+				solved.Add(1)
+				if err != nil || wantErr != nil || nsErr != nil || obj != wantObj || obj != nsObj || !slices.Equal(x, want) {
+					if mismatched.Add(1) <= 3 {
+						t.Errorf("%s: %d-variable LP: pairs x=%v obj=%d err=%v, SSP x=%v obj=%d err=%v, network simplex obj=%d err=%v",
+							lay.Name, p.N(), x, obj, err, want, wantObj, wantErr, nsObj, nsErr)
+					}
+				}
+				return x, obj, err
+			}
+		}
+		e, err := New(lay, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Health.Healthy() {
+			t.Fatalf("%s: run not healthy: %s", lay.Name, res.Health)
+		}
+		if solved.Load() == 0 {
+			t.Fatalf("%s: no sizing LP reached the solver", lay.Name)
+		}
+		if n := mismatched.Load(); n > 0 {
+			t.Fatalf("%s: %d of %d sizing LPs differ", lay.Name, n, solved.Load())
+		}
+		t.Logf("%s: %d sizing LPs identical", lay.Name, solved.Load())
+	}
+}
+
+// deterministicHealth is h without its wall-clock and scheduling
+// dependent fields.
+func deterministicHealth(h Health) Health {
+	h.BudgetExceeded, h.Elapsed, h.PeakInFlight, h.CacheErrors = false, 0, 0, 0
+	return h
+}
+
+// TestDefaultSolverMatchesWarmSSP runs the engine with its default
+// closed-form solver and with dlp.NewWarmSSP on tiny and s at Workers 1
+// and 4: fills and the deterministic Health fields must be identical, so
+// a run that installs the SSP solver (for example to time it) emits the
+// same bytes as a default run.
+func TestDefaultSolverMatchesWarmSSP(t *testing.T) {
+	for _, lay := range sizingDesigns(t) {
+		for _, workers := range []int{1, 4} {
+			run := func(newSolver func() dlp.PSolver) *Result {
+				opts := DefaultOptions()
+				opts.Workers = workers
+				if newSolver != nil {
+					opts.NewSolver = newSolver
+				}
+				e, err := New(lay, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := e.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			def, ssp := run(nil), run(dlp.NewWarmSSP)
+			label := fmt.Sprintf("%s workers=%d", lay.Name, workers)
+			if len(def.Solution.Fills) == 0 {
+				t.Fatalf("%s: no fills", label)
+			}
+			sameFills(t, ssp.Solution.Fills, def.Solution.Fills, label)
+			if dh, sh := deterministicHealth(def.Health), deterministicHealth(ssp.Health); dh != sh {
+				t.Fatalf("%s: health %s (default) vs %s (WarmSSP)", label, dh, sh)
 			}
 		}
 	}
