@@ -287,7 +287,7 @@ func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambd
 		zero := cs.zero[:0]
 		for _, piece := range w.layers[l].free {
 			vertical := piece.H() > piece.W()
-			for _, zr := range geom.DifferenceOriented(piece, neighbors, vertical) {
+			for _, zr := range geom.Difference(piece, neighbors, vertical) {
 				zero = appendCells(zero, zr.Expand(-inset), l, lay.Rules)
 			}
 		}

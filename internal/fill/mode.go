@@ -82,9 +82,9 @@ func newFillMode(e *Engine) (fillMode, error) {
 	}
 }
 
-// rectMode is the paper's continuous-rect strategy, extracted verbatim
-// from the pre-refactor pipeline: the behavior (and hence every golden
-// output hash) is identical to the hard-coded code it replaced.
+// rectMode is the paper's continuous-rect strategy: candidates tiled
+// from the free pieces by Alg. 1 (zero-overlay region first on even
+// layers) and widths shrunk continuously by the sizing LP.
 type rectMode struct{ e *Engine }
 
 func (m rectMode) cacheID() string { return ModeRect }

@@ -203,20 +203,20 @@ func TestUnionSlabsDisjointAndComplete(t *testing.T) {
 
 func TestDifferenceBasic(t *testing.T) {
 	w := R(0, 0, 10, 10)
-	free := Difference(w, nil)
+	free := Difference(w, nil, false)
 	if len(free) != 1 || free[0] != w {
 		t.Fatalf("difference with no holes must be the window: %v", free)
 	}
-	free = Difference(w, []Rect{w})
+	free = Difference(w, []Rect{w}, false)
 	if len(free) != 0 {
 		t.Fatalf("fully-covered window must have no free space: %v", free)
 	}
-	free = Difference(w, []Rect{R(0, 0, 5, 10)})
+	free = Difference(w, []Rect{R(0, 0, 5, 10)}, false)
 	if TotalArea(free) != 50 {
 		t.Fatalf("half-covered free area = %d, want 50", TotalArea(free))
 	}
 	// Hole in the middle → free ring of area 100-16=84.
-	free = Difference(w, []Rect{R(3, 3, 7, 7)})
+	free = Difference(w, []Rect{R(3, 3, 7, 7)}, false)
 	if TotalArea(free) != 84 {
 		t.Fatalf("ring free area = %d, want 84", TotalArea(free))
 	}
@@ -227,7 +227,7 @@ func TestDifferenceRandomInvariant(t *testing.T) {
 	for it := 0; it < 60; it++ {
 		w := R(0, 0, 40, 40)
 		holes := randRects(rng, rng.Intn(10), 30)
-		free := Difference(w, holes)
+		free := Difference(w, holes, false)
 		// Free slabs must be disjoint, inside the window, and free of holes.
 		for i, f := range free {
 			if !w.ContainsRect(f) {
@@ -461,9 +461,35 @@ func BenchmarkDifference200Holes(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	holes := randRects(rng, 200, 900)
 	w := R(0, 0, 1000, 1000)
-	b.ResetTimer()
+	for _, vertical := range []bool{false, true} {
+		name := "horizontal"
+		if vertical {
+			name = "vertical"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Difference(w, holes, vertical)
+			}
+		})
+	}
+}
+
+// BenchmarkDifferenceRowWindow is the small-window case of the site-row
+// design: a 600×600 window over five 120-high placement rows, each
+// holding two placed cells, so 10 horizontal holes (the mean count per
+// window there).
+func BenchmarkDifferenceRowWindow(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	w := R(0, 0, 600, 600)
+	var holes []Rect
+	for y := int64(0); y < 600; y += 120 {
+		for _, x := range []int64{rng.Int63n(100), 300 + rng.Int63n(100)} {
+			holes = append(holes, R(x, y, x+40+rng.Int63n(200), y+120))
+		}
+	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Difference(w, holes)
+		Difference(w, holes, false)
 	}
 }
 

@@ -152,3 +152,25 @@ func (p Polygon) ToRects() ([]Rect, error) {
 	}
 	return out, nil
 }
+
+func sameIvals(a, b []covIval) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].xl != b[i].xl || a[i].xh != b[i].xh {
+			return false
+		}
+	}
+	return true
+}
+
+func dedup64(xs []int64) []int64 {
+	out := xs[:0]
+	for i, x := range xs {
+		if i == 0 || x != xs[i-1] {
+			out = append(out, x)
+		}
+	}
+	return out
+}

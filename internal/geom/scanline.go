@@ -5,27 +5,24 @@ import (
 	"sync"
 )
 
-// This file implements scanline boolean operations over sets of (possibly
-// overlapping) rectangles: exact union area and difference (free-space
-// extraction).
+// This file implements the one y-sweep over sets of (possibly
+// overlapping) rectangles that every boolean in the package shares:
+// UnionArea totals its coverage, AreaTable.Build records it as bands, and
+// Difference emits the complement of those bands within a window
+// (free-space extraction).
 //
-// These run in the innermost loops of candidate generation and density
-// accounting, so they are written for zero steady-state allocation: event
-// lists, interval buffers and open-slab stacks live in sync.Pool-backed
-// scratch arenas, and the x-coverage structure maintains its sorted
-// interval list by splicing instead of re-sorting on every update.
+// The sweep runs in the innermost loops of ingest, candidate generation
+// and density accounting, so it is written for zero steady-state
+// allocation: event lists, interval buffers and area tables live in
+// sync.Pool-backed scratch arenas, and the x-coverage structure maintains
+// its sorted interval list by splicing instead of re-sorting on every
+// update.
 
 // sweepEvent is a horizontal-edge event of the y-sweep.
 type sweepEvent struct {
 	y      int64
 	xl, xh int64
 	delta  int // +1 open, -1 close
-}
-
-// openSlab tracks a rectangle currently being extended vertically while
-// sweeping.
-type openSlab struct {
-	xl, xh, yl int64
 }
 
 // sweepScratch bundles the reusable buffers of one union sweep. Instances
@@ -49,15 +46,26 @@ func (sc *sweepScratch) buildEvents(rects []Rect) []sweepEvent {
 			sweepEvent{r.YL, r.XL, r.XH, +1},
 			sweepEvent{r.YH, r.XL, r.XH, -1})
 	}
-	slices.SortFunc(evs, func(a, b sweepEvent) int {
-		switch {
-		case a.y < b.y:
-			return -1
-		case a.y > b.y:
-			return 1
+	if len(evs) <= 32 {
+		// Insertion sort: many of Difference's per-window and per-piece
+		// sweeps have a few dozen events at most, where it is cheaper
+		// than pdqsort's indirect comparisons.
+		for i := 1; i < len(evs); i++ {
+			for j := i; j > 0 && evs[j].y < evs[j-1].y; j-- {
+				evs[j], evs[j-1] = evs[j-1], evs[j]
+			}
 		}
-		return 0
-	})
+	} else {
+		slices.SortFunc(evs, func(a, b sweepEvent) int {
+			switch {
+			case a.y < b.y:
+				return -1
+			case a.y > b.y:
+				return 1
+			}
+			return 0
+		})
+	}
 	sc.evs = evs
 	return evs
 }
@@ -190,131 +198,77 @@ func (c *coverage) coveredInto(dst []covIval) []covIval {
 	return dst
 }
 
-func sameIvals(a, b []covIval) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].xl != b[i].xl || a[i].xh != b[i].xh {
-			return false
-		}
-	}
-	return true
-}
-
 // diffScratch bundles the reusable buffers of one Difference call.
 type diffScratch struct {
 	clipped []Rect
-	ys      []int64
-	xs      []covIval
-	free    []covIval
-	prev    []covIval
-	open    []openSlab
-	holesT  []Rect
+	at      AreaTable
 }
 
 var diffPool = sync.Pool{New: func() any { return new(diffScratch) }}
 
 // Difference returns window minus the union of holes, decomposed into
-// disjoint rectangles (horizontal slabs). This is the free-space
-// extraction primitive used to derive feasible fill regions.
-func Difference(window Rect, holes []Rect) []Rect {
+// disjoint maximal slabs: horizontal ones, or vertical ones when vertical
+// is set (far fewer, fatter pieces around vertical wires). This is the
+// free-space extraction primitive used to derive feasible fill regions.
+//
+// The slabs are the complement of an AreaTable over the clipped holes:
+// each band's uncovered x-intervals, plus full-width rows for the gaps
+// between bands. Two rows have identical free sets exactly when they have
+// identical covered sets, so the table's maximal band merging is the
+// slabs' maximal vertical merging. Slabs come out ordered by YH, then by
+// XL (in the transposed frame when vertical).
+func Difference(window Rect, holes []Rect, vertical bool) []Rect {
 	if window.Empty() {
 		return nil
+	}
+	if vertical {
+		window = window.Transpose()
 	}
 	sc := diffPool.Get().(*diffScratch)
 	clipped := sc.clipped[:0]
 	for _, h := range holes {
-		c := h.Intersect(window)
-		if !c.Empty() {
+		if vertical {
+			h = h.Transpose()
+		}
+		if c := h.Intersect(window); !c.Empty() {
 			clipped = append(clipped, c)
 		}
 	}
 	sc.clipped = clipped
-	if len(clipped) == 0 {
-		diffPool.Put(sc)
-		return []Rect{window}
-	}
-	// Sweep rows between consecutive y boundaries; in each row compute the
-	// complement of covered x-intervals, merging vertically-contiguous
-	// identical rows into taller slabs.
-	ys := sc.ys[:0]
-	ys = append(ys, window.YL, window.YH)
-	for _, h := range clipped {
-		ys = append(ys, h.YL, h.YH)
-	}
-	slices.Sort(ys)
-	ys = dedup64(ys)
-	sc.ys = ys
-
-	open := sc.open[:0]
-	prevFree := sc.prev[:0]
 	var out []Rect
-	flush := func(y int64, free []covIval) {
-		if sameIvals(prevFree, free) {
-			return
-		}
-		for _, s := range open {
-			if y > s.yl {
-				out = append(out, Rect{s.xl, s.yl, s.xh, y})
+	if len(clipped) == 0 {
+		out = []Rect{window}
+	} else {
+		t := &sc.at
+		t.Build(clipped)
+		// Each band yields at most one slab more than it has intervals,
+		// and each gap around a band one full-width row.
+		out = make([]Rect, 0, len(t.ixl)+2*len(t.bands)+1)
+		y := window.YL
+		for _, b := range t.bands {
+			if b.y0 > y {
+				out = append(out, Rect{window.XL, y, window.XH, b.y0})
 			}
+			x := window.XL
+			for k := b.lo; k < b.hi; k++ {
+				if t.ixl[k] > x {
+					out = append(out, Rect{x, b.y0, t.ixl[k], b.y1})
+				}
+				x = t.ixh[k]
+			}
+			if x < window.XH {
+				out = append(out, Rect{x, b.y0, window.XH, b.y1})
+			}
+			y = b.y1
 		}
-		open = open[:0]
-		for _, iv := range free {
-			open = append(open, openSlab{iv.xl, iv.xh, y})
+		if y < window.YH {
+			out = append(out, Rect{window.XL, y, window.XH, window.YH})
 		}
-		prevFree = append(prevFree[:0], free...)
 	}
-	for i := 0; i+1 < len(ys); i++ {
-		yl, yh := ys[i], ys[i+1]
-		if yh <= window.YL || yl >= window.YH {
-			continue
-		}
-		// x-intervals covered by holes in this row.
-		xs := sc.xs[:0]
-		for _, h := range clipped {
-			if h.YL <= yl && h.YH >= yh {
-				xs = append(xs, covIval{h.XL, h.XH, 1})
-			}
-		}
-		slices.SortFunc(xs, func(a, b covIval) int {
-			switch {
-			case a.xl < b.xl:
-				return -1
-			case a.xl > b.xl:
-				return 1
-			}
-			return 0
-		})
-		sc.xs = xs
-		// Complement within window x-range.
-		free := sc.free[:0]
-		cur := window.XL
-		for _, iv := range xs {
-			if iv.xl > cur {
-				free = append(free, covIval{cur, iv.xl, 1})
-			}
-			if iv.xh > cur {
-				cur = iv.xh
-			}
-		}
-		if cur < window.XH {
-			free = append(free, covIval{cur, window.XH, 1})
-		}
-		sc.free = free
-		flush(yl, free)
-	}
-	flush(window.YH, nil)
-	sc.open, sc.prev = open, prevFree
 	diffPool.Put(sc)
-	return out
-}
-
-func dedup64(xs []int64) []int64 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
+	if vertical {
+		for i := range out {
+			out[i] = out[i].Transpose()
 		}
 	}
 	return out
@@ -322,34 +276,6 @@ func dedup64(xs []int64) []int64 {
 
 // Transpose swaps the axes of r.
 func (r Rect) Transpose() Rect { return Rect{r.YL, r.XL, r.YH, r.XH} }
-
-// DifferenceVert is Difference with the output decomposed into vertical
-// (maximal-height) slabs instead of horizontal ones. For free-space
-// extraction around vertical wires this yields far fewer, fatter pieces.
-func DifferenceVert(window Rect, holes []Rect) []Rect {
-	sc := diffPool.Get().(*diffScratch)
-	ht := sc.holesT[:0]
-	for _, h := range holes {
-		ht = append(ht, h.Transpose())
-	}
-	sc.holesT = ht
-	out := Difference(window.Transpose(), ht)
-	diffPool.Put(sc)
-	// out is freshly allocated by Difference, so transpose in place.
-	for i := range out {
-		out[i] = out[i].Transpose()
-	}
-	return out
-}
-
-// DifferenceOriented picks the slab orientation: vertical=true yields
-// vertical slabs.
-func DifferenceOriented(window Rect, holes []Rect, vertical bool) []Rect {
-	if vertical {
-		return DifferenceVert(window, holes)
-	}
-	return Difference(window, holes)
-}
 
 // TotalArea sums rect areas without overlap removal.
 func TotalArea(rects []Rect) int64 {

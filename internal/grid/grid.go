@@ -4,6 +4,7 @@
 package grid
 
 import (
+	"errors"
 	"fmt"
 
 	"dummyfill/internal/geom"
@@ -19,7 +20,19 @@ type Grid struct {
 	NY  int // rows
 }
 
-// New builds a grid over die with window size w.
+// MaxWindows caps the windows of one grid. Die extents and window sizes
+// come straight off untrusted decks and query strings, and every stage
+// allocates per window, so a tiny window over a large die would
+// otherwise ask for tens of gigabytes. The cap is far above any real
+// dissection (the largest benchmark design has 25,600 windows).
+const MaxWindows = 1 << 22
+
+// ErrTooManyWindows reports a die and window size whose dissection
+// exceeds MaxWindows.
+var ErrTooManyWindows = errors.New("grid: too many windows")
+
+// New builds a grid over die with window size w. It fails with an error
+// wrapping ErrTooManyWindows when the grid would exceed MaxWindows.
 func New(die geom.Rect, w int64) (*Grid, error) {
 	if die.Empty() {
 		return nil, fmt.Errorf("grid: empty die %v", die)
@@ -27,9 +40,22 @@ func New(die geom.Rect, w int64) (*Grid, error) {
 	if w <= 0 {
 		return nil, fmt.Errorf("grid: window size must be positive, got %d", w)
 	}
-	nx := int((die.W() + w - 1) / w)
-	ny := int((die.H() + w - 1) / w)
-	return &Grid{Die: die, W: w, NX: nx, NY: ny}, nil
+	nx, ny := windowsAcross(die.XL, die.XH, w), windowsAcross(die.YL, die.YH, w)
+	if nx > MaxWindows || ny > MaxWindows/nx {
+		return nil, fmt.Errorf("%w: window %d over die %v makes %d×%d, above %d", ErrTooManyWindows, w, die, nx, ny, MaxWindows)
+	}
+	return &Grid{Die: die, W: w, NX: int(nx), NY: int(ny)}, nil
+}
+
+// windowsAcross returns ⌈(hi−lo)/w⌉ for lo < hi and w > 0, in unsigned
+// arithmetic so that no int64 extent can overflow it.
+func windowsAcross(lo, hi, w int64) uint64 {
+	d, uw := uint64(hi)-uint64(lo), uint64(w)
+	n := d / uw
+	if d%uw != 0 {
+		n++
+	}
+	return n
 }
 
 // NumWindows returns NX*NY.

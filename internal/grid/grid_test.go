@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -40,6 +41,31 @@ func TestNewGridErrors(t *testing.T) {
 	}
 	if _, err := New(geom.R(0, 0, 10, 10), 0); err == nil {
 		t.Fatal("zero window must error")
+	}
+}
+
+// TestNewGridWindowCap checks the window cap: a grid of exactly
+// MaxWindows builds, one just over it (on either axis, or from extents
+// whose window count overflows int64 arithmetic) fails with
+// ErrTooManyWindows.
+func TestNewGridWindowCap(t *testing.T) {
+	g, err := New(geom.R(0, 0, 2048, 2048), 1)
+	if err != nil || g.NumWindows() != MaxWindows {
+		t.Fatalf("2048×2048 windows: grid %+v, err %v; want %d windows", g, err, MaxWindows)
+	}
+	over := map[string]struct {
+		die geom.Rect
+		w   int64
+	}{
+		"just over":          {geom.R(0, 0, 2049, 2048), 1},
+		"one axis":           {geom.R(0, 0, MaxWindows+1, 1), 1},
+		"overflowing ceil":   {geom.R(0, 0, math.MaxInt64, 1), 1 << 40},
+		"full int64 extents": {geom.R(math.MinInt64, math.MinInt64, math.MaxInt64, math.MaxInt64), 1},
+	}
+	for name, tc := range over {
+		if _, err := New(tc.die, tc.w); !errors.Is(err, ErrTooManyWindows) {
+			t.Errorf("%s: err = %v, want ErrTooManyWindows", name, err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -45,7 +46,8 @@ type Options struct {
 // any wire, extracted per window with the slab orientation chosen per
 // layer from the dominant wire direction. A layer id at or above
 // MaxLayers, on a shape or in the header, fails with an error wrapping
-// layio.ErrLimit.
+// layio.ErrLimit, and so does a window size that dissects the die into
+// more than grid.MaxWindows windows.
 func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 	if opts.Rules != (layout.Rules{}) {
 		if err := opts.Rules.Validate(); err != nil {
@@ -117,6 +119,13 @@ func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 		sites := *hdr.Sites
 		lay.Sites = &sites
 	}
+	g, err := lay.Grid()
+	if err != nil {
+		if errors.Is(err, grid.ErrTooManyWindows) {
+			err = fmt.Errorf("ingest: %w: %w", layio.ErrLimit, err)
+		}
+		return nil, err
+	}
 
 	at := func(sl [][]geom.Rect, li int) []geom.Rect {
 		if li < len(sl) {
@@ -132,10 +141,6 @@ func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 			lay.Layers[li] = &layout.Layer{Wires: at(wires, li), FillRegions: at(regions, li)}
 		}
 	} else {
-		g, err := grid.New(lay.Die, lay.Window)
-		if err != nil {
-			return nil, err
-		}
 		for li := range lay.Layers {
 			clipped := clipToDie(at(wires, li), lay.Die)
 			lay.Layers[li] = &layout.Layer{
@@ -198,7 +203,7 @@ func ExtractFillRegions(g *grid.Grid, shapes []geom.Rect, rules layout.Rules, ve
 	var out []geom.Rect
 	for k := 0; k < g.NumWindows(); k++ {
 		win := g.Window(k%g.NX, k/g.NX)
-		for _, f := range geom.DifferenceOriented(win, perWin[k], vertical) {
+		for _, f := range geom.Difference(win, perWin[k], vertical) {
 			if f.W() >= rules.MinWidth && f.H() >= rules.MinWidth && f.Area() >= rules.MinArea {
 				out = append(out, f)
 			}

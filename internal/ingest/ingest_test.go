@@ -238,6 +238,29 @@ func TestFromShapesLayerCap(t *testing.T) {
 	}
 }
 
+// TestFromShapesWindowCap checks that a window size dissecting the die
+// into just over grid.MaxWindows windows fails ingest with an error
+// wrapping both layio.ErrLimit and grid.ErrTooManyWindows, for a stream
+// whose regions ingest extracts (GDSII) and for a text deck that states
+// its own window.
+func TestFromShapesWindowCap(t *testing.T) {
+	opts := testOpts()
+	opts.Window = 1
+	corners := []gdsii.Boundary{
+		{Layer: 1, Pts: rectPts(geom.R(0, 0, 10, 10))},
+		{Layer: 1, Pts: rectPts(geom.R(2039, 2038, 2049, 2048))},
+	}
+	_, gdsErr := ingest.FromShapes(gdsReader(t, corners...), opts)
+	_, textErr := ingest.FromShapes(textfmt.NewShapeReader(strings.NewReader(
+		"layout chip\ndie 0 0 2049 2048\nwindow 1\nrules 2 1 4 0\nlayer 0\nwire 10 10 20 20\n"),
+		textfmt.DefaultLimits()), ingest.Options{})
+	for name, err := range map[string]error{"gds": gdsErr, "text": textErr} {
+		if !errors.Is(err, layio.ErrLimit) || !errors.Is(err, grid.ErrTooManyWindows) {
+			t.Errorf("%s: err = %v, want one wrapping layio.ErrLimit and grid.ErrTooManyWindows", name, err)
+		}
+	}
+}
+
 // readText ingests a text layout made of a fixed header and body.
 func readText(body string) (*layout.Layout, error) {
 	const head = "layout chip\ndie 0 0 100 100\nwindow 25\nrules 2 1 4 0\n"

@@ -64,17 +64,15 @@ type Layout struct {
 	Sites *SiteGrid
 }
 
-// Validate checks structural consistency: shapes inside the die, and the
-// fill-region contract of Layer.FillRegions — no region overlaps another
-// region of its layer or lies closer than MinSpace to one of its wires
-// (the same Gap test drc applies to fills). Candidates tiled from regions
-// that keep this contract are DRC-clean by construction.
+// Validate checks structural consistency: a window grid that grid.New
+// accepts (so at most grid.MaxWindows windows), shapes inside the die,
+// and the fill-region contract of Layer.FillRegions — no region overlaps
+// another region of its layer or lies closer than MinSpace to one of its
+// wires (the same Gap test drc applies to fills). Candidates tiled from
+// regions that keep this contract are DRC-clean by construction.
 func (l *Layout) Validate() error {
-	if l.Die.Empty() {
-		return fmt.Errorf("layout: empty die")
-	}
-	if l.Window <= 0 {
-		return fmt.Errorf("layout: window size must be positive, got %d", l.Window)
+	if _, err := l.Grid(); err != nil {
+		return fmt.Errorf("layout: %w", err)
 	}
 	if err := l.Rules.Validate(); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"errors"
 	"testing"
 
 	"dummyfill/internal/geom"
@@ -71,6 +72,17 @@ func TestValidateCatchesBadShapes(t *testing.T) {
 	l.Layers = nil
 	if err := l.Validate(); err == nil {
 		t.Fatal("no layers must fail")
+	}
+}
+
+// TestValidateWindowCap checks that a window dissecting the die into
+// more than grid.MaxWindows windows fails validation with the grid's
+// typed error, before any shape is looked at.
+func TestValidateWindowCap(t *testing.T) {
+	l := smallLayout()
+	l.Die, l.Window = geom.R(0, 0, 2049, 2048), 1
+	if err := l.Validate(); !errors.Is(err, grid.ErrTooManyWindows) {
+		t.Fatalf("err = %v, want grid.ErrTooManyWindows", err)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"dummyfill/internal/fill"
 	"dummyfill/internal/fillcache"
+	"dummyfill/internal/geom"
 	"dummyfill/internal/ingest"
 	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
@@ -228,6 +229,39 @@ func TestFillRejectsBadRequests(t *testing.T) {
 	}
 	if gets, puts := s.PoolBalance(); gets != puts {
 		t.Fatalf("pooled buffers leaked on reject paths: gets=%d puts=%d", gets, puts)
+	}
+}
+
+// TestFillRejectsWindowOverCap checks that a window query dissecting a
+// GDSII payload's die into just over grid.MaxWindows windows is rejected
+// at ingest: a 400 naming the limit, counted as rejected on /metrics.
+func TestFillRejectsWindowOverCap(t *testing.T) {
+	s := New(Config{Rules: layout.Rules{MinWidth: 2, MinSpace: 1, MinArea: 4}})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	lay := &layout.Layout{Name: "wide", Layers: []*layout.Layer{{Wires: []geom.Rect{
+		geom.R(0, 0, 10, 10), geom.R(2039, 2038, 2049, 2048), // 2049×2048 die
+	}}}}
+	gds, err := layio.Lookup("gds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload bytes.Buffer
+	if err := layio.WriteDeck(&payload, gds, layio.LayoutDeck, lay, nil); err != nil {
+		t.Fatal(err)
+	}
+	resp := postFill(t, ts, "?format=gds&window=1", payload.Bytes())
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("too many windows")) {
+		t.Fatalf("status %d, body %s; want 400 naming the window limit", resp.StatusCode, body)
+	}
+	mresp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := string(readBody(t, mresp)); !strings.Contains(m, `fillserved_jobs_total{status="rejected"} 1`) {
+		t.Fatalf("/metrics does not count one rejected job:\n%s", m)
 	}
 }
 
