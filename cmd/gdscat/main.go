@@ -39,7 +39,7 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	sr := gdsii.NewShapeReader(f, gdsii.DefaultLimits())
+	sr := gdsii.NewShapeReader(f, layio.DefaultLimits())
 	groups := map[row]*row{} // keyed on {layer, kind}
 	n := 0
 	for {

@@ -28,5 +28,5 @@ func Read(r io.Reader, format string, opts dummyfill.IngestOptions) (*dummyfill.
 	if opts.Rules == (dummyfill.Rules{}) && !f.CarriesMeta {
 		opts.Rules = DefaultRules
 	}
-	return ingest.FromShapes(f.NewShapeReader(src, f.Limits), opts)
+	return ingest.FromShapes(f.NewShapeReader(src, layio.DefaultLimits()), opts)
 }

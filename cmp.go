@@ -72,7 +72,7 @@ func ReadLayoutFormat(r io.Reader, format string, opts IngestOptions) (*Layout, 
 	if err != nil {
 		return nil, err
 	}
-	return ingest.FromShapes(f.NewShapeReader(src, f.Limits), opts)
+	return ingest.FromShapes(f.NewShapeReader(src, layio.DefaultLimits()), opts)
 }
 
 // WriteTextLayout emits the layout in the line-oriented text format (see

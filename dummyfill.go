@@ -255,7 +255,7 @@ func writeDeck(w io.Writer, format string, kind layio.DeckKind, lay *Layout, sol
 // The stream is consumed incrementally — no intermediate library is
 // materialized.
 func ReadGDSShapes(r io.Reader) (wires, fills map[int][]Rect, err error) {
-	sr := gdsii.NewShapeReader(r, gdsii.DefaultLimits())
+	sr := gdsii.NewShapeReader(r, layio.DefaultLimits())
 	wires, fills = map[int][]Rect{}, map[int][]Rect{}
 	for {
 		s, err := sr.Next()

@@ -95,18 +95,17 @@ func (mc MonteCarlo) Fill(lay *layout.Layout) (*layout.Solution, error) {
 			aw    float64
 		}
 		wires := lay.WireDensityMap(g, li)
+		regions := lay.Layers[li].FillRegions
+		bins := g.Bin(regions, 0)
 		states := make([]winState, g.NumWindows())
 		for k := range states {
 			i, j := k%g.NX, k/g.NX
 			w := g.Window(i, j)
 			states[k].aw = float64(w.Area())
 			states[k].dens = wires.V[k]
-		}
-		for _, fr := range lay.Layers[li].FillRegions {
-			g.RangeOverlapping(fr, func(i, j int, clip geom.Rect) {
-				k := j*g.NX + i
-				states[k].cells = append(states[k].cells, fill.TileRegion(insetForSpacing(clip, rules), rules)...)
-			})
+			for _, si := range bins.Window(k) {
+				states[k].cells = append(states[k].cells, fill.TileRegion(insetForSpacing(regions[si].Intersect(w), rules), rules)...)
+			}
 		}
 		// Target density: the maximum wire density (the classic min-fill
 		// uniformity target).
@@ -212,7 +211,9 @@ func (t TileLP) fillLayer(lay *layout.Layout, g *grid.Grid, li int, sol *layout.
 	wires := lay.WireDensityMap(g, li)
 	r := t.TilesPerSide
 
-	// Build tiles per window.
+	// Build tiles per window and distribute candidate cells into them.
+	regions := lay.Layers[li].FillRegions
+	bins := g.Bin(regions, 0)
 	tiles := make([][]tile, g.NumWindows()) // window k -> its tiles
 	for k := range tiles {
 		i, j := k%g.NX, k/g.NX
@@ -228,11 +229,8 @@ func (t TileLP) fillLayer(lay *layout.Layout, g *grid.Grid, li int, sol *layout.
 				}
 			}
 		}
-	}
-	// Distribute candidate cells into tiles.
-	for _, fr := range lay.Layers[li].FillRegions {
-		g.RangeOverlapping(fr, func(i, j int, clip geom.Rect) {
-			k := j*g.NX + i
+		for _, si := range bins.Window(k) {
+			clip := regions[si].Intersect(w)
 			for ti := range tiles[k] {
 				sub := clip.Intersect(tiles[k][ti].rect)
 				if sub.Empty() {
@@ -244,7 +242,7 @@ func (t TileLP) fillLayer(lay *layout.Layout, g *grid.Grid, li int, sol *layout.
 					tiles[k][ti].cap += c.Area()
 				}
 			}
-		})
+		}
 	}
 
 	// Solve block by block.

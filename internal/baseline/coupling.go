@@ -73,25 +73,15 @@ func (cc CouplingConstrained) Fill(lay *layout.Layout) (*layout.Solution, error)
 		selIx[li] = geom.NewIndex(lay.Die, 0)
 	}
 
-	// Candidate cells per window per layer.
+	// A window's candidate cells with their neighbour-layer overlay.
 	type cand struct {
 		rect geom.Rect
 		ov   int64
 	}
-	perWin := make([][][]geom.Rect, nl) // layer -> window -> cells
-	for li := 0; li < nl; li++ {
-		perWin[li] = make([][]geom.Rect, g.NumWindows())
-		for _, fr := range lay.Layers[li].FillRegions {
-			g.RangeOverlapping(fr, func(i, j int, clip geom.Rect) {
-				k := j*g.NX + i
-				cells := fill.TileRegion(insetForSpacing(clip, rules), rules)
-				perWin[li][k] = append(perWin[li][k], cells...)
-			})
-		}
-	}
-
 	sol := &layout.Solution{}
 	for li := 0; li < nl; li++ {
+		regions := lay.Layers[li].FillRegions
+		bins := g.Bin(regions, 0)
 		for k := 0; k < g.NumWindows(); k++ {
 			i, j := k%g.NX, k/g.NX
 			win := g.Window(i, j)
@@ -101,12 +91,19 @@ func (cc CouplingConstrained) Fill(lay *layout.Layout) (*layout.Solution, error)
 			}
 			budget := int64(budgetFrac * aw)
 			cur := wireMaps[li].At(i, j)
-			if cur >= targets[li] || len(perWin[li][k]) == 0 {
+			if cur >= targets[li] {
+				continue
+			}
+			var cells []geom.Rect
+			for _, si := range bins.Window(k) {
+				cells = append(cells, fill.TileRegion(insetForSpacing(regions[si].Intersect(win), rules), rules)...)
+			}
+			if len(cells) == 0 {
 				continue
 			}
 			// Score candidates by overlay against neighbour layers.
-			cands := make([]cand, 0, len(perWin[li][k]))
-			for _, c := range perWin[li][k] {
+			cands := make([]cand, 0, len(cells))
+			for _, c := range cells {
 				var ov int64
 				if li > 0 {
 					ov += wireIx[li-1].OverlapArea(c) + selIx[li-1].OverlapArea(c)

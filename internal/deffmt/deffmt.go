@@ -85,7 +85,3 @@ func sniff(prefix []byte) bool {
 }
 
 func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\r' || b == '\n' }
-
-// DefaultLimits returns the package's ingest caps (the shared layio
-// defaults).
-func DefaultLimits() layio.Limits { return layio.DefaultLimits() }

@@ -69,9 +69,9 @@ func FuzzRead(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Default and tight limits must both end in a clean error
-		// (wrapping ErrLimit when it is the limit that trips) or a drained
+		// (wrapping layio.ErrLimit when it is the limit that trips) or a drained
 		// stream, never a panic.
-		_ = drain(bytes.NewReader(data), DefaultLimits())
+		_ = drain(bytes.NewReader(data), layio.DefaultLimits())
 		if err := drain(bytes.NewReader(data), layio.Limits{MaxRecords: 16, MaxShapes: 2}); err != nil {
 			_ = errors.Is(err, layio.ErrLimit)
 		}

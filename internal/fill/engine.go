@@ -155,25 +155,16 @@ func (e *Engine) planWeights(wd []*grid.Map) density.PlanWeights {
 	return w
 }
 
-// prepScratch is the per-task scratch of the parallel window preparation.
-type prepScratch struct {
-	clips [][]geom.Rect
-	cnt   []int32
-}
-
-var prepPool = sync.Pool{New: func() any { return new(prepScratch) }}
-
 // prepareWindows clips fill regions and wires into windows: each window
 // layer ends up with its inset free pieces and the disjoint union slabs
 // (plus exact union area) of its wires. Candidate cells are not
 // materialized here — selection tiles them on demand from the free pieces.
 //
-// The work is sharded per (layer, window-row) stripe: a serial binning
-// pass assigns each shape to the rows it overlaps, then stripe tasks run
-// on the worker pool, each exclusively owning the (window, layer) states
-// of its row. Appends follow input shape order, so the prepared windows
-// are identical to a serial run. A non-nil error is only ever the
-// context's cancellation error.
+// grid.Bin groups each layer's shapes by window in input order, then
+// one task per (layer, window-row) stripe runs on the worker pool, each
+// exclusively owning the (window, layer) states of its row, so the
+// prepared windows are identical to a serial run. A non-nil error is
+// only ever the context's cancellation error.
 func (e *Engine) prepareWindows(ctx context.Context) ([]*window, error) {
 	nw := e.g.NumWindows()
 	nl := len(e.lay.Layers)
@@ -186,31 +177,11 @@ func (e *Engine) prepareWindows(ctx context.Context) ([]*window, error) {
 		winStore[k] = window{rect: e.g.Window(i, j), layers: layerStore[k*nl : (k+1)*nl : (k+1)*nl]}
 		wins[k] = &winStore[k]
 	}
-
-	// Serial binning: per layer, the fill-region and wire indices hitting
-	// each window row. Index arithmetic only — no clipping yet.
-	type rowBins struct {
-		free, wire [][]int32
-	}
-	bins := make([]rowBins, nl)
-	for li := range e.lay.Layers {
-		layer := e.lay.Layers[li]
-		bins[li].free = make([][]int32, ny)
-		bins[li].wire = make([][]int32, ny)
-		for si, fr := range layer.FillRegions {
-			if _, j0, _, j1, ok := e.g.CellRange(fr); ok {
-				for j := j0; j <= j1; j++ {
-					bins[li].free[j] = append(bins[li].free[j], int32(si))
-				}
-			}
-		}
-		for si, wr := range layer.Wires {
-			if _, j0, _, j1, ok := e.g.CellRange(wr); ok {
-				for j := j0; j <= j1; j++ {
-					bins[li].wire[j] = append(bins[li].wire[j], int32(si))
-				}
-			}
-		}
+	freeBins := make([]grid.Bins, nl)
+	wireBins := make([]grid.Bins, nl)
+	for li, layer := range e.lay.Layers {
+		freeBins[li] = e.g.Bin(layer.FillRegions, 0)
+		wireBins[li] = e.g.Bin(layer.Wires, 0)
 	}
 
 	// Free-region pieces (and hence the cells tiled from them) may abut:
@@ -221,96 +192,36 @@ func (e *Engine) prepareWindows(ctx context.Context) ([]*window, error) {
 	// keepout) so cells placed in it are pairwise legal from birth —
 	// including across window boundaries, which per-window sizing could
 	// not repair.
+	//
+	// A window's wires are its bin: 4 bytes per incidence in one array
+	// per layer. Later stages re-clip from the indices into pooled
+	// scratch on demand, so no clipped wire geometry is retained across
+	// the run; here the clips only feed the exact union area.
 
 	// Stripe tasks: task t covers layer t/ny, window row t%ny.
 	err := e.parallelFor(ctx, nl*ny, "prep", func(_ context.Context, t int) error {
 		li, j := t/ny, t%ny
 		layer := e.lay.Layers[li]
-		sc := prepPool.Get().(*prepScratch)
-		defer prepPool.Put(sc)
-		if cap(sc.clips) < nx {
-			sc.clips = make([][]geom.Rect, nx)
-		}
-		clips := sc.clips[:nx]
-		if cap(sc.cnt) < nx {
-			sc.cnt = make([]int32, nx)
-		}
-		cnt := sc.cnt[:nx]
-		for i := range cnt {
-			cnt[i] = 0
-		}
-
-		// Free regions: count per window, then fill exact-capacity buckets.
-		for _, si := range bins[li].free[j] {
-			if i0, _, i1, _, ok := e.g.CellRange(layer.FillRegions[si]); ok {
-				for i := i0; i <= i1; i++ {
-					cnt[i]++
+		var clips []geom.Rect
+		for k := j * nx; k < (j+1)*nx; k++ {
+			w := wins[k]
+			wl := &w.layers[li]
+			if fb := freeBins[li].Window(k); len(fb) > 0 {
+				wl.free = make([]geom.Rect, 0, len(fb))
+				for _, si := range fb {
+					if clip := e.mode.clipFree(layer.FillRegions[si], w.rect); !clip.Empty() {
+						wl.free = append(wl.free, clip)
+					}
 				}
 			}
-		}
-		for i := 0; i < nx; i++ {
-			if cnt[i] > 0 {
-				wins[j*nx+i].layers[li].free = make([]geom.Rect, 0, cnt[i])
-			}
-		}
-		for _, si := range bins[li].free[j] {
-			fr := layer.FillRegions[si]
-			i0, _, i1, _, ok := e.g.CellRange(fr)
-			if !ok {
-				continue
-			}
-			for i := i0; i <= i1; i++ {
-				clip := e.mode.clipFree(fr, wins[j*nx+i].rect)
-				if clip.Empty() {
-					continue
+			if wl.wires = wireBins[li].Window(k); len(wl.wires) > 0 {
+				clips = clips[:0]
+				for _, si := range wl.wires {
+					clips = append(clips, layer.Wires[si].Intersect(w.rect))
 				}
-				wl := &wins[j*nx+i].layers[li]
-				wl.free = append(wl.free, clip)
+				wl.wireArea = geom.UnionArea(clips)
 			}
 		}
-
-		// Wires: record per-window incident wire indices (4 bytes each,
-		// retained until the window is emitted) and compute the exact
-		// union wire area from per-column clip buckets. Later stages
-		// re-clip from the indices into pooled scratch on demand — no
-		// stage rescans the layout's full wire list, and no clipped wire
-		// geometry is retained across the run.
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		for _, si := range bins[li].wire[j] {
-			if i0, _, i1, _, ok := e.g.CellRange(layer.Wires[si]); ok {
-				for i := i0; i <= i1; i++ {
-					cnt[i]++
-				}
-			}
-		}
-		for i := 0; i < nx; i++ {
-			if cnt[i] > 0 {
-				wins[j*nx+i].layers[li].wires = make([]int32, 0, cnt[i])
-			}
-		}
-		for _, si := range bins[li].wire[j] {
-			wr := layer.Wires[si]
-			i0, _, i1, _, ok := e.g.CellRange(wr)
-			if !ok {
-				continue
-			}
-			for i := i0; i <= i1; i++ {
-				if c := wr.Intersect(wins[j*nx+i].rect); !c.Empty() {
-					wl := &wins[j*nx+i].layers[li]
-					wl.wires = append(wl.wires, int32(si))
-					clips[i] = append(clips[i], c)
-				}
-			}
-		}
-		for i := 0; i < nx; i++ {
-			if len(clips[i]) > 0 {
-				wins[j*nx+i].layers[li].wireArea = geom.UnionArea(clips[i])
-				clips[i] = clips[i][:0]
-			}
-		}
-		sc.clips = clips
 		return nil
 	})
 	if err != nil {

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"dummyfill/internal/geom"
+	"dummyfill/internal/grid"
 	"dummyfill/internal/layout"
 )
 
@@ -169,5 +171,21 @@ func TestNewRejectsNegativeBudget(t *testing.T) {
 	opts.Budget = 0
 	if _, err := New(gradientLayout(), opts); err != nil {
 		t.Fatalf("New rejected a zero (unlimited) Budget: %v", err)
+	}
+}
+
+// TestNewRejectsOutOfRangeDie checks that a caller-built layout whose die
+// exceeds the grid's coordinate bound fails New instead of overflowing
+// extent and area arithmetic later in a worker.
+func TestNewRejectsOutOfRangeDie(t *testing.T) {
+	lay := &layout.Layout{
+		Name:   "huge",
+		Die:    geom.R(-9e18, -9e18, 9e18, 9e18),
+		Window: 9e18,
+		Rules:  layout.Rules{MinWidth: 2, MinSpace: 1, MinArea: 4},
+		Layers: []*layout.Layer{{Wires: []geom.Rect{geom.R(0, 0, 10, 10)}}},
+	}
+	if _, err := New(lay, DefaultOptions()); !errors.Is(err, grid.ErrOutOfRange) {
+		t.Fatalf("err = %v, want one wrapping grid.ErrOutOfRange", err)
 	}
 }

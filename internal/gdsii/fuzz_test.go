@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"dummyfill/internal/layio"
 )
 
 // FuzzRead exercises the GDSII ShapeReader with arbitrary byte streams;
@@ -36,14 +38,14 @@ func FuzzRead(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Default and tight limits must both end in a clean error
-		// (wrapping ErrLimit when it is the limit that trips) or a drained
+		// (wrapping layio.ErrLimit when it is the limit that trips) or a drained
 		// stream, never a panic.
-		_, _, _ = drain(bytes.NewReader(data), DefaultLimits())
-		if _, _, err := drain(bytes.NewReader(data), Limits{MaxRecords: 16, MaxShapes: 2}); err != nil {
-			_ = errors.Is(err, ErrLimit)
+		_, _, _ = drain(bytes.NewReader(data), layio.DefaultLimits())
+		if _, _, err := drain(bytes.NewReader(data), layio.Limits{MaxRecords: 16, MaxShapes: 2}); err != nil {
+			_ = errors.Is(err, layio.ErrLimit)
 		}
 		// Errors are sticky: a failed Next keeps failing.
-		sr := NewShapeReader(bytes.NewReader(data), Limits{MaxRecords: 4096, MaxShapes: 256})
+		sr := NewShapeReader(bytes.NewReader(data), layio.Limits{MaxRecords: 4096, MaxShapes: 256})
 		for {
 			if _, err := sr.Next(); err != nil {
 				if _, err2 := sr.Next(); err2 != err {

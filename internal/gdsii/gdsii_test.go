@@ -122,7 +122,7 @@ func sampleLibrary() *Library {
 }
 
 // drain reads every shape of a GDSII stream through a ShapeReader.
-func drain(r io.Reader, lim Limits) (layio.Header, []layio.Shape, error) {
+func drain(r io.Reader, lim layio.Limits) (layio.Header, []layio.Shape, error) {
 	sr := NewShapeReader(r, lim)
 	var out []layio.Shape
 	for {
@@ -170,7 +170,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if got := findRecord(t, buf.Bytes(), RecStrName).str(); got != "TOP" {
 		t.Fatalf("structure name %q", got)
 	}
-	hdr, shapes, err := drain(&buf, DefaultLimits())
+	hdr, shapes, err := drain(&buf, layio.DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	if _, _, err := drain(bytes.NewReader(nil), DefaultLimits()); err == nil {
+	if _, _, err := drain(bytes.NewReader(nil), layio.DefaultLimits()); err == nil {
 		t.Fatal("empty stream must error")
 	}
 	// Stream without ENDLIB.
@@ -200,11 +200,11 @@ func TestReadErrors(t *testing.T) {
 	if err := writeInt16s(&buf, RecHeader, 600); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := drain(&buf, DefaultLimits()); err == nil {
+	if _, _, err := drain(&buf, layio.DefaultLimits()); err == nil {
 		t.Fatal("missing ENDLIB must error")
 	}
 	// Truncated record.
-	if _, _, err := drain(bytes.NewReader([]byte{0x00, 0x08, 0x00, 0x02, 0x01}), DefaultLimits()); err == nil {
+	if _, _, err := drain(bytes.NewReader([]byte{0x00, 0x08, 0x00, 0x02, 0x01}), layio.DefaultLimits()); err == nil {
 		t.Fatal("truncated record must error")
 	}
 }
@@ -223,7 +223,7 @@ func TestBoundaryTooFewPoints(t *testing.T) {
 // into wires and fills by datatype.
 func extract(t *testing.T, data []byte) (wires, fills map[int][]geom.Rect) {
 	t.Helper()
-	_, shapes, err := drain(bytes.NewReader(data), DefaultLimits())
+	_, shapes, err := drain(bytes.NewReader(data), layio.DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ var format = layio.Format{
 		return NewShapeReader(r, lim)
 	},
 	NewShapeWriter: newShapeWriter,
-	Limits:         DefaultLimits(),
+	Limits:         layio.DefaultLimits(),
 	EmitsWires:     true,
 }
 

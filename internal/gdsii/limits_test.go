@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"dummyfill/internal/layio"
 )
 
 func TestShapeReaderMaxShapes(t *testing.T) {
@@ -13,12 +15,12 @@ func TestShapeReaderMaxShapes(t *testing.T) {
 	}
 	valid := buf.Bytes() // two boundaries
 
-	if _, _, err := drain(bytes.NewReader(valid), Limits{MaxShapes: 2}); err != nil {
+	if _, _, err := drain(bytes.NewReader(valid), layio.Limits{MaxShapes: 2}); err != nil {
 		t.Fatalf("limit equal to shape count must pass: %v", err)
 	}
-	_, _, err := drain(bytes.NewReader(valid), Limits{MaxShapes: 1})
-	if !errors.Is(err, ErrLimit) {
-		t.Fatalf("MaxShapes=1 on 2-shape stream: got %v, want ErrLimit", err)
+	_, _, err := drain(bytes.NewReader(valid), layio.Limits{MaxShapes: 1})
+	if !errors.Is(err, layio.ErrLimit) {
+		t.Fatalf("MaxShapes=1 on 2-shape stream: got %v, want layio.ErrLimit", err)
 	}
 }
 
@@ -29,11 +31,11 @@ func TestShapeReaderMaxRecords(t *testing.T) {
 	}
 	valid := buf.Bytes()
 
-	_, _, err := drain(bytes.NewReader(valid), Limits{MaxRecords: 3})
-	if !errors.Is(err, ErrLimit) {
-		t.Fatalf("tiny MaxRecords: got %v, want ErrLimit", err)
+	_, _, err := drain(bytes.NewReader(valid), layio.Limits{MaxRecords: 3})
+	if !errors.Is(err, layio.ErrLimit) {
+		t.Fatalf("tiny MaxRecords: got %v, want layio.ErrLimit", err)
 	}
-	if _, _, err := drain(bytes.NewReader(valid), Limits{MaxRecords: 1 << 20}); err != nil {
+	if _, _, err := drain(bytes.NewReader(valid), layio.Limits{MaxRecords: 1 << 20}); err != nil {
 		t.Fatalf("generous MaxRecords must pass: %v", err)
 	}
 }
@@ -43,22 +45,22 @@ func TestShapeReaderZeroIsUnlimited(t *testing.T) {
 	if err := sampleLibrary().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := drain(bytes.NewReader(buf.Bytes()), Limits{}); err != nil {
-		t.Fatalf("Limits{} must be unlimited: %v", err)
+	if _, _, err := drain(bytes.NewReader(buf.Bytes()), layio.Limits{}); err != nil {
+		t.Fatalf("layio.Limits{} must be unlimited: %v", err)
 	}
 }
 
 // TestShapeReaderStopsRecordBomb builds a stream that is one HEADER
 // followed by an endless run of minimal records: the record cap must cut
-// parsing off with ErrLimit instead of looping to the end.
+// parsing off with layio.ErrLimit instead of looping to the end.
 func TestShapeReaderStopsRecordBomb(t *testing.T) {
 	bomb := []byte{0x00, 0x06, 0x00, 0x02, 0x02, 0x58} // HEADER v600
 	endel := []byte{0x00, 0x04, RecEndEl, 0x00}
 	for i := 0; i < 10000; i++ {
 		bomb = append(bomb, endel...)
 	}
-	_, _, err := drain(bytes.NewReader(bomb), Limits{MaxRecords: 100})
-	if !errors.Is(err, ErrLimit) {
-		t.Fatalf("record bomb: got %v, want ErrLimit", err)
+	_, _, err := drain(bytes.NewReader(bomb), layio.Limits{MaxRecords: 100})
+	if !errors.Is(err, layio.ErrLimit) {
+		t.Fatalf("record bomb: got %v, want layio.ErrLimit", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dummyfill/internal/geom"
+	"dummyfill/internal/layio"
 )
 
 // TestReadNeverPanicsOnMutatedStreams feeds randomly corrupted versions of
@@ -30,7 +31,7 @@ func TestReadNeverPanicsOnMutatedStreams(t *testing.T) {
 					t.Fatalf("it %d: reader panicked: %v", it, r)
 				}
 			}()
-			_, _, _ = drain(bytes.NewReader(mut), DefaultLimits())
+			_, _, _ = drain(bytes.NewReader(mut), layio.DefaultLimits())
 		}()
 	}
 }
@@ -44,11 +45,11 @@ func TestReadTruncatedStreams(t *testing.T) {
 	// Every strict prefix must fail cleanly (never panic, never succeed
 	// except the full stream).
 	for n := 0; n < len(valid); n++ {
-		if _, _, err := drain(bytes.NewReader(valid[:n]), DefaultLimits()); err == nil {
+		if _, _, err := drain(bytes.NewReader(valid[:n]), layio.DefaultLimits()); err == nil {
 			t.Fatalf("prefix of %d/%d bytes parsed without error", n, len(valid))
 		}
 	}
-	if _, _, err := drain(bytes.NewReader(valid), DefaultLimits()); err != nil {
+	if _, _, err := drain(bytes.NewReader(valid), layio.DefaultLimits()); err != nil {
 		t.Fatalf("full stream failed: %v", err)
 	}
 }
@@ -86,7 +87,7 @@ func TestManyStructuresRoundTrip(t *testing.T) {
 	if err := lib.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	_, shapes, err := drain(&buf, DefaultLimits())
+	_, shapes, err := drain(&buf, layio.DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestOddLengthStringPadding(t *testing.T) {
 	if got := findRecord(t, buf.Bytes(), RecStrName).str(); got != "X" {
 		t.Fatalf("padded structure name corrupted: %q", got)
 	}
-	hdr, shapes, err := drain(&buf, DefaultLimits())
+	hdr, shapes, err := drain(&buf, layio.DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}

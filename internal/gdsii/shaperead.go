@@ -18,7 +18,7 @@ import (
 // elements (paths, references, texts) are skipped.
 type ShapeReader struct {
 	br  *bufio.Reader
-	lim Limits
+	lim layio.Limits
 	hdr layio.Header
 
 	// Rectangles of the boundary being drained.
@@ -42,8 +42,10 @@ type ShapeReader struct {
 	records, shapes int64
 }
 
-// NewShapeReader opens a streaming reader over r under lim.
-func NewShapeReader(r io.Reader, lim Limits) *ShapeReader {
+// NewShapeReader opens a streaming reader over r under lim. The format
+// bounds each record's payload at 65531 bytes, so lim.MaxRecords also
+// caps total parse work; lim.MaxShapes caps the BOUNDARY elements.
+func NewShapeReader(r io.Reader, lim layio.Limits) *ShapeReader {
 	return &ShapeReader{br: bufio.NewReader(r), lim: lim}
 }
 
@@ -91,7 +93,7 @@ func (sr *ShapeReader) advance() error {
 		}
 		sr.records++
 		if sr.lim.MaxRecords > 0 && sr.records > sr.lim.MaxRecords {
-			return fmt.Errorf("gdsii: %w: more than %d records", ErrLimit, sr.lim.MaxRecords)
+			return fmt.Errorf("gdsii: %w: more than %d records", layio.ErrLimit, sr.lim.MaxRecords)
 		}
 		switch rec.typ {
 		case RecHeader:
@@ -110,7 +112,7 @@ func (sr *ShapeReader) advance() error {
 		case RecBoundary:
 			sr.shapes++
 			if sr.lim.MaxShapes > 0 && sr.shapes > sr.lim.MaxShapes {
-				return fmt.Errorf("gdsii: %w: more than %d shapes", ErrLimit, sr.lim.MaxShapes)
+				return fmt.Errorf("gdsii: %w: more than %d shapes", layio.ErrLimit, sr.lim.MaxShapes)
 			}
 			sr.inElem = true
 			sr.layer, sr.dt = 0, 0

@@ -27,12 +27,25 @@ type Grid struct {
 // dissection (the largest benchmark design has 25,600 windows).
 const MaxWindows = 1 << 22
 
+// MaxCoord bounds the die's corners (|coord| ≤ MaxCoord) and MaxWindow
+// the window size. Die and window extents then fit in 2^31 and their
+// areas in int64, so no stage's extent or area arithmetic can overflow.
+const (
+	MaxCoord  = 1 << 30
+	MaxWindow = 1 << 31
+)
+
 // ErrTooManyWindows reports a die and window size whose dissection
 // exceeds MaxWindows.
 var ErrTooManyWindows = errors.New("grid: too many windows")
 
+// ErrOutOfRange reports a die corner beyond ±MaxCoord or a window larger
+// than MaxWindow.
+var ErrOutOfRange = errors.New("grid: coordinates out of range")
+
 // New builds a grid over die with window size w. It fails with an error
-// wrapping ErrTooManyWindows when the grid would exceed MaxWindows.
+// wrapping ErrTooManyWindows when the grid would exceed MaxWindows, and
+// one wrapping ErrOutOfRange when die or w exceed MaxCoord or MaxWindow.
 func New(die geom.Rect, w int64) (*Grid, error) {
 	if die.Empty() {
 		return nil, fmt.Errorf("grid: empty die %v", die)
@@ -43,6 +56,9 @@ func New(die geom.Rect, w int64) (*Grid, error) {
 	nx, ny := windowsAcross(die.XL, die.XH, w), windowsAcross(die.YL, die.YH, w)
 	if nx > MaxWindows || ny > MaxWindows/nx {
 		return nil, fmt.Errorf("%w: window %d over die %v makes %d×%d, above %d", ErrTooManyWindows, w, die, nx, ny, MaxWindows)
+	}
+	if die.XL < -MaxCoord || die.YL < -MaxCoord || die.XH > MaxCoord || die.YH > MaxCoord || w > MaxWindow {
+		return nil, fmt.Errorf("%w: die %v or window %d beyond ±%d or %d", ErrOutOfRange, die, w, MaxCoord, MaxWindow)
 	}
 	return &Grid{Die: die, W: w, NX: int(nx), NY: int(ny)}, nil
 }
@@ -73,11 +89,11 @@ func (g *Grid) Window(i, j int) geom.Rect {
 	return r.Intersect(g.Die)
 }
 
-// CellRange returns the inclusive window index ranges [i0,i1]×[j0,j1]
-// overlapped by r; ok is false when r misses the die entirely. It is the
-// index arithmetic of RangeOverlapping exposed for callers that shard
-// work by window row or column.
-func (g *Grid) CellRange(r geom.Rect) (i0, j0, i1, j1 int, ok bool) {
+// cellRange returns the inclusive window index ranges [i0,i1]×[j0,j1]
+// overlapped by r; ok is false when r misses the die entirely. Every
+// window in the range overlaps r, so RangeOverlapping and Bin, which
+// share it, see the same windows.
+func (g *Grid) cellRange(r geom.Rect) (i0, j0, i1, j1 int, ok bool) {
 	r = r.Intersect(g.Die)
 	if r.Empty() {
 		return 0, 0, 0, 0, false
@@ -92,7 +108,7 @@ func (g *Grid) CellRange(r geom.Rect) (i0, j0, i1, j1 int, ok bool) {
 // RangeOverlapping calls fn(i, j, clip) for every window overlapping r,
 // where clip is the part of r inside window (i,j).
 func (g *Grid) RangeOverlapping(r geom.Rect, fn func(i, j int, clip geom.Rect)) {
-	i0, j0, i1, j1, ok := g.CellRange(r)
+	i0, j0, i1, j1, ok := g.cellRange(r)
 	if !ok {
 		return
 	}
@@ -106,6 +122,59 @@ func (g *Grid) RangeOverlapping(r geom.Rect, fn func(i, j int, clip geom.Rect)) 
 			}
 		}
 	}
+}
+
+// Bins groups shape indices by window: Window(k) lists, in input order,
+// the indices of the shapes whose padded rect overlaps window k
+// (row-major, k = j*NX+i). All lists share one index array.
+type Bins struct {
+	off []int // window k's indices are idx[off[k]:off[k+1]]
+	idx []int32
+}
+
+// Window returns window k's shape indices. The slice has no spare
+// capacity, so appending to it never writes into a neighbour's list.
+func (b Bins) Window(k int) []int32 {
+	lo, hi := b.off[k], b.off[k+1]
+	return b.idx[lo:hi:hi]
+}
+
+// Bin groups rects by the windows that each one, expanded by pad,
+// overlaps: window k lists exactly the indices that
+// RangeOverlapping(rects[i].Expand(pad)) visits at k, in input order. A
+// counting pass sizes every list exactly; a second pass, over rects in
+// reverse, fills each list back to front.
+func (g *Grid) Bin(rects []geom.Rect, pad int64) Bins {
+	nx := g.NX
+	off := make([]int, g.NumWindows()+1)
+	for _, r := range rects {
+		if i0, j0, i1, j1, ok := g.cellRange(r.Expand(pad)); ok {
+			for j := j0; j <= j1; j++ {
+				for i := i0; i <= i1; i++ {
+					off[j*nx+i]++
+				}
+			}
+		}
+	}
+	n := 0
+	for k, c := range off {
+		n += c
+		off[k] = n // end of window k's list until the fill pass
+	}
+	idx := make([]int32, n)
+	for si := len(rects) - 1; si >= 0; si-- {
+		if i0, j0, i1, j1, ok := g.cellRange(rects[si].Expand(pad)); ok {
+			id := geom.Idx32(si)
+			for j := j0; j <= j1; j++ {
+				for i := i0; i <= i1; i++ {
+					k := j*nx + i
+					off[k]--
+					idx[off[k]] = id
+				}
+			}
+		}
+	}
+	return Bins{off: off, idx: idx}
 }
 
 // Map is a per-window scalar field over a grid (densities, areas, bounds).

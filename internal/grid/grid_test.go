@@ -69,6 +69,31 @@ func TestNewGridWindowCap(t *testing.T) {
 	}
 }
 
+// TestNewGridCoordBound checks the coordinate bound: a die with corners
+// at ±MaxCoord and a window of MaxWindow build, one unit beyond either
+// fails with ErrOutOfRange.
+func TestNewGridCoordBound(t *testing.T) {
+	if _, err := New(geom.R(-MaxCoord, -MaxCoord, MaxCoord, MaxCoord), MaxWindow); err != nil {
+		t.Fatalf("die at ±MaxCoord, window MaxWindow: %v", err)
+	}
+	over := map[string]struct {
+		die geom.Rect
+		w   int64
+	}{
+		"left":                   {geom.R(-MaxCoord-1, 0, 10, 10), MaxWindow},
+		"bottom":                 {geom.R(0, -MaxCoord-1, 10, 10), MaxWindow},
+		"right":                  {geom.R(0, 0, MaxCoord+1, 10), MaxWindow},
+		"top":                    {geom.R(0, 0, 10, MaxCoord+1), MaxWindow},
+		"window":                 {geom.R(0, 0, 10, 10), MaxWindow + 1},
+		"int64 die, few windows": {geom.R(-9e18, -9e18, 9e18, 9e18), 9e18},
+	}
+	for name, tc := range over {
+		if _, err := New(tc.die, tc.w); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("%s: err = %v, want ErrOutOfRange", name, err)
+		}
+	}
+}
+
 func TestLocate(t *testing.T) {
 	g, _ := New(geom.R(0, 0, 100, 100), 10)
 	i, j := g.Locate(geom.Point{X: 55, Y: 23})

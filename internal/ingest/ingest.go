@@ -47,7 +47,8 @@ type Options struct {
 // layer from the dominant wire direction. A layer id at or above
 // MaxLayers, on a shape or in the header, fails with an error wrapping
 // layio.ErrLimit, and so does a window size that dissects the die into
-// more than grid.MaxWindows windows.
+// more than grid.MaxWindows windows or a die or window beyond
+// grid.MaxCoord or grid.MaxWindow.
 func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 	if opts.Rules != (layout.Rules{}) {
 		if err := opts.Rules.Validate(); err != nil {
@@ -121,7 +122,7 @@ func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 	}
 	g, err := lay.Grid()
 	if err != nil {
-		if errors.Is(err, grid.ErrTooManyWindows) {
+		if errors.Is(err, grid.ErrTooManyWindows) || errors.Is(err, grid.ErrOutOfRange) {
 			err = fmt.Errorf("ingest: %w: %w", layio.ErrLimit, err)
 		}
 		return nil, err
@@ -192,18 +193,15 @@ func dominantlyVertical(shapes []geom.Rect) bool {
 // spacing, decomposed into vertical slabs when vertical is set (else
 // horizontal), with slivers unable to host a legal fill dropped.
 func ExtractFillRegions(g *grid.Grid, shapes []geom.Rect, rules layout.Rules, vertical bool) []geom.Rect {
-	perWin := make([][]geom.Rect, g.NumWindows())
-	for _, s := range shapes {
-		ex := s.Expand(rules.MinSpace)
-		g.RangeOverlapping(ex, func(i, j int, clip geom.Rect) {
-			k := j*g.NX + i
-			perWin[k] = append(perWin[k], clip)
-		})
-	}
-	var out []geom.Rect
+	bins := g.Bin(shapes, rules.MinSpace)
+	var out, holes []geom.Rect
 	for k := 0; k < g.NumWindows(); k++ {
+		holes = holes[:0]
+		for _, si := range bins.Window(k) {
+			holes = append(holes, shapes[si].Expand(rules.MinSpace))
+		}
 		win := g.Window(k%g.NX, k/g.NX)
-		for _, f := range geom.Difference(win, perWin[k], vertical) {
+		for _, f := range geom.Difference(win, holes, vertical) {
 			if f.W() >= rules.MinWidth && f.H() >= rules.MinWidth && f.Area() >= rules.MinArea {
 				out = append(out, f)
 			}

@@ -43,7 +43,7 @@ func gdsReader(t *testing.T, bs ...gdsii.Boundary) layio.ShapeReader {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return gdsii.NewShapeReader(&buf, gdsii.DefaultLimits())
+	return gdsii.NewShapeReader(&buf, layio.DefaultLimits())
 }
 
 func testOpts() ingest.Options {
@@ -73,7 +73,7 @@ func TestFromShapesRoundTripSynthDesign(t *testing.T) {
 	opts.Die = src.Die
 	opts.Rules = src.Rules
 	opts.Window = src.Window
-	lay, err := ingest.FromShapes(gdsii.NewShapeReader(&buf, gdsii.DefaultLimits()), opts)
+	lay, err := ingest.FromShapes(gdsii.NewShapeReader(&buf, layio.DefaultLimits()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestFromShapesLayerCap(t *testing.T) {
 	}
 	unit := geom.R(0, 0, 1, 1)
 	over := map[string]layio.ShapeReader{
-		"text fill":   textfmt.NewShapeReader(strings.NewReader("fill 65536 0 0 1 1\n"), textfmt.DefaultLimits()),
+		"text fill":   textfmt.NewShapeReader(strings.NewReader("fill 65536 0 0 1 1\n"), layio.DefaultLimits()),
 		"shape wire":  &stubReader{shapes: []layio.Shape{{Layer: ingest.MaxLayers, Rect: unit}}},
 		"header only": &stubReader{hdr: layio.Header{NumLayers: ingest.MaxLayers + 1, HasLayoutMeta: true}},
 	}
@@ -253,7 +253,7 @@ func TestFromShapesWindowCap(t *testing.T) {
 	_, gdsErr := ingest.FromShapes(gdsReader(t, corners...), opts)
 	_, textErr := ingest.FromShapes(textfmt.NewShapeReader(strings.NewReader(
 		"layout chip\ndie 0 0 2049 2048\nwindow 1\nrules 2 1 4 0\nlayer 0\nwire 10 10 20 20\n"),
-		textfmt.DefaultLimits()), ingest.Options{})
+		layio.DefaultLimits()), ingest.Options{})
 	for name, err := range map[string]error{"gds": gdsErr, "text": textErr} {
 		if !errors.Is(err, layio.ErrLimit) || !errors.Is(err, grid.ErrTooManyWindows) {
 			t.Errorf("%s: err = %v, want one wrapping layio.ErrLimit and grid.ErrTooManyWindows", name, err)
@@ -264,7 +264,7 @@ func TestFromShapesWindowCap(t *testing.T) {
 // readText ingests a text layout made of a fixed header and body.
 func readText(body string) (*layout.Layout, error) {
 	const head = "layout chip\ndie 0 0 100 100\nwindow 25\nrules 2 1 4 0\n"
-	sr := textfmt.NewShapeReader(strings.NewReader(head+body), textfmt.DefaultLimits())
+	sr := textfmt.NewShapeReader(strings.NewReader(head+body), layio.DefaultLimits())
 	return ingest.FromShapes(sr, ingest.Options{})
 }
 

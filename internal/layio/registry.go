@@ -22,7 +22,9 @@ type Format struct {
 	// NewShapeWriter opens a streaming writer on w, emitting the
 	// stream preamble from h.
 	NewShapeWriter func(w io.Writer, h Header) (ShapeWriter, error)
-	// Limits are the format's default ingest caps.
+	// Limits is DefaultLimits() in every registered format. The
+	// package's own readers take DefaultLimits() directly; the field
+	// remains for the benchmark harness, which reads it.
 	Limits Limits
 	// EmitsWires reports whether full-layout emission in this format
 	// carries the wire shapes too (GDSII) or only the fill solution

@@ -203,22 +203,24 @@ func (l *Layout) Statistics() Stats {
 }
 
 // WireDensityMap returns the per-window wire density of layer li.
+// Wires may overlap each other (routes + vias), so each window's area is
+// the exact union of its wire clips.
 func (l *Layout) WireDensityMap(g *grid.Grid, li int) *grid.Map {
-	// Wires may overlap each other (routes + vias); compute exact union
-	// area per window by clipping each wire to windows, then removing
-	// double counting per window.
-	perWin := make(map[int][]geom.Rect)
-	for _, w := range l.Layers[li].Wires {
-		g.RangeOverlapping(w, func(i, j int, clip geom.Rect) {
-			k := j*g.NX + i
-			perWin[k] = append(perWin[k], clip)
-		})
-	}
+	wires := l.Layers[li].Wires
+	bins := g.Bin(wires, 0)
 	area := grid.NewMap(g)
+	var clips []geom.Rect
 	for k := range area.V {
-		if rects := perWin[k]; len(rects) > 0 {
-			area.V[k] = float64(geom.UnionArea(rects))
+		ids := bins.Window(k)
+		if len(ids) == 0 {
+			continue
 		}
+		win := g.Window(k%g.NX, k/g.NX)
+		clips = clips[:0]
+		for _, si := range ids {
+			clips = append(clips, wires[si].Intersect(win))
+		}
+		area.V[k] = float64(geom.UnionArea(clips))
 	}
 	return grid.DensityMap(area)
 }

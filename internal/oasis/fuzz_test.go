@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"dummyfill/internal/layio"
 )
 
 // FuzzRead exercises the OASIS ShapeReader with arbitrary byte streams;
@@ -30,14 +32,14 @@ func FuzzRead(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Default and tight limits must both end in a clean error
-		// (wrapping ErrLimit when it is the limit that trips) or a drained
+		// (wrapping layio.ErrLimit when it is the limit that trips) or a drained
 		// stream, never a panic.
-		_, _, _ = drain(bytes.NewReader(data), DefaultLimits())
-		if _, _, err := drain(bytes.NewReader(data), Limits{MaxRecords: 16, MaxShapes: 2}); err != nil {
-			_ = errors.Is(err, ErrLimit)
+		_, _, _ = drain(bytes.NewReader(data), layio.DefaultLimits())
+		if _, _, err := drain(bytes.NewReader(data), layio.Limits{MaxRecords: 16, MaxShapes: 2}); err != nil {
+			_ = errors.Is(err, layio.ErrLimit)
 		}
 		// Errors are sticky: a failed Next keeps failing.
-		sr := NewShapeReader(bytes.NewReader(data), Limits{MaxRecords: 4096, MaxShapes: 256})
+		sr := NewShapeReader(bytes.NewReader(data), layio.Limits{MaxRecords: 4096, MaxShapes: 256})
 		for {
 			if _, err := sr.Next(); err != nil {
 				if _, err2 := sr.Next(); err2 != err {
@@ -56,12 +58,12 @@ func TestShapeReaderMaxShapes(t *testing.T) {
 	}
 	valid := buf.Bytes() // five rectangles
 
-	if _, _, err := drain(bytes.NewReader(valid), Limits{MaxShapes: 5}); err != nil {
+	if _, _, err := drain(bytes.NewReader(valid), layio.Limits{MaxShapes: 5}); err != nil {
 		t.Fatalf("limit equal to shape count must pass: %v", err)
 	}
-	_, _, err := drain(bytes.NewReader(valid), Limits{MaxShapes: 4})
-	if !errors.Is(err, ErrLimit) {
-		t.Fatalf("MaxShapes=4 on 5-shape stream: got %v, want ErrLimit", err)
+	_, _, err := drain(bytes.NewReader(valid), layio.Limits{MaxShapes: 4})
+	if !errors.Is(err, layio.ErrLimit) {
+		t.Fatalf("MaxShapes=4 on 5-shape stream: got %v, want layio.ErrLimit", err)
 	}
 }
 
@@ -72,11 +74,11 @@ func TestShapeReaderMaxRecords(t *testing.T) {
 	}
 	valid := buf.Bytes()
 
-	_, _, err := drain(bytes.NewReader(valid), Limits{MaxRecords: 2})
-	if !errors.Is(err, ErrLimit) {
-		t.Fatalf("tiny MaxRecords: got %v, want ErrLimit", err)
+	_, _, err := drain(bytes.NewReader(valid), layio.Limits{MaxRecords: 2})
+	if !errors.Is(err, layio.ErrLimit) {
+		t.Fatalf("tiny MaxRecords: got %v, want layio.ErrLimit", err)
 	}
-	if _, _, err := drain(bytes.NewReader(valid), Limits{MaxRecords: 1 << 20}); err != nil {
+	if _, _, err := drain(bytes.NewReader(valid), layio.Limits{MaxRecords: 1 << 20}); err != nil {
 		t.Fatalf("generous MaxRecords must pass: %v", err)
 	}
 }
@@ -86,7 +88,7 @@ func TestShapeReaderZeroIsUnlimited(t *testing.T) {
 	if err := writeSample(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := drain(bytes.NewReader(buf.Bytes()), Limits{}); err != nil {
-		t.Fatalf("Limits{} must be unlimited: %v", err)
+	if _, _, err := drain(bytes.NewReader(buf.Bytes()), layio.Limits{}); err != nil {
+		t.Fatalf("layio.Limits{} must be unlimited: %v", err)
 	}
 }

@@ -17,7 +17,7 @@ func init() {
 			return NewShapeReader(r, lim)
 		},
 		NewShapeWriter: newShapeWriter,
-		Limits:         DefaultLimits(),
+		Limits:         layio.DefaultLimits(),
 		EmitsWires:     false,
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"dummyfill/internal/geom"
-	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 )
 
@@ -15,21 +14,6 @@ type Shape struct {
 	Datatype int
 	Rect     geom.Rect
 }
-
-// ErrLimit is wrapped by ShapeReader errors when an input stream exceeds
-// a configured resource limit; detect it with errors.Is. It is the
-// shared layio sentinel, so errors.Is works across formats.
-var ErrLimit = layio.ErrLimit
-
-// Limits bounds the resources a single parse may consume — the shared
-// layio ingest-cap type. A zero field disables that limit, so the zero
-// value Limits{} is fully unlimited.
-type Limits = layio.Limits
-
-// DefaultLimits returns the caps the registered OASIS reader enforces:
-// far beyond any realistic fill deck, but finite, so a hostile stream
-// fails cleanly instead of exhausting memory.
-func DefaultLimits() Limits { return layio.DefaultLimits() }
 
 // ModalSorted returns a copy of fills ordered layer-major, then by
 // dimensions, then by position, so consecutive RECTANGLE records share

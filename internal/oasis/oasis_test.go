@@ -41,7 +41,7 @@ func writeShapes(w io.Writer, cell string, shapes []Shape) error {
 func writeSample(w io.Writer) error { return writeShapes(w, "TOP", sampleShapes) }
 
 // drain reads every shape of an OASIS stream through a ShapeReader.
-func drain(src io.Reader, lim Limits) (layio.Header, []layio.Shape, error) {
+func drain(src io.Reader, lim layio.Limits) (layio.Header, []layio.Shape, error) {
 	sr := NewShapeReader(src, lim)
 	var out []layio.Shape
 	for {
@@ -72,7 +72,7 @@ func TestRoundTrip(t *testing.T) {
 	if unit, err := r.readReal(); err != nil || unit != 1000 {
 		t.Fatalf("unit %v (%v), want 1000", unit, err)
 	}
-	hdr, shapes, err := drain(&buf, DefaultLimits())
+	hdr, shapes, err := drain(&buf, layio.DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +205,11 @@ func TestFromSolutionSortsForReuse(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, _, err := drain(bytes.NewReader([]byte("not oasis")), DefaultLimits()); err == nil {
+	if _, _, err := drain(bytes.NewReader([]byte("not oasis")), layio.DefaultLimits()); err == nil {
 		t.Fatal("bad magic must error")
 	}
 	// Valid magic, truncated body.
-	if _, _, err := drain(bytes.NewReader([]byte(Magic)), DefaultLimits()); err == nil {
+	if _, _, err := drain(bytes.NewReader([]byte(Magic)), layio.DefaultLimits()); err == nil {
 		t.Fatal("truncated stream must error")
 	}
 }
@@ -232,7 +232,7 @@ func TestReadNeverPanicsOnMutation(t *testing.T) {
 					t.Fatalf("it %d: reader panicked: %v", it, r)
 				}
 			}()
-			_, _, _ = drain(bytes.NewReader(mut), DefaultLimits())
+			_, _, _ = drain(bytes.NewReader(mut), layio.DefaultLimits())
 		}()
 	}
 }
@@ -274,7 +274,7 @@ func TestEmptySolutionRoundTrip(t *testing.T) {
 	if err := layio.WriteDeck(&buf, f, layio.SolutionDeck, &layout.Layout{Name: "E"}, &layout.Solution{}); err != nil {
 		t.Fatal(err)
 	}
-	hdr, shapes, err := drain(&buf, DefaultLimits())
+	hdr, shapes, err := drain(&buf, layio.DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // indices.
 type ShapeReader struct {
 	r   *reader
-	lim Limits
+	lim layio.Limits
 	hdr layio.Header
 
 	m struct {
@@ -31,7 +31,7 @@ type ShapeReader struct {
 }
 
 // NewShapeReader opens a streaming reader over src under lim.
-func NewShapeReader(src io.Reader, lim Limits) *ShapeReader {
+func NewShapeReader(src io.Reader, lim layio.Limits) *ShapeReader {
 	return &ShapeReader{r: &reader{br: bufio.NewReader(src)}, lim: lim}
 }
 
@@ -73,7 +73,7 @@ func (sr *ShapeReader) advance() (layio.Shape, error) {
 		}
 		sr.records++
 		if sr.lim.MaxRecords > 0 && sr.records > sr.lim.MaxRecords {
-			return layio.Shape{}, fmt.Errorf("oasis: %w: more than %d records", ErrLimit, sr.lim.MaxRecords)
+			return layio.Shape{}, fmt.Errorf("oasis: %w: more than %d records", layio.ErrLimit, sr.lim.MaxRecords)
 		}
 		switch rt {
 		case recPad:
@@ -109,7 +109,7 @@ func (sr *ShapeReader) advance() (layio.Shape, error) {
 		case recRectangle:
 			sr.shapes++
 			if sr.lim.MaxShapes > 0 && sr.shapes > sr.lim.MaxShapes {
-				return layio.Shape{}, fmt.Errorf("oasis: %w: more than %d shapes", ErrLimit, sr.lim.MaxShapes)
+				return layio.Shape{}, fmt.Errorf("oasis: %w: more than %d shapes", layio.ErrLimit, sr.lim.MaxShapes)
 			}
 			info, err := sr.r.br.ReadByte()
 			if err != nil {

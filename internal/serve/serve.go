@@ -534,7 +534,7 @@ func (s *Server) parseLayout(body []byte, p jobParams) (*layout.Layout, error) {
 	if !f.CarriesMeta {
 		iopts.Rules = s.cfg.Rules
 	}
-	return ingest.FromShapes(f.NewShapeReader(src, f.Limits), iopts)
+	return ingest.FromShapes(f.NewShapeReader(src, layio.DefaultLimits()), iopts)
 }
 
 // getBuf/putBuf wrap the output-buffer pool with balance accounting; the

@@ -52,7 +52,7 @@ func offlineFill(t *testing.T, payload []byte, opts fill.Options, oformat string
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, err := ingest.FromShapes(f.NewShapeReader(bytes.NewReader(payload), f.Limits), ingest.Options{})
+	lay, err := ingest.FromShapes(f.NewShapeReader(bytes.NewReader(payload), layio.DefaultLimits()), ingest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,6 +262,30 @@ func TestFillRejectsWindowOverCap(t *testing.T) {
 	}
 	if m := string(readBody(t, mresp)); !strings.Contains(m, `fillserved_jobs_total{status="rejected"} 1`) {
 		t.Fatalf("/metrics does not count one rejected job:\n%s", m)
+	}
+}
+
+// TestFillRejectsOutOfRangeDie checks that a text deck whose die exceeds
+// the grid's coordinate bound is a 400 at ingest, and that the server
+// goes on serving.
+func TestFillRejectsOutOfRangeDie(t *testing.T) {
+	if testing.Short() {
+		t.Skip("engine run; skipping in -short")
+	}
+	s := New(Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	deck := "layout huge\n" +
+		"die -9000000000000000000 -9000000000000000000 9000000000000000000 9000000000000000000\n" +
+		"window 9000000000000000000\nrules 2 1 4 0\nlayer 0\nwire 0 0 10 10\n"
+	resp := postFill(t, ts, "?format=text", []byte(deck))
+	if body := readBody(t, resp); resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("out of range")) {
+		t.Fatalf("status %d, body %s; want 400 naming the coordinate bound", resp.StatusCode, body)
+	}
+	resp = postFill(t, ts, "?format=text", tinyLayoutBytes())
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the rejected deck: status %d, body %s; want 200", resp.StatusCode, body)
 	}
 }
 

@@ -20,7 +20,7 @@ func init() {
 			return NewShapeReader(r, lim)
 		},
 		NewShapeWriter: newShapeWriter,
-		Limits:         DefaultLimits(),
+		Limits:         layio.DefaultLimits(),
 		// The writer side emits the solution grammar (fills only); wires
 		// come in through the reader's layout grammar.
 		EmitsWires:  false,

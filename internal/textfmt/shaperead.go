@@ -11,24 +11,13 @@ import (
 	"dummyfill/internal/layout"
 )
 
-// Limits bounds the resources a single parse may consume — the shared
-// layio ingest-cap type (MaxRecords caps directive lines, MaxShapes the
-// wire/region/fill directives among them).
-type Limits = layio.Limits
-
-// DefaultLimits returns the caps the registered text reader enforces.
-func DefaultLimits() Limits { return layio.DefaultLimits() }
-
-// ErrLimit is the shared layio sentinel wrapped when a limit trips.
-var ErrLimit = layio.ErrLimit
-
 // ShapeReader streams shapes out of a text layout or solution file,
 // accepting either grammar: wires and fill regions carry the layer of
 // the preceding 'layer' directive, fills their inline layer. Metadata
 // directives (layout/die/window/rules) accumulate into Header.
 type ShapeReader struct {
 	sc  *bufio.Scanner
-	lim Limits
+	lim layio.Limits
 	hdr layio.Header
 
 	cur    int // last 'layer' index, -1 before any
@@ -40,8 +29,9 @@ type ShapeReader struct {
 }
 
 // NewShapeReader opens a streaming reader over r under lim, accepting
-// both the layout and solution grammars.
-func NewShapeReader(r io.Reader, lim Limits) *ShapeReader {
+// both the layout and solution grammars. lim.MaxRecords caps directive
+// lines, lim.MaxShapes the wire/region/fill directives among them.
+func NewShapeReader(r io.Reader, lim layio.Limits) *ShapeReader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	return &ShapeReader{sc: sc, lim: lim, cur: -1}
@@ -76,7 +66,7 @@ func (sr *ShapeReader) advance() (layio.Shape, error) {
 		}
 		sr.records++
 		if sr.lim.MaxRecords > 0 && sr.records > sr.lim.MaxRecords {
-			return layio.Shape{}, fmt.Errorf("textfmt: %w: more than %d records", ErrLimit, sr.lim.MaxRecords)
+			return layio.Shape{}, fmt.Errorf("textfmt: %w: more than %d records", layio.ErrLimit, sr.lim.MaxRecords)
 		}
 		fields := strings.Fields(line)
 		// Every parse diagnostic quotes the whole offending line.
@@ -137,7 +127,7 @@ func (sr *ShapeReader) advance() (layio.Shape, error) {
 			}
 			sr.shapes++
 			if sr.lim.MaxShapes > 0 && sr.shapes > sr.lim.MaxShapes {
-				return layio.Shape{}, fmt.Errorf("textfmt: %w: more than %d shapes", ErrLimit, sr.lim.MaxShapes)
+				return layio.Shape{}, fmt.Errorf("textfmt: %w: more than %d shapes", layio.ErrLimit, sr.lim.MaxShapes)
 			}
 			dt := layio.DatatypeWire
 			if fields[0] == "region" {
@@ -163,7 +153,7 @@ func (sr *ShapeReader) advance() (layio.Shape, error) {
 			}
 			sr.shapes++
 			if sr.lim.MaxShapes > 0 && sr.shapes > sr.lim.MaxShapes {
-				return layio.Shape{}, fmt.Errorf("textfmt: %w: more than %d shapes", ErrLimit, sr.lim.MaxShapes)
+				return layio.Shape{}, fmt.Errorf("textfmt: %w: more than %d shapes", layio.ErrLimit, sr.lim.MaxShapes)
 			}
 			if li+1 > sr.hdr.NumLayers {
 				sr.hdr.NumLayers = li + 1

@@ -19,13 +19,13 @@ import (
 // the registered streaming reader under the default limits, drained by
 // ingest.FromShapes.
 func readLayout(r io.Reader) (*layout.Layout, error) {
-	return ingest.FromShapes(NewShapeReader(r, DefaultLimits()), ingest.Options{})
+	return ingest.FromShapes(NewShapeReader(r, layio.DefaultLimits()), ingest.Options{})
 }
 
 // readFills drains a text solution through the streaming reader,
 // returning its name and fills.
 func readFills(r io.Reader) (string, []layout.Fill, error) {
-	sr := NewShapeReader(r, DefaultLimits())
+	sr := NewShapeReader(r, layio.DefaultLimits())
 	var fills []layout.Fill
 	for {
 		s, err := sr.Next()

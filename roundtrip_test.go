@@ -5,8 +5,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"io"
 	"sort"
+	"strings"
 	"testing"
 
 	dummyfill "dummyfill"
@@ -86,7 +88,7 @@ func readShapes(t *testing.T, data []byte, format string) (wires, fills map[int]
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := f.NewShapeReader(bytes.NewReader(data), f.Limits)
+	sr := f.NewShapeReader(bytes.NewReader(data), layio.DefaultLimits())
 	wires, fills = map[int][]dummyfill.Rect{}, map[int][]dummyfill.Rect{}
 	for {
 		s, err := sr.Next()
@@ -303,6 +305,22 @@ func TestReadLayoutUnknownFormat(t *testing.T) {
 	}
 	if _, err := dummyfill.ReadLayoutFormat(bytes.NewReader(nil), "dxf", dummyfill.IngestOptions{}); err == nil {
 		t.Fatal("ReadLayoutFormat accepted unknown format name")
+	}
+}
+
+// overflowDeck is a text layout whose die spans most of int64 while its
+// window keeps the grid at 2×2: before the coordinate bound, its extent
+// and area arithmetic overflowed and the engine panicked in a worker.
+const overflowDeck = "layout huge\n" +
+	"die -9000000000000000000 -9000000000000000000 9000000000000000000 9000000000000000000\n" +
+	"window 9000000000000000000\nrules 2 1 4 0\nlayer 0\nwire 0 0 10 10\n"
+
+// TestReadLayoutRejectsOutOfRangeDie checks that a die beyond the grid's
+// coordinate bound fails ingest with layio.ErrLimit.
+func TestReadLayoutRejectsOutOfRangeDie(t *testing.T) {
+	_, err := dummyfill.ReadLayout(strings.NewReader(overflowDeck), dummyfill.IngestOptions{})
+	if !errors.Is(err, layio.ErrLimit) {
+		t.Fatalf("err = %v, want one wrapping layio.ErrLimit", err)
 	}
 }
 
