@@ -3,6 +3,7 @@ package deffmt
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,6 +175,15 @@ func TestReaderErrors(t *testing.T) {
 		// not silently parse without a lattice.
 		{"inconsistent rows-only deck", "ROW a cs 0 0 N DO 4 BY 1 STEP 10 0 ;\nROW b cs 0 50 N DO 4 BY 1 STEP 20 0 ;\nEND DESIGN\n"},
 		{"inconsistent rows-only deck at EOF", "ROW a cs 0 0 N DO 4 BY 1 STEP 10 0 ;\nROW b cs 0 50 N DO 4 BY 1 STEP 20 0 ;\n"},
+		// A COMPONENTS section must list what it declares and be closed,
+		// or the deck lost geometry: cut after its first component, or
+		// mis-counted.
+		{"truncated COMPONENTS section", "COMPONENTS 3 ;\n- a W0_4x4 + PLACED ( 0 0 ) N ;\n"},
+		{"mis-counted COMPONENTS section", "COMPONENTS 3 ;\n- a W0_4x4 + PLACED ( 0 0 ) N ;\nEND COMPONENTS\nEND DESIGN\n"},
+		{"COMPONENTS section open at END DESIGN", "COMPONENTS 1 ;\n- a W0_4x4 + PLACED ( 0 0 ) N ;\nEND DESIGN\n"},
+		{"COMPONENTS section reopened", "COMPONENTS 2 ;\n- a W0_4x4 + PLACED ( 0 0 ) N ;\nCOMPONENTS 1 ;\n- b W0_4x4 + PLACED ( 9 0 ) N ;\nEND COMPONENTS\n"},
+		{"malformed COMPONENTS count", "COMPONENTS many ;\nEND COMPONENTS\n"},
+		{"negative COMPONENTS count", "COMPONENTS -1 ;\nEND COMPONENTS\n"},
 	}
 	for _, c := range cases {
 		if _, _, err := readAll(t, c.in); err == nil {
@@ -231,5 +241,23 @@ func TestWriterRejects(t *testing.T) {
 	}
 	if err := sw2.Write(layio.Shape{Layer: 0, Datatype: layio.DatatypeWire, Rect: geom.R(5, 5, 5, 9)}); err == nil {
 		t.Error("writer accepted an empty rect")
+	}
+}
+
+// TestReadStatementsAcrossLines reads a deck whose every component spans
+// three lines and which is many times the scanner's 64 KiB buffer, so
+// statements straddle buffer refills: the tokens of a statement's
+// earlier lines must survive the refill overwriting them.
+func TestReadStatementsAcrossLines(t *testing.T) {
+	h, shapes := rowDeckShapes()
+	var deck bytes.Buffer
+	writeDeck(t, &deck, h, shapes)
+	split := bytes.ReplaceAll(deck.Bytes(), []byte(" + PLACED ( "), []byte("\n+ PLACED\n( "))
+	got, _, err := readAll(t, string(split))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, shapes) {
+		t.Fatalf("read %d shapes, want the %d written", len(got), len(shapes))
 	}
 }

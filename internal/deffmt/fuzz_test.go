@@ -25,12 +25,10 @@ func drain(r io.Reader, lim layio.Limits) error {
 	}
 }
 
-// FuzzRead exercises the DEF ShapeReader with arbitrary byte streams; any
-// input must produce a clean error or a drained shape stream, never a
-// panic.
-// Run with `go test -fuzz FuzzRead ./internal/deffmt` for deep
-// exploration; plain `go test` replays the seed corpus.
-func FuzzRead(f *testing.F) {
+// addReadSeeds seeds a DEF reader fuzz target: a written deck and its
+// first half, a tiny well-formed deck, truncations, hostile counts, and
+// a filler component with no ROW to size it against.
+func addReadSeeds(f *testing.F) {
 	var valid bytes.Buffer
 	sw, err := NewShapeWriter(&valid, layio.Header{
 		Name: "fuzz", Die: geom.R(0, 0, 200, 200),
@@ -55,8 +53,6 @@ func FuzzRead(f *testing.F) {
 	f.Add(valid.Bytes())
 	f.Add(valid.Bytes()[:valid.Len()/2])
 	f.Add([]byte{})
-	// A tiny well-formed deck, truncations, hostile counts, and a filler
-	// component with no ROW to size it against.
 	f.Add([]byte("VERSION 5.8 ;\nDESIGN d ;\nDIEAREA ( 0 0 ) ( 100 100 ) ;\n" +
 		"ROW r cs 0 0 N DO 10 BY 2 STEP 10 50 ;\nCOMPONENTS 1 ;\n" +
 		"- fill_0 FILL_X1 + PLACED ( 0 0 ) N ;\nEND COMPONENTS\nEND DESIGN\n"))
@@ -64,9 +60,17 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("# def deck\nVERSION 5.8 ;\nEND DESIGN\n"))
 	f.Add([]byte("COMPONENTS 999999999 ;\n- f FILL_X99 + PLACED ( 0 0 ) N ;\n"))
 	f.Add([]byte("ROW r cs 0 0 N DO 9999999999 BY 9999999999 STEP 1 1 ;\nCOMPONENTS 0 ;\n"))
-	// Shape bomb: more components than the tight limits below allow.
+	// Shape bomb: more components than tight limits allow.
 	f.Add(bytes.Repeat([]byte("- a W0_4x4 + PLACED ( 0 0 ) N ;\n"), 64))
+}
 
+// FuzzRead exercises the DEF ShapeReader with arbitrary byte streams; any
+// input must produce a clean error or a drained shape stream, never a
+// panic.
+// Run with `go test -fuzz FuzzRead ./internal/deffmt` for deep
+// exploration; plain `go test` replays the seed corpus.
+func FuzzRead(f *testing.F) {
+	addReadSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Default and tight limits must both end in a clean error
 		// (wrapping layio.ErrLimit when it is the limit that trips) or a drained

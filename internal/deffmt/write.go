@@ -1,32 +1,35 @@
 package deffmt
 
 import (
-	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 
 	"dummyfill/internal/geom"
 	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 )
 
-// shapeWriter emits a DEF deck. COMPONENTS declares its count up front,
-// so shapes buffer until Close, which writes the whole deck: preamble
-// (VERSION, DESIGN, UNITS, DIEAREA, ROW), then every component, then the
-// trailer. The die defaults to the bounding box of the shapes and the
-// lattice when the header carries none.
-type shapeWriter struct {
-	w     io.Writer
-	hdr   layio.Header
-	lib   *layout.FillLib
-	comps []component
-	bbox  geom.Rect
-	err   error
-}
+// chunkSize is the size of one buffered block of component lines. Fixed
+// blocks keep the buffered deck at about its own size: a single growing
+// buffer would briefly hold two copies of it at every regrowth.
+const chunkSize = 64 << 10
 
-// component is one buffered COMPONENTS entry.
-type component struct {
-	shape layio.Shape
+// shapeWriter emits a DEF deck. COMPONENTS declares its count up front,
+// so Write formats each component line at once into fixed-size chunks,
+// and Close writes the whole deck: preamble (VERSION, DESIGN, UNITS,
+// DIEAREA, ROW), the buffered components, then the trailer. The die
+// defaults to the bounding box of the shapes and the lattice when the
+// header carries none.
+type shapeWriter struct {
+	w      io.Writer
+	hdr    layio.Header
+	lib    *layout.FillLib
+	line   []byte   // the component line being formatted
+	chunks [][]byte // formatted component lines, chunkSize bytes each but the last
+	nw, nf int64    // wires and fills written: the next cell_/fill_ suffixes
+	bbox   geom.Rect
+	err    error
 }
 
 // NewShapeWriter opens a streaming DEF writer. Header.Sites, when set,
@@ -42,6 +45,7 @@ func NewShapeWriter(w io.Writer, h layio.Header) (layio.ShapeWriter, error) {
 	return &shapeWriter{w: w, hdr: h, lib: layout.DefaultFillLib()}, nil
 }
 
+// Write formats s as "- fill_N|cell_N <master> + PLACED ( x y ) N ;".
 func (sw *shapeWriter) Write(s layio.Shape) error {
 	if sw.err != nil {
 		return sw.err
@@ -55,30 +59,57 @@ func (sw *shapeWriter) Write(s layio.Shape) error {
 		return sw.err
 	}
 	sw.bbox = sw.bbox.Union(s.Rect)
-	sw.comps = append(sw.comps, component{shape: s})
+	b := sw.line[:0]
+	if s.Datatype == layio.DatatypeFill {
+		b = strconv.AppendInt(append(b, "- fill_"...), sw.nf, 10)
+		sw.nf++
+	} else {
+		b = strconv.AppendInt(append(b, "- cell_"...), sw.nw, 10)
+		sw.nw++
+	}
+	b = sw.appendMaster(append(b, ' '), s)
+	b = strconv.AppendInt(append(b, " + PLACED ( "...), s.Rect.XL, 10)
+	b = strconv.AppendInt(append(b, ' '), s.Rect.YL, 10)
+	sw.line = append(b, " ) N ;\n"...)
+	sw.buffer(sw.line)
 	return nil
 }
 
-// master names a buffered shape's DEF master: library fillers for
-// site-aligned fills, explicit geometry encoding otherwise.
-func (sw *shapeWriter) master(s layio.Shape) string {
+// buffer copies p onto the tail of the chunk list, opening a new chunk
+// whenever the last one is full; a line may straddle two chunks.
+func (sw *shapeWriter) buffer(p []byte) {
+	for len(p) > 0 {
+		if n := len(sw.chunks); n == 0 || len(sw.chunks[n-1]) == chunkSize {
+			sw.chunks = append(sw.chunks, make([]byte, 0, chunkSize))
+		}
+		c := &sw.chunks[len(sw.chunks)-1]
+		k := min(len(p), chunkSize-len(*c))
+		*c = append(*c, p[:k]...)
+		p = p[k:]
+	}
+}
+
+// appendMaster appends a shape's DEF master: a library filler for a
+// site-aligned fill, the explicit geometry encoding otherwise.
+func (sw *shapeWriter) appendMaster(b []byte, s layio.Shape) []byte {
 	if s.Datatype == layio.DatatypeFill && s.Layer == 0 && sw.hdr.Sites != nil && sw.hdr.Sites.Aligned(s.Rect) {
 		if sites := s.Rect.W() / sw.hdr.Sites.SiteW; sw.lib.WidthFor(sites) == sites {
-			return sw.lib.Master(sites)
+			return sw.lib.AppendMaster(b, sites)
 		}
 	}
 	kind := byte('W')
 	if s.Datatype == layio.DatatypeFill {
 		kind = 'F'
 	}
-	return fmt.Sprintf("%c%d_%dx%d", kind, s.Layer, s.Rect.W(), s.Rect.H())
+	b = strconv.AppendInt(append(b, kind), int64(s.Layer), 10)
+	b = strconv.AppendInt(append(b, '_'), s.Rect.W(), 10)
+	return strconv.AppendInt(append(b, 'x'), s.Rect.H(), 10)
 }
 
 func (sw *shapeWriter) Close() error {
 	if sw.err != nil {
 		return sw.err
 	}
-	bw := bufio.NewWriter(sw.w)
 	name := sw.hdr.Name
 	if name == "" {
 		name = "TOP"
@@ -90,26 +121,38 @@ func (sw *shapeWriter) Close() error {
 			die = die.Union(sw.hdr.Sites.Bounds())
 		}
 	}
-	fmt.Fprintf(bw, "VERSION 5.8 ;\nDESIGN %s ;\nUNITS DISTANCE MICRONS 1000 ;\n", name)
-	fmt.Fprintf(bw, "DIEAREA ( %d %d ) ( %d %d ) ;\n", die.XL, die.YL, die.XH, die.YH)
+	b := append(sw.line[:0], "VERSION 5.8 ;\nDESIGN "...)
+	b = append(b, name...)
+	b = append(b, " ;\nUNITS DISTANCE MICRONS 1000 ;\nDIEAREA ( "...)
+	b = appendInts(b, " ", die.XL, die.YL)
+	b = append(b, " ) ( "...)
+	b = appendInts(b, " ", die.XH, die.YH)
+	b = append(b, " ) ;\n"...)
 	if sg := sw.hdr.Sites; sg != nil {
-		fmt.Fprintf(bw, "ROW core_0 coresite %d %d N DO %d BY %d STEP %d %d ;\n",
-			sg.Origin.X, sg.Origin.Y, sg.Sites, sg.Rows, sg.SiteW, sg.RowH)
+		b = append(b, "ROW core_0 coresite "...)
+		b = appendInts(b, " ", sg.Origin.X, sg.Origin.Y)
+		b = append(b, " N DO "...)
+		b = appendInts(b, " BY ", int64(sg.Sites), int64(sg.Rows))
+		b = append(b, " STEP "...)
+		b = appendInts(b, " ", sg.SiteW, sg.RowH)
+		b = append(b, " ;\n"...)
 	}
-	fmt.Fprintf(bw, "COMPONENTS %d ;\n", len(sw.comps))
-	nw, nf := 0, 0
-	for _, c := range sw.comps {
-		var inst string
-		if c.shape.Datatype == layio.DatatypeFill {
-			inst = fmt.Sprintf("fill_%d", nf)
-			nf++
-		} else {
-			inst = fmt.Sprintf("cell_%d", nw)
-			nw++
+	b = strconv.AppendInt(append(b, "COMPONENTS "...), sw.nw+sw.nf, 10)
+	b = append(b, " ;\n"...)
+	if _, err := sw.w.Write(b); err != nil {
+		return err
+	}
+	for _, c := range sw.chunks {
+		if _, err := sw.w.Write(c); err != nil {
+			return err
 		}
-		fmt.Fprintf(bw, "- %s %s + PLACED ( %d %d ) N ;\n",
-			inst, sw.master(c.shape), c.shape.Rect.XL, c.shape.Rect.YL)
 	}
-	fmt.Fprintf(bw, "END COMPONENTS\nEND DESIGN\n")
-	return bw.Flush()
+	_, err := io.WriteString(sw.w, "END COMPONENTS\nEND DESIGN\n")
+	return err
+}
+
+// appendInts appends x and y in decimal, separated by sep.
+func appendInts(b []byte, sep string, x, y int64) []byte {
+	b = strconv.AppendInt(b, x, 10)
+	return strconv.AppendInt(append(b, sep...), y, 10)
 }

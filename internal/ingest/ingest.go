@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"dummyfill/internal/geom"
 	"dummyfill/internal/grid"
@@ -194,7 +195,10 @@ func dominantlyVertical(shapes []geom.Rect) bool {
 // horizontal), with slivers unable to host a legal fill dropped.
 func ExtractFillRegions(g *grid.Grid, shapes []geom.Rect, rules layout.Rules, vertical bool) []geom.Rect {
 	bins := g.Bin(shapes, rules.MinSpace)
-	var out, holes []geom.Rect
+	// Regions collect in fixed-size chunks and are copied once into an
+	// exact-size result: growing one slice would copy it over and over.
+	var chunks [][]geom.Rect
+	var holes []geom.Rect
 	for k := 0; k < g.NumWindows(); k++ {
 		holes = holes[:0]
 		for _, si := range bins.Window(k) {
@@ -203,9 +207,16 @@ func ExtractFillRegions(g *grid.Grid, shapes []geom.Rect, rules layout.Rules, ve
 		win := g.Window(k%g.NX, k/g.NX)
 		for _, f := range geom.Difference(win, holes, vertical) {
 			if f.W() >= rules.MinWidth && f.H() >= rules.MinWidth && f.Area() >= rules.MinArea {
-				out = append(out, f)
+				if n := len(chunks); n == 0 || len(chunks[n-1]) == regionChunk {
+					chunks = append(chunks, make([]geom.Rect, 0, regionChunk))
+				}
+				chunks[len(chunks)-1] = append(chunks[len(chunks)-1], f)
 			}
 		}
 	}
-	return out
+	return slices.Concat(chunks...)
 }
+
+// regionChunk is the number of fill regions per ExtractFillRegions
+// chunk (128 KiB of rects).
+const regionChunk = 4096

@@ -114,9 +114,10 @@ func (fl *FillLib) ID() string {
 	return b.String()
 }
 
-// Master names the library master of a filler that is sites sites wide.
-func (fl *FillLib) Master(sites int64) string {
-	return fl.Prefix + strconv.FormatInt(sites, 10)
+// AppendMaster appends the name of the library master of a filler that
+// is sites sites wide.
+func (fl *FillLib) AppendMaster(b []byte, sites int64) []byte {
+	return strconv.AppendInt(append(b, fl.Prefix...), sites, 10)
 }
 
 // WidthFor returns the largest library width not exceeding maxSites, or

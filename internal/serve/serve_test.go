@@ -289,6 +289,27 @@ func TestFillRejectsOutOfRangeDie(t *testing.T) {
 	}
 }
 
+// TestFillRejectsTruncatedDEF checks that a DEF deck cut inside its
+// COMPONENTS section is a 400, not a fill of the lost wires' area, and
+// that the server goes on serving.
+func TestFillRejectsTruncatedDEF(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	deck := "VERSION 5.8 ;\nDESIGN t ;\nDIEAREA ( 0 0 ) ( 1000 1000 ) ;\nCOMPONENTS 2 ;\n" +
+		"- cell_0 W0_100x100 + PLACED ( 100 100 ) N ;\n"
+	resp := postFill(t, ts, "?format=def&window=500", []byte(deck))
+	if body := readBody(t, resp); resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("COMPONENTS")) {
+		t.Fatalf("status %d, body %s; want 400 naming the COMPONENTS section", resp.StatusCode, body)
+	}
+	deck += "- cell_1 W0_100x100 + PLACED ( 600 600 ) N ;\nEND COMPONENTS\nEND DESIGN\n"
+	resp = postFill(t, ts, "?format=def&window=500", []byte(deck))
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("complete deck: status %d, body %s; want 200", resp.StatusCode, body)
+	}
+}
+
 func TestFillShedsLoadWhenQueueFull(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1})
 	ts := httptest.NewServer(s)

@@ -324,6 +324,36 @@ func TestReadLayoutRejectsOutOfRangeDie(t *testing.T) {
 	}
 }
 
+// TestReadLayoutRejectsLostComponents checks that a DEF deck which lost
+// components — cut after its first component line, or declaring more
+// than it lists — fails ingest instead of filling the missing wires'
+// area as free space.
+func TestReadLayoutRejectsLostComponents(t *testing.T) {
+	lay, _, err := dummyfill.GenerateBenchmark("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := dummyfill.WriteDEFLayout(&buf, lay, nil); err != nil {
+		t.Fatal(err)
+	}
+	deck := buf.String()
+	first := strings.Index(deck, "\n- ")
+	if first < 0 {
+		t.Fatal("deck has no components")
+	}
+	cut := deck[:first+1+strings.IndexByte(deck[first+1:], '\n')+1]
+	miscounted := strings.Replace(deck, "COMPONENTS ", "COMPONENTS 1", 1) // "COMPONENTS n" becomes "1n"
+	for name, in := range map[string]string{"truncated": cut, "mis-counted": miscounted} {
+		if _, err := dummyfill.ReadLayout(strings.NewReader(in), dummyfill.IngestOptions{Window: lay.Window}); err == nil {
+			t.Errorf("%s deck: ReadLayout accepted it", name)
+		}
+	}
+	if _, err := dummyfill.ReadLayout(strings.NewReader(deck), dummyfill.IngestOptions{Window: lay.Window}); err != nil {
+		t.Fatalf("intact deck: %v", err)
+	}
+}
+
 // TestInsertStreamToCancelledInPreamble checks that a cancelled context
 // aborts InsertStreamTo while it is still writing the wire preamble —
 // before the fill engine (which polls ctx itself) ever runs.
