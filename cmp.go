@@ -60,7 +60,10 @@ func Formats() []string { return layio.Formats() }
 // Layout from it, streaming shapes straight into construction — no
 // per-format intermediate library is materialized. Zero IngestOptions
 // fields defer to metadata the stream itself carries (text layouts name
-// their die, window and rules; binary formats need Rules set).
+// their die, window and rules; binary formats need Rules set). A text
+// layout states its own fill regions and is validated here; the regions
+// extracted from the other formats keep the fill-region contract by
+// construction, and Insert validates every layout it is given.
 func ReadLayout(r io.Reader, opts IngestOptions) (*Layout, error) {
 	return ReadLayoutFormat(r, "auto", opts)
 }

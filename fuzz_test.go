@@ -117,6 +117,11 @@ func FuzzReadLayout(f *testing.F) {
 		if got == nil {
 			t.Fatal("nil layout without error")
 		}
+		// Ingest fully validates only text layouts; an extracted layout
+		// must keep the contract by construction.
+		if err := got.Validate(); err != nil {
+			t.Fatalf("ReadLayout returned a layout that fails Validate: %v", err)
+		}
 		// A layout that parsed cleanly must re-emit in the text format
 		// (the round-trip writer rejects nothing a Validate pass allows).
 		if werr := dummyfill.WriteTextLayout(&bytes.Buffer{}, got); werr != nil {

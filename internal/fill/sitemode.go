@@ -1,9 +1,10 @@
 package fill
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dummyfill/internal/fillcache"
 	"dummyfill/internal/geom"
@@ -155,25 +156,19 @@ func (m *siteMode) selectCandidates(w *window, td []float64) {
 		for i := range cells {
 			cells[i].quality = gamma * float64(cells[i].rect.Area()) / aw
 		}
-		sort.Slice(cells, func(a, b int) bool {
-			ra, rb := cells[a].rect, cells[b].rect
-			if aa, ab := ra.Area(), rb.Area(); aa != ab {
-				return aa > ab
-			}
-			if ra.YL != rb.YL {
-				return ra.YL < rb.YL
-			}
-			return ra.XL < rb.XL
+		// Distinct cells of one layer are disjoint, so no two tie on this
+		// key and an unstable sort gives the one order.
+		slices.SortFunc(cells, func(a, b cell) int {
+			return cmp.Or(cmp.Compare(b.rect.Area(), a.rect.Area()),
+				cmp.Compare(a.rect.YL, b.rect.YL), cmp.Compare(a.rect.XL, b.rect.XL))
 		})
 		target := lambda * td[l] * aw
 		cur := float64(w.layers[l].wireArea)
-		for _, c := range cells {
-			if cur >= target {
-				break
-			}
-			w.sel = append(w.sel, c)
-			cur += float64(c.rect.Area())
+		n := 0
+		for ; n < len(cells) && cur < target; n++ {
+			cur += float64(cells[n].rect.Area())
 		}
+		w.sel = append(w.sel, cells[:n]...)
 	}
 }
 

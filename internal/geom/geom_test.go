@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -326,6 +327,54 @@ func TestPolygonFromRect(t *testing.T) {
 	}
 	if len(rects) != 1 || rects[0] != R(0, 0, 10, 5) {
 		t.Fatalf("rect polygon should decompose to itself: %v", rects)
+	}
+}
+
+// TestPolygonRectFastPath checks ToRects' rectangle shortcut against the
+// band scan on random rectangles, starting the vertex ring at each corner
+// and walking it both ways, and on four-vertex rings that fold back on
+// themselves, which must not take the shortcut.
+func TestPolygonRectFastPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(p Polygon) {
+		t.Helper()
+		got, err := p.ToRects()
+		want, werr := p.bandRects()
+		if (err != nil) != (werr != nil) || !slices.Equal(got, want) {
+			t.Fatalf("ToRects(%v) = %v, %v; band scan = %v, %v", p.Pts, got, err, want, werr)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		x, y := rng.Int63n(2000)-1000, rng.Int63n(2000)-1000
+		r := R(x, y, x+1+rng.Int63n(500), y+1+rng.Int63n(500))
+		ring := FromRect(r).Pts
+		for rot := range ring {
+			for _, rev := range []bool{false, true} {
+				pts := append(slices.Clone(ring[rot:]), ring[:rot]...)
+				if rev {
+					slices.Reverse(pts)
+				}
+				p := Polygon{Pts: pts}
+				if got, ok := p.rect(); !ok || got != r {
+					t.Fatalf("rect(%v) = %v, %v; want %v", pts, got, ok, r)
+				}
+				check(p)
+			}
+		}
+	}
+	for _, pts := range [][]Point{
+		{{0, 0}, {5, 0}, {0, 0}, {0, 3}},
+		{{0, 0}, {5, 0}, {5, 3}, {5, 0}},
+		{{0, 0}, {0, 3}, {0, 0}, {5, 0}},
+	} {
+		p := Polygon{Pts: pts}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Validate(%v): %v", pts, err)
+		}
+		if _, ok := p.rect(); ok {
+			t.Fatalf("folded ring %v taken for a rectangle", pts)
+		}
+		check(p)
 	}
 }
 

@@ -1,5 +1,7 @@
 package geom
 
+import "slices"
+
 // Index is a uniform-grid spatial index over rectangles, used for overlap
 // and spacing-neighbour queries during candidate generation and DRC.
 // The zero value is not usable; construct with NewIndex. An Index is not
@@ -64,6 +66,39 @@ func (ix *Index) Len() int { return len(ix.rects) }
 
 // Rect returns the i-th inserted rectangle.
 func (ix *Index) Rect(i int) Rect { return ix.rects[i] }
+
+// Reserve makes room for inserting every rect of sets: the rect and stamp
+// storage grows once, and each bin gets one exact-size share of a single
+// backing array, so the Inserts that follow allocate nothing.
+func (ix *Index) Reserve(sets ...[]Rect) {
+	n := 0
+	room := make([]int, len(ix.bins))
+	for b, bin := range ix.bins {
+		room[b] = len(bin)
+	}
+	for _, rs := range sets {
+		n += len(rs)
+		for _, r := range rs {
+			x0, y0, x1, y1 := ix.cellRange(r)
+			for cy := y0; cy <= y1; cy++ {
+				for cx := x0; cx <= x1; cx++ {
+					room[cy*ix.nx+cx]++
+				}
+			}
+		}
+	}
+	ix.rects = slices.Grow(ix.rects, n)
+	ix.stamp = slices.Grow(ix.stamp, n)
+	total := 0
+	for _, c := range room {
+		total += c
+	}
+	backing := make([]int32, total)
+	for b, c := range room {
+		ix.bins[b] = append(backing[:0:c], ix.bins[b]...)
+		backing = backing[c:]
+	}
+}
 
 // Insert adds r to the index and returns its id.
 func (ix *Index) Insert(r Rect) int {

@@ -71,11 +71,36 @@ func (p Polygon) Area() int64 {
 // ToRects converts the polygon into a set of disjoint rectangles covering
 // exactly its interior (a horizontal-slab decomposition in the style of
 // Gourley & Green's polygon-to-rectangle conversion). It returns an error
-// for invalid polygons.
+// for invalid polygons. A rectangle, the common boundary in real decks,
+// is returned as itself without the band scan.
 func (p Polygon) ToRects() ([]Rect, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if r, ok := p.rect(); ok {
+		return []Rect{r}, nil
+	}
+	return p.bandRects()
+}
+
+// rect reports whether the validated polygon is a rectangle, that is four
+// vertices whose edges alternate between horizontal and vertical, and
+// returns it. Four valid edges that do not alternate fold back on
+// themselves; the band scan handles those.
+func (p Polygon) rect() (Rect, bool) {
+	if len(p.Pts) != 4 {
+		return Rect{}, false
+	}
+	a, b, c, d := p.Pts[0], p.Pts[1], p.Pts[2], p.Pts[3]
+	if !(a.Y == b.Y && b.X == c.X && c.Y == d.Y && d.X == a.X) &&
+		!(a.X == b.X && b.Y == c.Y && c.X == d.X && d.Y == a.Y) {
+		return Rect{}, false
+	}
+	return Rect{min64(a.X, c.X), min64(a.Y, c.Y), max64(a.X, c.X), max64(a.Y, c.Y)}, true
+}
+
+// bandRects is ToRects' horizontal-band scan over a validated polygon.
+func (p Polygon) bandRects() ([]Rect, error) {
 	n := len(p.Pts)
 	// Collect vertical edges (x, ylow, yhigh).
 	type vedge struct {

@@ -13,7 +13,8 @@ import (
 
 // maxAllocPerDeckByte caps streaming GDSII ingest on design "m": the
 // cumulative allocation of NewShapeReader + FromShapes divided by the
-// deck's size. Streaming ingest allocates about 27 B per deck byte; a
+// deck's size. Streaming ingest allocates about 12 B per deck byte; it
+// allocated about 25 while it also validated the extracted layout, and a
 // parser that materialized the whole library first allocated about 38.
 const maxAllocPerDeckByte = 36
 

@@ -50,6 +50,13 @@ type Options struct {
 // layio.ErrLimit, and so does a window size that dissects the die into
 // more than grid.MaxWindows windows or a die or window beyond
 // grid.MaxCoord or grid.MaxWindow.
+//
+// A layout whose stream states its own fill regions is checked with
+// Layout.Validate before it is returned, so a deck that breaks the
+// fill-region contract fails here. An extracted layout keeps that
+// contract by construction, so only its rules, grid and site lattice
+// are checked here; its one full Validate runs in fill.New, which
+// checks every layout it is given, caller-built or ingested.
 func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 	if opts.Rules != (layout.Rules{}) {
 		if err := opts.Rules.Validate(); err != nil {
@@ -119,6 +126,9 @@ func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 	}
 	if hdr.Sites != nil {
 		sites := *hdr.Sites
+		if err := sites.Validate(); err != nil {
+			return nil, err
+		}
 		lay.Sites = &sites
 	}
 	g, err := lay.Grid()
@@ -137,22 +147,27 @@ func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 	}
 	lay.Layers = make([]*layout.Layer, max(len(wires), len(regions), hdr.NumLayers))
 	if hdr.HasLayoutMeta {
-		// The file states its own geometry; trust it unmodified and let
-		// validation police it.
+		// The file states its own geometry; trust it unmodified but
+		// validate it here, so that a deck breaking the fill-region
+		// contract fails at read time.
 		for li := range lay.Layers {
 			lay.Layers[li] = &layout.Layer{Wires: at(wires, li), FillRegions: at(regions, li)}
 		}
-	} else {
-		for li := range lay.Layers {
-			clipped := clipToDie(at(wires, li), lay.Die)
-			lay.Layers[li] = &layout.Layer{
-				Wires:       clipped,
-				FillRegions: ExtractFillRegions(g, clipped, lay.Rules, dominantlyVertical(clipped)),
-			}
+		if err := lay.Validate(); err != nil {
+			return nil, fmt.Errorf("ingest: constructed layout invalid: %v", err)
 		}
+		return lay, nil
 	}
-	if err := lay.Validate(); err != nil {
-		return nil, fmt.Errorf("ingest: constructed layout invalid: %v", err)
+	// Extracted geometry keeps the fill-region contract by construction:
+	// the wires are clipped to the die, and ExtractFillRegions cuts
+	// disjoint regions out of die-clipped windows, away from every wire
+	// expanded by MinSpace.
+	for li := range lay.Layers {
+		clipped := clipToDie(at(wires, li), lay.Die)
+		lay.Layers[li] = &layout.Layer{
+			Wires:       clipped,
+			FillRegions: ExtractFillRegions(g, clipped, lay.Rules, dominantlyVertical(clipped)),
+		}
 	}
 	return lay, nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"dummyfill/internal/deffmt"
 	"dummyfill/internal/drc"
 	"dummyfill/internal/fill"
 	"dummyfill/internal/gdsii"
@@ -16,6 +17,7 @@ import (
 	"dummyfill/internal/ingest"
 	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
+	"dummyfill/internal/oasis"
 	"dummyfill/internal/synth"
 	"dummyfill/internal/textfmt"
 )
@@ -181,6 +183,15 @@ func TestFromShapesErrors(t *testing.T) {
 	if _, err := ingest.FromShapes(gdsReader(t, wire), ingest.Options{}); err == nil {
 		t.Fatal("zero rules must error")
 	}
+	// Extracted layouts skip the full Validate; the site lattice is still
+	// checked.
+	rows := &stubReader{
+		shapes: []layio.Shape{{Layer: 0, Rect: geom.R(0, 0, 10, 10)}},
+		hdr:    layio.Header{Sites: &layout.SiteGrid{SiteW: 1, RowH: 1, Sites: 10}},
+	}
+	if _, err := ingest.FromShapes(rows, testOpts()); err == nil || !strings.Contains(err.Error(), "site grid") {
+		t.Fatalf("zero-row site grid: err = %v, want a site grid error", err)
+	}
 }
 
 // TestFromShapesNegativeLayer checks that a shape on a negative layer id
@@ -338,4 +349,66 @@ func rectPts(r geom.Rect) []geom.Point {
 		{X: r.XL, Y: r.YL}, {X: r.XH, Y: r.YL},
 		{X: r.XH, Y: r.YH}, {X: r.XL, Y: r.YH},
 	}
+}
+
+// TestExtractedLayoutsValidate pins why FromShapes runs only the site
+// lattice check on formats without layout metadata: every layout it
+// extracts from GDSII, OASIS and DEF decks of designs s, b and row passes
+// Layout.Validate, at the deck's own die and at a die that cuts through
+// the wires and that the windows do not tile evenly.
+func TestExtractedLayoutsValidate(t *testing.T) {
+	specs := []synth.Spec{synth.DesignS(), synth.DesignB(), synth.DesignRow()}
+	if testing.Short() {
+		specs = slices.Delete(specs, 1, 2) // design b's decks take a few seconds
+	}
+	for _, sp := range specs {
+		src, err := synth.Generate(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inset := src.Window/3 + 1
+		small := geom.R(src.Die.XL+inset, src.Die.YL+inset, src.Die.XH-inset, src.Die.YH-inset)
+		for _, name := range []string{gdsii.FormatName, oasis.FormatName, deffmt.FormatName} {
+			f, err := layio.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deck := wireDeck(t, f, src)
+			for _, die := range []geom.Rect{{}, small} {
+				opts := ingest.Options{Window: src.Window, Rules: src.Rules, Die: die}
+				lay, err := ingest.FromShapes(f.NewShapeReader(bytes.NewReader(deck.Bytes()), layio.DefaultLimits()), opts)
+				if err != nil {
+					t.Fatalf("%s via %s, die %v: %v", sp.Name, name, die, err)
+				}
+				if !die.Empty() && (lay.Die != die || lay.NumShapes() == 0) {
+					t.Fatalf("%s via %s: die %v with %d wires, want die %v", sp.Name, name, lay.Die, lay.NumShapes(), die)
+				}
+				if err := lay.Validate(); err != nil {
+					t.Errorf("%s via %s, die %v: extracted layout fails Validate: %v", sp.Name, name, die, err)
+				}
+			}
+		}
+	}
+}
+
+// wireDeck writes the layout's wires as a deck in format f, through the
+// shape writer: an OASIS layout deck would otherwise carry no wires.
+func wireDeck(t *testing.T, f layio.Format, lay *layout.Layout) *bytes.Buffer {
+	t.Helper()
+	var deck bytes.Buffer
+	sw, err := f.NewShapeWriter(&deck, layio.Header{Name: lay.Name, Struct: "TOP", Die: lay.Die, Sites: lay.Sites})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, l := range lay.Layers {
+		for _, w := range l.Wires {
+			if err := sw.Write(layio.Shape{Layer: li, Datatype: layio.DatatypeWire, Rect: w}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return &deck
 }

@@ -99,6 +99,7 @@ func (l *Layout) Validate() error {
 		// region is checked against both with a single query.
 		nw := len(layer.Wires)
 		ix := geom.NewIndex(l.Die, indexCell(l.Die, nw+len(layer.FillRegions)))
+		ix.Reserve(layer.Wires, layer.FillRegions)
 		for _, w := range layer.Wires {
 			ix.Insert(w)
 		}
