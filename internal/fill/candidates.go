@@ -127,39 +127,34 @@ func appendCells(dst []cell, r geom.Rect, l int, rules layout.Rules) []cell {
 }
 
 // candScratch bundles the reusable per-worker state of candidate
-// generation: the per-layer spatial index of already-selected cells, the
-// summed-area coverage tables over the window's static shape sets (wires,
-// free regions) and every per-batch cell buffer. Pooled via candPool so a
-// streaming run performs no steady-state allocation here beyond the
-// selected cells themselves.
+// generation: one coverage table per layer and every per-batch buffer.
+// Pooled via candPool so a streaming run performs no steady-state
+// allocation here beyond the selected cells themselves.
 type candScratch struct {
-	selIx   []*geom.Index
-	wireCov []geom.AreaTable
-	freeCov []geom.AreaTable
-	wclips  [][]geom.Rect
-	batch   []cell
-	zero    []cell
-	neigh   []geom.Rect
+	// cov[l] answers layer l's coverage queries. For a pass-2 layer
+	// (odd l) it covers the layer's free pieces: pass 1's shared test.
+	// For a pass-1 layer (even l) it covers shapes[l]: pass 2's overlay.
+	cov []geom.AreaTable
+	// shapes[l] is pass-1 layer l's wire clips followed by its selected
+	// cells. Pass 2 takes its neighbours' lists as holes.
+	shapes [][]geom.Rect
+	batch  []cell
+	pieces []geom.Rect
+	neigh  []geom.Rect
 }
 
 var candPool = sync.Pool{New: func() any { return new(candScratch) }}
 
-// layerSlices resizes the per-layer members to nl layers, resetting the
-// selection indexes over the window bounds.
-func (cs *candScratch) layerSlices(nl int, bounds geom.Rect) {
-	cs.selIx = indexes(cs.selIx, nl, bounds)
-	if cap(cs.wireCov) < nl {
-		cs.wireCov = make([]geom.AreaTable, nl)
+// layerSlices resizes the per-layer members to nl layers.
+func (cs *candScratch) layerSlices(nl int) {
+	if cap(cs.cov) < nl {
+		cs.cov = make([]geom.AreaTable, nl)
 	}
-	cs.wireCov = cs.wireCov[:nl]
-	if cap(cs.freeCov) < nl {
-		cs.freeCov = make([]geom.AreaTable, nl)
+	cs.cov = cs.cov[:nl]
+	if cap(cs.shapes) < nl {
+		cs.shapes = append(cs.shapes[:cap(cs.shapes)], make([][]geom.Rect, nl-cap(cs.shapes))...)
 	}
-	cs.freeCov = cs.freeCov[:nl]
-	if cap(cs.wclips) < nl {
-		cs.wclips = append(cs.wclips[:cap(cs.wclips)], make([][]geom.Rect, nl-cap(cs.wclips))...)
-	}
-	cs.wclips = cs.wclips[:nl]
+	cs.shapes = cs.shapes[:nl]
 }
 
 // selectCandidates runs Alg. 1 on one window using pooled scratch. See
@@ -177,6 +172,12 @@ func (w *window) selectCandidates(lay *layout.Layout, dt []float64, lambda float
 // densities; selection stops once the window density reaches λ·dt.
 // Candidate cells are tiled on the fly from the window's free pieces into
 // scratch, so only the selected cells outlive the call.
+//
+// A cell's overlay is read from one coverage table per neighbour layer,
+// built over that layer's wire clips and selected cells. The union is
+// exact: a layer's cells are pairwise disjoint and lie at least MinSpace
+// from its wires (Layout.Validate's fill-region contract), so the table
+// reports the wire coverage plus the plain sum of cell intersections.
 func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambda float64, cs *candScratch) {
 	aw := float64(w.rect.Area())
 	if aw == 0 {
@@ -184,35 +185,22 @@ func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambd
 	}
 	nl := len(w.layers)
 	w.sel = w.sel[:0]
-	cs.layerSlices(nl, w.rect)
-
-	// Static coverage tables: free regions of odd layers feed the pass-1
-	// shared test, wire clips of even layers feed the pass-2 overlay
-	// estimates and neighbour holes. The clips are materialized from the
-	// prepared wire indices into scratch (pass 2 only ever consults the
-	// even-indexed neighbours of an odd layer), and the banded area tables
-	// answer each coverage query without a scanline sweep.
-	for l := 0; l < nl; l++ {
-		if l%2 == 1 {
-			cs.freeCov[l].Build(w.layers[l].free)
-		} else {
-			cs.wclips[l] = w.wireClips(cs.wclips[l], lay, l)
-			cs.wireCov[l].Build(cs.wclips[l])
-		}
+	cs.layerSlices(nl)
+	for l := 1; l < nl; l += 2 {
+		cs.cov[l].Build(w.layers[l].free)
 	}
-	selIx := cs.selIx
 
-	assign := func(l int, cells []cell) {
+	// assign selects cells in order until layer l reaches λ·dt and
+	// returns the selected prefix.
+	assign := func(l int, cells []cell) []cell {
 		target := lambda * dt[l] * aw
 		cur := float64(w.layers[l].wireArea)
-		for _, c := range cells {
-			if cur >= target {
-				break
-			}
-			w.sel = append(w.sel, c)
-			selIx[l].Insert(c.rect)
-			cur += float64(c.rect.Area())
+		n := 0
+		for ; n < len(cells) && cur < target; n++ {
+			cur += float64(cells[n].rect.Area())
 		}
+		w.sel = append(w.sel, cells[:n]...)
+		return cells[:n]
 	}
 
 	// Pass 1: odd layers (1-based odd ⇒ 0-based even indices 0,2,4,…).
@@ -228,7 +216,7 @@ func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambd
 			dg1 := dt[l+1] - float64(w.layers[l+1].wireArea)/aw
 			var sharedArea int64
 			for i := range cells {
-				cov := cs.freeCov[l+1].OverlapArea(cells[i].rect)
+				cov := cs.cov[l+1].OverlapArea(cells[i].rect)
 				cells[i].shared = cov == cells[i].rect.Area()
 				if cells[i].shared {
 					sharedArea += cells[i].rect.Area()
@@ -258,79 +246,70 @@ func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambd
 				cells[i].quality += 1 // zero-overlay bonus keeps them preferred later
 			}
 		}
-		assign(l, cells)
+		shapes := w.wireClips(cs.shapes[l], lay, l)
+		for _, c := range assign(l, cells) {
+			shapes = append(shapes, c.rect)
+		}
+		cs.shapes[l] = shapes
+		cs.cov[l].Build(shapes)
 	}
 
-	// Pass 2: even layers (0-based odd indices 1,3,5,…). Two candidate
-	// batches: first, cells carved from the region with no shape above or
-	// below (true Region 3 of Figs. 4/5 — zero overlay by construction);
-	// then the ordinary grid cells in quality order (Eqn. 8) to cover the
-	// remaining density demand. Either batch is pairwise legal on its own,
-	// and only one of them is assigned.
+	// Pass 2: even layers (0-based odd indices 1,3,5,…). The zero-overlay
+	// pieces are the free space no shape above or below covers (true
+	// Region 3 of Figs. 4/5). Case I (Fig. 4): their cells alone meet the
+	// demand, so the layer fills entirely inside them. Case II (Fig. 5):
+	// they cannot, so the layer takes the ordinary grid cells in quality
+	// order (Eqn. 8) instead; mixing the two tilings would waste area on
+	// spacing conflicts between them. Only the batch that is assigned is
+	// tiled, and either is pairwise legal on its own.
 	inset := (lay.Rules.MinSpace + 1) / 2
 	for l := 1; l < nl; l += 2 {
-		neighbors := cs.neigh[:0]
-		collectSel := func(ix *geom.Index) {
-			for i := 0; i < ix.Len(); i++ {
-				neighbors = append(neighbors, ix.Rect(i))
-			}
-		}
-		if l-1 >= 0 {
-			collectSel(selIx[l-1])
-			neighbors = append(neighbors, cs.wclips[l-1]...)
-		}
+		neighbors := append(cs.neigh[:0], cs.shapes[l-1]...)
 		if l+1 < nl {
-			collectSel(selIx[l+1])
-			neighbors = append(neighbors, cs.wclips[l+1]...)
+			neighbors = append(neighbors, cs.shapes[l+1]...)
 		}
 		cs.neigh = neighbors
-		zero := cs.zero[:0]
+		pieces := cs.pieces[:0]
+		var zeroArea int64
 		for _, piece := range w.layers[l].free {
 			vertical := piece.H() > piece.W()
 			for _, zr := range geom.Difference(piece, neighbors, vertical) {
-				zero = appendCells(zero, zr.Expand(-inset), l, lay.Rules)
+				zr = zr.Expand(-inset)
+				if a := TileRegionArea(zr, lay.Rules); a > 0 {
+					pieces = append(pieces, zr)
+					zeroArea += a
+				}
 			}
 		}
-		cs.zero = zero
-		for i := range zero {
-			// Zero overlay: quality is the pure area term plus a bonus so
-			// these always outrank overlapped cells downstream.
-			zero[i].shared = true
-			zero[i].quality = 1 + gamma*float64(zero[i].rect.Area())/aw
-		}
-		grid := cs.batch[:0]
-		for _, fr := range w.layers[l].free {
-			grid = appendCells(grid, fr, l, lay.Rules)
-		}
-		cs.batch = grid
-		for i := range grid {
-			var ov int64
-			if l-1 >= 0 {
-				ov += selIx[l-1].OverlapAreaDisjoint(grid[i].rect)
-				ov += cs.wireCov[l-1].OverlapArea(grid[i].rect)
-			}
-			if l+1 < nl {
-				ov += selIx[l+1].OverlapAreaDisjoint(grid[i].rect)
-				ov += cs.wireCov[l+1].OverlapArea(grid[i].rect)
-			}
-			area := float64(grid[i].rect.Area())
-			grid[i].quality = -float64(ov)/area + gamma*area/aw
-		}
-		sort.Slice(zero, func(a, b int) bool { return zero[a].rect.Area() > zero[b].rect.Area() })
-		sort.Slice(grid, func(a, b int) bool { return grid[a].quality > grid[b].quality })
-		// Case I (Fig. 4): the zero-overlay region alone meets the demand —
-		// fill entirely inside it. Case II (Fig. 5): it cannot — use the
-		// full grid in quality order instead (mixing the two tilings wastes
-		// area on spacing conflicts between them).
-		var zeroArea int64
-		for _, c := range zero {
-			zeroArea += c.rect.Area()
-		}
+		cs.pieces = pieces
+		cells := cs.batch[:0]
 		if float64(w.layers[l].wireArea+zeroArea) >= lambda*dt[l]*aw {
-			assign(l, zero)
+			for _, zr := range pieces {
+				cells = appendCells(cells, zr, l, lay.Rules)
+			}
+			for i := range cells {
+				// Zero overlay: quality is the pure area term plus a bonus
+				// so these always outrank overlapped cells downstream.
+				cells[i].quality = 1 + gamma*float64(cells[i].rect.Area())/aw
+			}
+			sort.Slice(cells, func(a, b int) bool { return cells[a].rect.Area() > cells[b].rect.Area() })
 		} else {
-			assign(l, grid)
+			for _, fr := range w.layers[l].free {
+				cells = appendCells(cells, fr, l, lay.Rules)
+			}
+			for i := range cells {
+				r := cells[i].rect
+				ov := cs.cov[l-1].OverlapArea(r)
+				if l+1 < nl {
+					ov += cs.cov[l+1].OverlapArea(r)
+				}
+				area := float64(r.Area())
+				cells[i].quality = -float64(ov)/area + gamma*area/aw
+			}
+			sort.Slice(cells, func(a, b int) bool { return cells[a].quality > cells[b].quality })
 		}
+		cs.batch = cells
+		assign(l, cells)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fill
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -97,29 +98,10 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 // sortFills orders fills by (layer, YL, XL, YH, XH) — a canonical order
 // independent of worker scheduling and window traversal.
 func sortFills(fills []layout.Fill) {
-	cmp64 := func(a, b int64) int {
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	}
 	slices.SortFunc(fills, func(a, b layout.Fill) int {
-		if a.Layer != b.Layer {
-			return a.Layer - b.Layer
-		}
-		if c := cmp64(a.Rect.YL, b.Rect.YL); c != 0 {
-			return c
-		}
-		if c := cmp64(a.Rect.XL, b.Rect.XL); c != 0 {
-			return c
-		}
-		if c := cmp64(a.Rect.YH, b.Rect.YH); c != 0 {
-			return c
-		}
-		return cmp64(a.Rect.XH, b.Rect.XH)
+		return cmp.Or(cmp.Compare(a.Layer, b.Layer),
+			cmp.Compare(a.Rect.YL, b.Rect.YL), cmp.Compare(a.Rect.XL, b.Rect.XL),
+			cmp.Compare(a.Rect.YH, b.Rect.YH), cmp.Compare(a.Rect.XH, b.Rect.XH))
 	})
 }
 

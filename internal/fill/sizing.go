@@ -13,7 +13,7 @@ import (
 // sizeScratch bundles the reusable per-worker state of window sizing: the
 // LP solver from Options.NewSolver (the default closed-form solver reuses
 // its solution buffer across the windows a worker processes), the LP
-// arena, the spatial indexes and every per-cell buffer of sizingPass. One
+// arena, the coverage tables and every per-cell buffer of sizingPass. One
 // worker sizes hundreds of windows over thousands of passes; with the
 // scratch the whole loop performs no steady-state allocation. A
 // sizeScratch is not safe for concurrent use.
@@ -22,10 +22,12 @@ type sizeScratch struct {
 	newSolve func() dlp.PSolver
 	p        dlp.Problem
 
-	cells   []cell
-	wireCov []geom.AreaTable
-	wclips  []geom.Rect
-	fillIx  []*geom.Index
+	cells []cell
+	// wireCov[l] covers layer l's wire clips for the whole window;
+	// fillCov[l] covers its cells (fills[l]) as the current pass began.
+	wireCov, fillCov []geom.AreaTable
+	wclips           []geom.Rect
+	fills            [][]geom.Rect
 
 	// Per-layer accumulators.
 	area, surplus     []int64
@@ -71,6 +73,15 @@ func (sc *sizeScratch) layerSlices(nl int) {
 		sc.acc = make([]budgetAcc, nl)
 	}
 	sc.acc = sc.acc[:nl]
+	if cap(sc.wireCov) < nl {
+		sc.wireCov = make([]geom.AreaTable, nl)
+		sc.fillCov = make([]geom.AreaTable, nl)
+	}
+	sc.wireCov, sc.fillCov = sc.wireCov[:nl], sc.fillCov[:nl]
+	if cap(sc.fills) < nl {
+		sc.fills = append(sc.fills[:cap(sc.fills)], make([][]geom.Rect, nl-cap(sc.fills))...)
+	}
+	sc.fills = sc.fills[:nl]
 }
 
 func growI64(s []int64, n int) []int64 {
@@ -93,31 +104,6 @@ func growBool(s []bool, n int) []bool {
 		s[i] = false
 	}
 	return s
-}
-
-// indexCells rebuilds the per-layer fill indexes over bounds from cells.
-func (sc *sizeScratch) indexCells(cells []cell, nl int, bounds geom.Rect) {
-	sc.fillIx = indexes(sc.fillIx, nl, bounds)
-	for _, c := range cells {
-		sc.fillIx[c.layer].Insert(c.rect)
-	}
-}
-
-// indexes resizes dst to nl empty indexes over bounds, reusing Index
-// arenas.
-func indexes(dst []*geom.Index, nl int, bounds geom.Rect) []*geom.Index {
-	if cap(dst) < nl {
-		dst = append(dst[:cap(dst)], make([]*geom.Index, nl-cap(dst))...)
-	}
-	dst = dst[:nl]
-	for l := range dst {
-		if dst[l] == nil {
-			dst[l] = geom.NewIndex(bounds, 0)
-		} else {
-			dst[l].Reset(bounds, 0)
-		}
-	}
-	return dst
 }
 
 // sizeWindowWith shrinks the selected candidates of one window so that
@@ -158,10 +144,6 @@ func sizeWindowWith(ctx context.Context, w *window, lay *layout.Layout, targets 
 	// preparation (only the wires incident to this window — no rescan of
 	// the layout's wire list), and the banded area table answers each
 	// per-cell overlay query exactly without a union sweep.
-	if cap(sc.wireCov) < nl {
-		sc.wireCov = make([]geom.AreaTable, nl)
-	}
-	sc.wireCov = sc.wireCov[:nl]
 	for l := 0; l < nl; l++ {
 		sc.wclips = w.wireClips(sc.wclips, lay, l)
 		sc.wireCov[l].Build(sc.wclips)
@@ -253,14 +235,21 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 		return false, nil
 	}
 
-	// Current per-layer areas and neighbour-shape indexes (wires + fills
-	// of the adjacent layers) for overlay linearization.
+	// Current per-layer areas and fill coverage tables for overlay
+	// linearization.
 	area := growI64(sc.area, nl)
 	sc.area = area
-	sc.indexCells(cells, nl, w.rect)
-	fillIx, wireCov := sc.fillIx, sc.wireCov
+	fills := sc.fills
+	for l := range fills {
+		fills[l] = fills[l][:0]
+	}
 	for _, c := range cells {
 		area[c.layer] += c.rect.Area()
+		fills[c.layer] = append(fills[c.layer], c.rect)
+	}
+	fillCov, wireCov := sc.fillCov, sc.wireCov
+	for l := range fillCov {
+		fillCov[l].Build(fills[l])
 	}
 	surplus := growI64(sc.surplus, nl)
 	sc.surplus = surplus
@@ -271,16 +260,16 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 	// Per-cell overlay with neighbour layers at current geometry.
 	ov := growI64(sc.ov, n)
 	sc.ov = ov
-	// Fills of one layer are pairwise disjoint (selection enforces spacing
-	// and sizing only shrinks), so their overlap is a plain intersection
-	// sum; wire coverage comes from the prebuilt summed-area tables.
+	// A layer's fills are pairwise disjoint (selection enforces spacing
+	// and sizing only shrinks) and lie at least MinSpace from its wires,
+	// so the two tables' coverages add up to the layer's exact union.
 	for i, c := range cells {
 		var o int64
 		if c.layer > 0 {
-			o += fillIx[c.layer-1].OverlapAreaDisjoint(c.rect) + wireCov[c.layer-1].OverlapArea(c.rect)
+			o += fillCov[c.layer-1].OverlapArea(c.rect) + wireCov[c.layer-1].OverlapArea(c.rect)
 		}
 		if c.layer+1 < nl {
-			o += fillIx[c.layer+1].OverlapAreaDisjoint(c.rect) + wireCov[c.layer+1].OverlapArea(c.rect)
+			o += fillCov[c.layer+1].OverlapArea(c.rect) + wireCov[c.layer+1].OverlapArea(c.rect)
 		}
 		ov[i] = o
 	}

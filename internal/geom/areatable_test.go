@@ -103,30 +103,8 @@ func TestAreaTableEdgeCases(t *testing.T) {
 	}
 }
 
-// TestOverlapAreaDisjointMatchesUnion checks the disjoint-set shortcut
-// against the general union path on a disjoint slab decomposition.
-func TestOverlapAreaDisjointMatchesUnion(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	raw := make([]Rect, 0, 30)
-	for i := 0; i < 30; i++ {
-		raw = append(raw, randRect(rng, 300))
-	}
-	slabs := UnionSlabs(raw) // disjoint by construction
-	ix := NewIndex(BoundingBox(slabs), 0)
-	for _, s := range slabs {
-		ix.Insert(s)
-	}
-	for qi := 0; qi < 50; qi++ {
-		q := randRect(rng, 350)
-		if got, want := ix.OverlapAreaDisjoint(q), ix.OverlapArea(q); got != want {
-			t.Fatalf("query %v: disjoint=%d union=%d", q, got, want)
-		}
-	}
-}
-
 // TestAreaTableQueryAllocs guards the steady-state allocation contract of
-// the hot query paths: zero allocations per OverlapArea call on both the
-// raster and disjoint-index kernels.
+// the hot query path: zero allocations per OverlapArea call.
 func TestAreaTableQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
@@ -136,12 +114,6 @@ func TestAreaTableQueryAllocs(t *testing.T) {
 	q := R(5, 5, 70, 70)
 	if n := testing.AllocsPerRun(200, func() { at.OverlapArea(q) }); n != 0 {
 		t.Fatalf("AreaTable.OverlapArea allocates %.1f per call, want 0", n)
-	}
-	ix := NewIndex(R(0, 0, 100, 100), 0)
-	ix.Insert(R(0, 0, 50, 50))
-	ix.Insert(R(60, 0, 100, 50))
-	if n := testing.AllocsPerRun(200, func() { ix.OverlapAreaDisjoint(q) }); n != 0 {
-		t.Fatalf("Index.OverlapAreaDisjoint allocates %.1f per call, want 0", n)
 	}
 }
 
@@ -157,13 +129,4 @@ func TestAreaTableBuildSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { at.Build(rects) }); n != 0 {
 		t.Fatalf("AreaTable.Build allocates %.1f per steady-state call, want 0", n)
 	}
-}
-
-// BoundingBox returns the bounding box of rects (empty Rect if none).
-func BoundingBox(rects []Rect) Rect {
-	var bb Rect
-	for _, r := range rects {
-		bb = bb.Union(r)
-	}
-	return bb
 }

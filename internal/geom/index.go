@@ -2,9 +2,11 @@ package geom
 
 import "slices"
 
-// Index is a uniform-grid spatial index over rectangles, used for overlap
-// and spacing-neighbour queries during candidate generation and DRC.
-// The zero value is not usable; construct with NewIndex. An Index is not
+// Index is a uniform-grid spatial index over rectangles, used for
+// overlap and spacing-neighbour queries over whole-die shape sets:
+// Layout.Validate's fill-region contract, DRC, scoring and the baseline
+// fillers. The fill engine reads coverage from AreaTables instead. The
+// zero value is not usable; construct with NewIndex. An Index is not
 // safe for concurrent use (queries mutate the epoch stamps and scratch
 // buffer); give each worker its own.
 type Index struct {
@@ -21,51 +23,19 @@ type Index struct {
 	scratch []Rect
 }
 
-// NewIndex builds an index over bounds with the given cell size. A cell
-// size of 0 picks a default that targets a handful of rects per bin.
+// NewIndex builds an empty index over bounds with the given cell size. A
+// cell size of 0 picks a default that targets a handful of rects per bin.
 func NewIndex(bounds Rect, cell int64) *Index {
-	ix := &Index{}
-	ix.Reset(bounds, cell)
-	return ix
-}
-
-// Reset reinitializes the index over new bounds, dropping all rectangles
-// while keeping the allocated bin and rect storage. Callers that build an
-// index per sizing pass reuse one Index via Reset instead of paying a
-// fresh NewIndex each time.
-func (ix *Index) Reset(bounds Rect, cell int64) {
 	if bounds.Empty() {
 		bounds = R(0, 0, 1, 1)
 	}
 	if cell <= 0 {
 		cell = max64((bounds.W()+bounds.H())/64, 1)
 	}
-	nx := int((bounds.W() + cell - 1) / cell)
-	ny := int((bounds.H() + cell - 1) / cell)
-	if nx < 1 {
-		nx = 1
-	}
-	if ny < 1 {
-		ny = 1
-	}
-	ix.bounds, ix.cell, ix.nx, ix.ny = bounds, cell, nx, ny
-	if need := nx * ny; cap(ix.bins) < need {
-		ix.bins = make([][]int32, need)
-	} else {
-		ix.bins = ix.bins[:need]
-		for i := range ix.bins {
-			ix.bins[i] = ix.bins[i][:0]
-		}
-	}
-	ix.rects = ix.rects[:0]
-	ix.stamp = ix.stamp[:0]
+	nx := max(int((bounds.W()+cell-1)/cell), 1)
+	ny := max(int((bounds.H()+cell-1)/cell), 1)
+	return &Index{bounds: bounds, cell: cell, nx: nx, ny: ny, bins: make([][]int32, nx*ny)}
 }
-
-// Len returns the number of rectangles inserted.
-func (ix *Index) Len() int { return len(ix.rects) }
-
-// Rect returns the i-th inserted rectangle.
-func (ix *Index) Rect(i int) Rect { return ix.rects[i] }
 
 // Reserve makes room for inserting every rect of sets: the rect and stamp
 // storage grows once, and each bin gets one exact-size share of a single
@@ -175,21 +145,6 @@ func (ix *Index) OverlapArea(q Rect) int64 {
 	})
 	ix.scratch = pieces
 	return UnionArea(pieces)
-}
-
-// OverlapAreaDisjoint returns the total area of q covered by indexed
-// rectangles, assuming the indexed set is pairwise disjoint: overlap is
-// then the plain sum of pairwise intersections, with no union sweep per
-// query. Callers are responsible for the disjointness invariant (selected
-// candidate cells of one layer and union slabs are disjoint by
-// construction).
-func (ix *Index) OverlapAreaDisjoint(q Rect) int64 {
-	var area int64
-	ix.Query(q, func(_ int, r Rect) bool {
-		area += r.Intersect(q).Area()
-		return true
-	})
-	return area
 }
 
 // AnyWithin reports whether any indexed rectangle lies within spacing s of

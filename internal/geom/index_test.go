@@ -6,69 +6,6 @@ import (
 	"testing"
 )
 
-// TestIndexReset verifies a reset index behaves exactly like a fresh one.
-func TestIndexReset(t *testing.T) {
-	ix := NewIndex(R(0, 0, 100, 100), 10)
-	ix.Insert(R(0, 0, 50, 50))
-	ix.Insert(R(40, 40, 90, 90))
-	if got := ix.OverlapArea(R(0, 0, 100, 100)); got != 50*50+50*50-10*10 {
-		t.Fatalf("pre-reset overlap area = %d", got)
-	}
-
-	// Shrink, then grow past the original bin count; stale bin contents
-	// must never leak into queries.
-	for _, bounds := range []Rect{R(0, 0, 30, 30), R(0, 0, 400, 400)} {
-		ix.Reset(bounds, 10)
-		if ix.Len() != 0 {
-			t.Fatalf("reset kept %d rects", ix.Len())
-		}
-		if got := ix.OverlapArea(bounds); got != 0 {
-			t.Fatalf("empty reset index reports overlap area %d", got)
-		}
-		id := ix.Insert(R(1, 1, 11, 11))
-		if id != 0 {
-			t.Fatalf("first insert after reset got id %d", id)
-		}
-		if got := ix.OverlapArea(bounds); got != 100 {
-			t.Fatalf("overlap area after reset = %d, want 100", got)
-		}
-		if ix.AnyWithin(R(12, 1, 20, 11), 2, -1) != true {
-			t.Fatal("AnyWithin missed neighbour after reset")
-		}
-	}
-}
-
-// TestIndexResetMatchesFresh cross-validates a long-lived reset index
-// against a fresh index over random workloads.
-func TestIndexResetMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	reused := NewIndex(R(0, 0, 1, 1), 0)
-	for trial := 0; trial < 50; trial++ {
-		w := int64(50 + rng.Intn(500))
-		bounds := R(0, 0, w, w)
-		reused.Reset(bounds, 0)
-		fresh := NewIndex(bounds, 0)
-		for i := 0; i < 30; i++ {
-			xl := int64(rng.Intn(int(w)))
-			yl := int64(rng.Intn(int(w)))
-			r := R(xl, yl, xl+1+int64(rng.Intn(40)), yl+1+int64(rng.Intn(40)))
-			reused.Insert(r)
-			fresh.Insert(r)
-		}
-		for i := 0; i < 20; i++ {
-			xl := int64(rng.Intn(int(w)))
-			yl := int64(rng.Intn(int(w)))
-			q := R(xl, yl, xl+1+int64(rng.Intn(60)), yl+1+int64(rng.Intn(60)))
-			if a, b := reused.OverlapArea(q), fresh.OverlapArea(q); a != b {
-				t.Fatalf("trial %d: OverlapArea mismatch reused=%d fresh=%d for %v", trial, a, b, q)
-			}
-			if a, b := reused.AnyWithin(q, 5, -1), fresh.AnyWithin(q, 5, -1); a != b {
-				t.Fatalf("trial %d: AnyWithin mismatch reused=%v fresh=%v for %v", trial, a, b, q)
-			}
-		}
-	}
-}
-
 // TestIndexReserve checks that an index that reserved room answers
 // queries like one grown insert by insert, keeps what was inserted
 // before the reservation, and fills its reserved storage exactly.

@@ -22,10 +22,14 @@ func binOracle(g *Grid, rects []geom.Rect, pad int64) [][]int32 {
 }
 
 // checkBin fails t unless g.Bin(rects, pad) matches binOracle window for
-// window, with no spare capacity on any list.
+// window, with no spare capacity on any list, and stores exactly
+// g.Incidences(rects, pad) indices.
 func checkBin(t *testing.T, g *Grid, rects []geom.Rect, pad int64) {
 	t.Helper()
 	b := g.Bin(rects, pad)
+	if n := g.Incidences(rects, pad); n != int64(len(b.idx)) {
+		t.Fatalf("pad %d: Incidences = %d, Bin stores %d", pad, n, len(b.idx))
+	}
 	want := binOracle(g, rects, pad)
 	for k := range want {
 		got := b.Window(k)

@@ -35,6 +35,20 @@ const (
 	MaxWindow = 1 << 31
 )
 
+// MaxIncidences caps the (shape, window) incidences of one layer: the
+// entries of its wires, padded by MinSpace as fill-region extraction
+// bins them, plus those of its fill regions. Bin stores 4 bytes per
+// incidence, and a die-spanning wire touches every window, so neither
+// MaxWindows nor a shape count bounds the product. The cap equals the
+// readers' default shape cap: a layer of that many shapes still fits if
+// each touches one window on average. The largest benchmark layer, on
+// design m, has 323,334 incidences: 0.5% of the cap.
+const MaxIncidences = 1 << 26
+
+// ErrTooManyIncidences reports a layer whose shapes touch more than
+// MaxIncidences windows in total.
+var ErrTooManyIncidences = errors.New("grid: too many shape-window incidences")
+
 // ErrTooManyWindows reports a die and window size whose dissection
 // exceeds MaxWindows.
 var ErrTooManyWindows = errors.New("grid: too many windows")
@@ -175,6 +189,29 @@ func (g *Grid) Bin(rects []geom.Rect, pad int64) Bins {
 		}
 	}
 	return Bins{off: off, idx: idx}
+}
+
+// Incidences returns the number of indices Bin(rects, pad) stores,
+// from the window-range arithmetic alone.
+func (g *Grid) Incidences(rects []geom.Rect, pad int64) int64 {
+	var n int64
+	for _, r := range rects {
+		if i0, j0, i1, j1, ok := g.cellRange(r.Expand(pad)); ok {
+			n += int64(i1-i0+1) * int64(j1-j0+1)
+		}
+	}
+	return n
+}
+
+// CheckIncidences fails with an error wrapping ErrTooManyIncidences when
+// one layer's wires, padded by space, and fill regions touch more than
+// MaxIncidences windows in total. It allocates nothing, so callers run it
+// before the first Bin of the layer.
+func (g *Grid) CheckIncidences(wires, regions []geom.Rect, space int64) error {
+	if n := g.Incidences(wires, space) + g.Incidences(regions, 0); n > MaxIncidences {
+		return fmt.Errorf("%w: %d, above %d", ErrTooManyIncidences, n, MaxIncidences)
+	}
+	return nil
 }
 
 // Map is a per-window scalar field over a grid (densities, areas, bounds).

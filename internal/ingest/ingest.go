@@ -48,8 +48,9 @@ type Options struct {
 // layer from the dominant wire direction. A layer id at or above
 // MaxLayers, on a shape or in the header, fails with an error wrapping
 // layio.ErrLimit, and so does a window size that dissects the die into
-// more than grid.MaxWindows windows or a die or window beyond
-// grid.MaxCoord or grid.MaxWindow.
+// more than grid.MaxWindows windows, a die or window beyond
+// grid.MaxCoord or grid.MaxWindow, or a layer whose shapes touch more
+// than grid.MaxIncidences windows.
 //
 // A layout whose stream states its own fill regions is checked with
 // Layout.Validate before it is returned, so a deck that breaks the
@@ -131,21 +132,27 @@ func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 		}
 		lay.Sites = &sites
 	}
-	g, err := lay.Grid()
-	if err != nil {
-		if errors.Is(err, grid.ErrTooManyWindows) || errors.Is(err, grid.ErrOutOfRange) {
-			err = fmt.Errorf("ingest: %w: %w", layio.ErrLimit, err)
-		}
-		return nil, err
-	}
-
 	at := func(sl [][]geom.Rect, li int) []geom.Rect {
 		if li < len(sl) {
 			return sl[li]
 		}
 		return nil
 	}
-	lay.Layers = make([]*layout.Layer, max(len(wires), len(regions), hdr.NumLayers))
+	nl := max(len(wires), len(regions), hdr.NumLayers)
+	g, err := lay.Grid()
+	for li := 0; err == nil && li < nl; li++ {
+		if err = g.CheckIncidences(at(wires, li), at(regions, li), lay.Rules.MinSpace); err != nil {
+			err = fmt.Errorf("layer %d: %w", li, err)
+		}
+	}
+	if err != nil {
+		if errors.Is(err, grid.ErrTooManyWindows) || errors.Is(err, grid.ErrOutOfRange) || errors.Is(err, grid.ErrTooManyIncidences) {
+			err = fmt.Errorf("ingest: %w: %w", layio.ErrLimit, err)
+		}
+		return nil, err
+	}
+
+	lay.Layers = make([]*layout.Layer, nl)
 	if hdr.HasLayoutMeta {
 		// The file states its own geometry; trust it unmodified but
 		// validate it here, so that a deck breaking the fill-region

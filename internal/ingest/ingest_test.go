@@ -412,3 +412,83 @@ func wireDeck(t *testing.T, f layio.Format, lay *layout.Layout) *bytes.Buffer {
 	}
 	return &deck
 }
+
+// TestFromShapesIncidenceCap checks the per-layer incidence cap on a die
+// of 1,048,576² units in 1,048,576 windows of 1024: 65 die-spanning
+// wires touch every window each, 65·2^20 incidences, just above
+// grid.MaxIncidences. Ingest must fail with an error wrapping both
+// layio.ErrLimit and grid.ErrTooManyIncidences before any window binning,
+// for a text deck that states its own window and for a GDSII stream whose
+// regions ingest extracts, and it must allocate far less than the
+// 4 MiB one such wire's bin would take.
+func TestFromShapesIncidenceCap(t *testing.T) {
+	const side, wires = 1 << 20, grid.MaxIncidences>>20 + 1
+	full := geom.R(0, 0, side, side)
+	text := "layout chip\ndie 0 0 1048576 1048576\nwindow 1024\nrules 2 1 4 0\nlayer 0\n" +
+		strings.Repeat("wire 0 0 1048576 1048576\n", wires)
+	gds := make([]gdsii.Boundary, wires)
+	for i := range gds {
+		gds[i] = gdsii.Boundary{Layer: 1, Pts: rectPts(full)}
+	}
+	opts := ingest.Options{Window: 1024, Rules: layout.Rules{MinWidth: 2, MinSpace: 1, MinArea: 4}}
+	readers := map[string]func() layio.ShapeReader{
+		"text": func() layio.ShapeReader {
+			return textfmt.NewShapeReader(strings.NewReader(text), layio.DefaultLimits())
+		},
+		"gds": func() layio.ShapeReader { return gdsReader(t, gds...) },
+	}
+	for name, open := range readers {
+		sr := open()
+		var err error
+		alloc := allocTotal(t, func() {
+			_, err = ingest.FromShapes(sr, opts)
+		})
+		if !errors.Is(err, layio.ErrLimit) || !errors.Is(err, grid.ErrTooManyIncidences) {
+			t.Errorf("%s: err = %v, want one wrapping layio.ErrLimit and grid.ErrTooManyIncidences", name, err)
+		}
+		if alloc > 1<<20 {
+			t.Errorf("%s: rejecting the deck allocated %d bytes, want under 1 MiB", name, alloc)
+		}
+	}
+	g, err := grid.New(full, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := g.Incidences([]geom.Rect{full}, 1); n != 1<<20 {
+		t.Fatalf("one die-spanning wire has %d incidences, want %d", n, 1<<20)
+	}
+}
+
+// TestIncidenceCapHeadroom measures the per-layer incidences that
+// grid.CheckIncidences counts on the benchmark designs s, b, m and row,
+// and requires each to stay below 1/64 of grid.MaxIncidences, so the
+// cap rejects only decks far beyond them. Design m is skipped under
+// -short.
+func TestIncidenceCapHeadroom(t *testing.T) {
+	for _, design := range []string{"s", "b", "m", "row"} {
+		if testing.Short() && design == "m" {
+			continue
+		}
+		sp, err := synth.ByName(design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lay, err := synth.Generate(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := lay.Grid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var most int64
+		for _, layer := range lay.Layers {
+			n := g.Incidences(layer.Wires, lay.Rules.MinSpace) + g.Incidences(layer.FillRegions, 0)
+			most = max(most, n)
+		}
+		t.Logf("%s: largest layer has %d incidences (%.3f%% of the cap)", design, most, 100*float64(most)/grid.MaxIncidences)
+		if most > grid.MaxIncidences/64 {
+			t.Errorf("%s: a layer has %d incidences, above 1/64 of grid.MaxIncidences", design, most)
+		}
+	}
+}

@@ -65,13 +65,16 @@ type Layout struct {
 }
 
 // Validate checks structural consistency: a window grid that grid.New
-// accepts (so at most grid.MaxWindows windows), shapes inside the die,
-// and the fill-region contract of Layer.FillRegions — no region overlaps
-// another region of its layer or lies closer than MinSpace to one of its
-// wires (the same Gap test drc applies to fills). Candidates tiled from
-// regions that keep this contract are DRC-clean by construction.
+// accepts (so at most grid.MaxWindows windows), at most
+// grid.MaxIncidences shape-window incidences per layer, shapes inside
+// the die, and the fill-region contract of Layer.FillRegions — no region
+// overlaps another region of its layer or lies closer than MinSpace to
+// one of its wires (the same Gap test drc applies to fills). Candidates
+// tiled from regions that keep this contract are DRC-clean by
+// construction.
 func (l *Layout) Validate() error {
-	if _, err := l.Grid(); err != nil {
+	g, err := l.Grid()
+	if err != nil {
 		return fmt.Errorf("layout: %w", err)
 	}
 	if err := l.Rules.Validate(); err != nil {
@@ -87,6 +90,9 @@ func (l *Layout) Validate() error {
 	}
 	ms := l.Rules.MinSpace
 	for li, layer := range l.Layers {
+		if err := g.CheckIncidences(layer.Wires, layer.FillRegions, ms); err != nil {
+			return fmt.Errorf("layout: layer %d: %w", li, err)
+		}
 		for _, w := range layer.Wires {
 			if !l.Die.ContainsRect(w) {
 				return fmt.Errorf("layout: layer %d wire %v escapes die %v", li, w, l.Die)

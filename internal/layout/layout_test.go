@@ -86,6 +86,22 @@ func TestValidateWindowCap(t *testing.T) {
 	}
 }
 
+// TestValidateIncidenceCap checks that a layer whose wires touch more
+// than grid.MaxIncidences windows in total fails validation with the
+// grid's typed error: 65 die-spanning wires over 2^20 windows.
+func TestValidateIncidenceCap(t *testing.T) {
+	l := smallLayout()
+	l.Die, l.Window = geom.R(0, 0, 1<<20, 1<<20), 1024
+	wires := make([]geom.Rect, grid.MaxIncidences>>20+1)
+	for i := range wires {
+		wires[i] = l.Die
+	}
+	l.Layers[0] = &Layer{Wires: wires}
+	if err := l.Validate(); !errors.Is(err, grid.ErrTooManyIncidences) {
+		t.Fatalf("err = %v, want grid.ErrTooManyIncidences", err)
+	}
+}
+
 func TestRulesValidate(t *testing.T) {
 	cases := []struct {
 		r  Rules
