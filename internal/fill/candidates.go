@@ -1,7 +1,8 @@
 package fill
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"dummyfill/internal/geom"
@@ -133,14 +134,19 @@ func appendCells(dst []cell, r geom.Rect, l int, rules layout.Rules) []cell {
 type candScratch struct {
 	// cov[l] answers layer l's coverage queries. For a pass-2 layer
 	// (odd l) it covers the layer's free pieces: pass 1's shared test.
-	// For a pass-1 layer (even l) it covers shapes[l]: pass 2's overlay.
-	cov []geom.AreaTable
+	// For a pass-1 layer (even l) it covers shapes[l]: pass 2's overlay
+	// and Region 3. covT[l] is the same table over the transposed
+	// shapes, which Region 3 reads for vertical pieces.
+	cov, covT []geom.AreaTable
+	// none is an empty table: the missing neighbour above the top layer.
+	none geom.AreaTable
 	// shapes[l] is pass-1 layer l's wire clips followed by its selected
-	// cells. Pass 2 takes its neighbours' lists as holes.
-	shapes [][]geom.Rect
-	batch  []cell
-	pieces []geom.Rect
-	neigh  []geom.Rect
+	// cells; shapesT holds one layer's transposes while covT[l] builds.
+	shapes  [][]geom.Rect
+	shapesT []geom.Rect
+	batch   []cell
+	pieces  []geom.Rect
+	free    geom.FreeScratch
 }
 
 var candPool = sync.Pool{New: func() any { return new(candScratch) }}
@@ -149,12 +155,36 @@ var candPool = sync.Pool{New: func() any { return new(candScratch) }}
 func (cs *candScratch) layerSlices(nl int) {
 	if cap(cs.cov) < nl {
 		cs.cov = make([]geom.AreaTable, nl)
+		cs.covT = make([]geom.AreaTable, nl)
 	}
-	cs.cov = cs.cov[:nl]
+	cs.cov, cs.covT = cs.cov[:nl], cs.covT[:nl]
 	if cap(cs.shapes) < nl {
 		cs.shapes = append(cs.shapes[:cap(cs.shapes)], make([][]geom.Rect, nl-cap(cs.shapes))...)
 	}
 	cs.shapes = cs.shapes[:nl]
+}
+
+// region3 appends to dst the part of piece, a free piece of pass-2 layer
+// l, that no shape of layer l−1 or l+1 covers: "Region 3" of Figs. 4/5.
+// The slabs are those of geom.Difference over piece and the concatenated
+// neighbour lists shapes[l−1] and shapes[l+1], horizontal ones or, for a
+// piece taller than wide, vertical ones. They are read from the
+// neighbours' coverage tables, built once per window in pass 1, so no
+// neighbour is swept again per piece.
+func (cs *candScratch) region3(dst []geom.Rect, piece geom.Rect, l int) []geom.Rect {
+	above, aboveT := &cs.none, &cs.none
+	if l+1 < len(cs.cov) {
+		above, aboveT = &cs.cov[l+1], &cs.covT[l+1]
+	}
+	if piece.H() <= piece.W() {
+		return geom.AppendFree(dst, piece, &cs.cov[l-1], above, &cs.free)
+	}
+	n := len(dst)
+	dst = geom.AppendFree(dst, piece.Transpose(), &cs.covT[l-1], aboveT, &cs.free)
+	for i := n; i < len(dst); i++ {
+		dst[i] = dst[i].Transpose()
+	}
+	return dst
 }
 
 // selectCandidates runs Alg. 1 on one window using pooled scratch. See
@@ -179,31 +209,36 @@ func (w *window) selectCandidates(lay *layout.Layout, dt []float64, lambda float
 // from its wires (Layout.Validate's fill-region contract), so the table
 // reports the wire coverage plus the plain sum of cell intersections.
 func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambda float64, cs *candScratch) {
-	aw := float64(w.rect.Area())
-	if aw == 0 {
+	if w.rect.Area() == 0 {
 		return
 	}
+	w.pass1(lay, dt, lambda, cs)
+	w.pass2(lay, dt, lambda, cs)
+}
+
+// assign selects cells in order until layer l's density in the window
+// reaches target and returns the selected prefix.
+func (w *window) assign(l int, cells []cell, target float64) []cell {
+	cur := float64(w.layers[l].wireArea)
+	n := 0
+	for ; n < len(cells) && cur < target; n++ {
+		cur += float64(cells[n].rect.Area())
+	}
+	w.sel = append(w.sel, cells[:n]...)
+	return cells[:n]
+}
+
+// pass1 selects the cells of the odd layers (1-based odd ⇒ 0-based even
+// indices 0,2,4,…), starting the window's selection afresh, and builds
+// their coverage tables for pass 2.
+func (w *window) pass1(lay *layout.Layout, dt []float64, lambda float64, cs *candScratch) {
+	aw := float64(w.rect.Area())
 	nl := len(w.layers)
 	w.sel = w.sel[:0]
 	cs.layerSlices(nl)
 	for l := 1; l < nl; l += 2 {
 		cs.cov[l].Build(w.layers[l].free)
 	}
-
-	// assign selects cells in order until layer l reaches λ·dt and
-	// returns the selected prefix.
-	assign := func(l int, cells []cell) []cell {
-		target := lambda * dt[l] * aw
-		cur := float64(w.layers[l].wireArea)
-		n := 0
-		for ; n < len(cells) && cur < target; n++ {
-			cur += float64(cells[n].rect.Area())
-		}
-		w.sel = append(w.sel, cells[:n]...)
-		return cells[:n]
-	}
-
-	// Pass 1: odd layers (1-based odd ⇒ 0-based even indices 0,2,4,…).
 	for l := 0; l < nl; l += 2 {
 		cells := cs.batch[:0]
 		for _, fr := range w.layers[l].free {
@@ -228,17 +263,18 @@ func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambd
 		if useShared {
 			// Zero-overlay case: prefer cells free on both layers, larger
 			// first within each class.
-			sort.Slice(cells, func(a, b int) bool {
-				if cells[a].shared != cells[b].shared {
-					return cells[a].shared
+			slices.SortFunc(cells, func(a, b cell) int {
+				if a.shared != b.shared {
+					if a.shared {
+						return -1
+					}
+					return 1
 				}
-				return cells[a].rect.Area() > cells[b].rect.Area()
+				return byAreaDesc(a, b)
 			})
 		} else {
 			// Non-zero overlay case: plain size order (Alg. 1 line 16).
-			sort.Slice(cells, func(a, b int) bool {
-				return cells[a].rect.Area() > cells[b].rect.Area()
-			})
+			slices.SortFunc(cells, byAreaDesc)
 		}
 		for i := range cells {
 			cells[i].quality = gamma * float64(cells[i].rect.Area()) / aw
@@ -247,43 +283,55 @@ func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambd
 			}
 		}
 		shapes := w.wireClips(cs.shapes[l], lay, l)
-		for _, c := range assign(l, cells) {
+		for _, c := range w.assign(l, cells, lambda*dt[l]*aw) {
 			shapes = append(shapes, c.rect)
 		}
 		cs.shapes[l] = shapes
 		cs.cov[l].Build(shapes)
+		shapesT := cs.shapesT[:0]
+		for _, r := range shapes {
+			shapesT = append(shapesT, r.Transpose())
+		}
+		cs.shapesT = shapesT
+		cs.covT[l].Build(shapesT)
 	}
+}
 
-	// Pass 2: even layers (0-based odd indices 1,3,5,…). The zero-overlay
-	// pieces are the free space no shape above or below covers (true
-	// Region 3 of Figs. 4/5). Case I (Fig. 4): their cells alone meet the
-	// demand, so the layer fills entirely inside them. Case II (Fig. 5):
-	// they cannot, so the layer takes the ordinary grid cells in quality
-	// order (Eqn. 8) instead; mixing the two tilings would waste area on
-	// spacing conflicts between them. Only the batch that is assigned is
-	// tiled, and either is pairwise legal on its own.
+// pass2 selects the cells of the even layers (0-based odd indices
+// 1,3,5,…) against the tables pass 1 built. The zero-overlay pieces are
+// the free space no shape above or below covers (true Region 3 of Figs.
+// 4/5). Case I (Fig. 4): their cells alone meet the demand, so the layer
+// fills entirely inside them. Case II (Fig. 5): they cannot, so the layer
+// takes the ordinary grid cells in quality order (Eqn. 8) instead; mixing
+// the two tilings would waste area on spacing conflicts between them.
+// Only the batch that is assigned is tiled, and either is pairwise legal
+// on its own.
+func (w *window) pass2(lay *layout.Layout, dt []float64, lambda float64, cs *candScratch) {
+	aw := float64(w.rect.Area())
+	nl := len(w.layers)
 	inset := (lay.Rules.MinSpace + 1) / 2
 	for l := 1; l < nl; l += 2 {
-		neighbors := append(cs.neigh[:0], cs.shapes[l-1]...)
-		if l+1 < nl {
-			neighbors = append(neighbors, cs.shapes[l+1]...)
-		}
-		cs.neigh = neighbors
 		pieces := cs.pieces[:0]
 		var zeroArea int64
 		for _, piece := range w.layers[l].free {
-			vertical := piece.H() > piece.W()
-			for _, zr := range geom.Difference(piece, neighbors, vertical) {
+			// Region 3's slabs land at pieces[n:] and are inset and
+			// filtered in place.
+			n := len(pieces)
+			pieces = cs.region3(pieces, piece, l)
+			kept := pieces[:n]
+			for _, zr := range pieces[n:] {
 				zr = zr.Expand(-inset)
 				if a := TileRegionArea(zr, lay.Rules); a > 0 {
-					pieces = append(pieces, zr)
+					kept = append(kept, zr)
 					zeroArea += a
 				}
 			}
+			pieces = kept
 		}
 		cs.pieces = pieces
 		cells := cs.batch[:0]
-		if float64(w.layers[l].wireArea+zeroArea) >= lambda*dt[l]*aw {
+		target := lambda * dt[l] * aw
+		if float64(w.layers[l].wireArea+zeroArea) >= target {
 			for _, zr := range pieces {
 				cells = appendCells(cells, zr, l, lay.Rules)
 			}
@@ -292,7 +340,7 @@ func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambd
 				// so these always outrank overlapped cells downstream.
 				cells[i].quality = 1 + gamma*float64(cells[i].rect.Area())/aw
 			}
-			sort.Slice(cells, func(a, b int) bool { return cells[a].rect.Area() > cells[b].rect.Area() })
+			slices.SortFunc(cells, byAreaDesc)
 		} else {
 			for _, fr := range w.layers[l].free {
 				cells = appendCells(cells, fr, l, lay.Rules)
@@ -306,12 +354,18 @@ func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambd
 				area := float64(r.Area())
 				cells[i].quality = -float64(ov)/area + gamma*area/aw
 			}
-			sort.Slice(cells, func(a, b int) bool { return cells[a].quality > cells[b].quality })
+			slices.SortFunc(cells, func(a, b cell) int { return cmp.Compare(b.quality, a.quality) })
 		}
 		cs.batch = cells
-		assign(l, cells)
+		w.assign(l, cells, target)
 	}
 }
+
+// byAreaDesc orders cells by decreasing area. The cell sorts are
+// unstable: cells with equal keys land in pdqsort's order, which the
+// golden hashes pin, so they must stay on slices.SortFunc (or
+// sort.Slice, the same algorithm).
+func byAreaDesc(a, b cell) int { return cmp.Compare(b.rect.Area(), a.rect.Area()) }
 
 func maxF(a, b float64) float64 {
 	if a > b {

@@ -2,13 +2,17 @@ package fill
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"dummyfill/internal/density"
 	"dummyfill/internal/dlp"
 	"dummyfill/internal/drc"
 	"dummyfill/internal/geom"
+	"dummyfill/internal/grid"
+	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 	"dummyfill/internal/score"
 )
@@ -439,5 +443,35 @@ func TestEngineOverlayBetterThanGreedy(t *testing.T) {
 	greedyOv := score.TotalOverlay(lay, &greedy)
 	if engineOv > greedyOv {
 		t.Fatalf("engine overlay %d worse than greedy %d", engineOv, greedyOv)
+	}
+}
+
+// TestNewWindowLayerCap checks that New rejects a layout with more
+// windows × layers than grid.MaxWindowLayers, here two empty layers
+// over a die of grid.MaxWindows windows, with an error wrapping
+// layio.ErrLimit and grid.ErrTooManyWindowLayers, and allocates under
+// 1 MiB doing so: nothing per (window, layer).
+func TestNewWindowLayerCap(t *testing.T) {
+	lay := &layout.Layout{
+		Name:   "wide",
+		Die:    geom.R(0, 0, 2048, 2048),
+		Window: 1,
+		Rules:  layout.Rules{MinWidth: 2, MinSpace: 1, MinArea: 4},
+		Layers: []*layout.Layer{{}, {}},
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := New(lay, DefaultOptions())
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, layio.ErrLimit) || !errors.Is(err, grid.ErrTooManyWindowLayers) {
+		t.Fatalf("err = %v, want one wrapping layio.ErrLimit and grid.ErrTooManyWindowLayers", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("rejecting the layout allocated %d bytes, want under 1 MiB", n)
+	}
+	lay.Layers = lay.Layers[:1]
+	if _, err := New(lay, DefaultOptions()); err != nil {
+		t.Fatalf("one layer over %d windows: %v", grid.MaxWindows, err)
 	}
 }

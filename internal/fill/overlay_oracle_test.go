@@ -101,8 +101,10 @@ func sortedRects(rs []geom.Rect) []geom.Rect {
 // of lay at each uniform target density in dts. It compares the coverage
 // tables against oracleOverlay value for value: for every grid cell of
 // every pass-2 layer, and for every cell of every sizing pass. It also
-// checks that pass 2's holes are the old hole list up to order, which
-// geom.Difference does not depend on.
+// checks that the neighbour lists pass 2's tables are built over are the
+// old hole list up to order, which geom.Difference does not depend on,
+// and that Region 3 read from the tables is, slab for slab, the per-piece
+// geom.Difference over those lists that pass 2 used to run.
 func checkOverlayOracle(t *testing.T, lay *layout.Layout, dts []float64) {
 	t.Helper()
 	opts := DefaultOptions()
@@ -156,6 +158,10 @@ func checkOverlayOracle(t *testing.T, lay *layout.Layout, dts []float64) {
 				}
 				for _, fr := range w.layers[l].free {
 					checked++
+					got := cs.region3(nil, fr, l)
+					if want := geom.Difference(nil, fr, holes, fr.H() > fr.W()); !slices.Equal(got, want) {
+						t.Fatalf("window %v layer %d piece %v: Region 3 from the tables %v, per-piece Difference %v", w.rect, l, fr, got, want)
+					}
 					for _, c := range appendCells(nil, fr, l, lay.Rules) {
 						got := cs.cov[l-1].OverlapArea(c.rect)
 						if l+1 < nl {
@@ -185,10 +191,11 @@ func checkOverlayOracle(t *testing.T, lay *layout.Layout, dts []float64) {
 }
 
 // TestOverlayTablesMatchOracle checks the coverage tables of candidate
-// generation and sizing against the old disjoint-index model on designs
-// s and b (b skipped under -short) and on random layouts.
+// generation and sizing against the old disjoint-index model, and pass
+// 2's Region 3 against the per-piece Difference, on designs tiny, s and b
+// (b skipped under -short) and on random layouts.
 func TestOverlayTablesMatchOracle(t *testing.T) {
-	specs := []synth.Spec{synth.DesignS(), synth.DesignB()}
+	specs := []synth.Spec{synth.DesignTiny(), synth.DesignS(), synth.DesignB()}
 	for _, sp := range specs {
 		if testing.Short() && sp.Name == "b" {
 			continue

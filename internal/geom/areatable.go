@@ -125,18 +125,8 @@ func (t *AreaTable) OverlapArea(q Rect) int64 {
 		return 0
 	}
 	bands := t.bands
-	// First band ending after the query's bottom edge.
-	lo, hi := 0, len(bands)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bands[mid].y1 <= q.YL {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
 	var area int64
-	for bi := lo; bi < len(bands) && bands[bi].y0 < q.YH; bi++ {
+	for bi := t.firstBandEnding(q.YL); bi < len(bands) && bands[bi].y0 < q.YH; bi++ {
 		b := bands[bi]
 		dy := min64(b.y1, q.YH) - max64(b.y0, q.YL)
 		if dy <= 0 {
@@ -152,8 +142,25 @@ func (t *AreaTable) OverlapArea(q Rect) int64 {
 // coveredWidth returns the covered length of [xl,xh) within band b: the
 // prefix-sum of the fully spanned intervals minus the clipped ends.
 func (t *AreaTable) coveredWidth(b atBand, xl, xh int64) int64 {
+	i, j := t.span(b, xl, xh)
+	if i >= j {
+		return 0
+	}
+	w := t.pre[j] - t.pre[i]
+	if t.ixl[i] < xl {
+		w -= xl - t.ixl[i]
+	}
+	if t.ixh[j-1] > xh {
+		w -= t.ixh[j-1] - xh
+	}
+	return w
+}
+
+// span returns the index range [i,j) of band b's intervals that meet
+// [xl,xh): i is the first ending after xl, j the first starting at or
+// after xh.
+func (t *AreaTable) span(b atBand, xl, xh int64) (i, j int) {
 	ixl, ixh := t.ixl, t.ixh
-	// First interval in the band ending after xl.
 	lo, hi := int(b.lo), int(b.hi)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -163,8 +170,7 @@ func (t *AreaTable) coveredWidth(b atBand, xl, xh int64) int64 {
 			hi = mid
 		}
 	}
-	i := lo
-	// First interval starting at or after xh.
+	i = lo
 	lo, hi = i, int(b.hi)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -174,16 +180,121 @@ func (t *AreaTable) coveredWidth(b atBand, xl, xh int64) int64 {
 			hi = mid
 		}
 	}
-	j := lo
-	if i >= j {
-		return 0
+	return i, lo
+}
+
+// firstBandEnding returns the index of the first band ending after y.
+func (t *AreaTable) firstBandEnding(y int64) int {
+	bands := t.bands
+	lo, hi := 0, len(bands)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if bands[mid].y1 <= y {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	w := t.pre[j] - t.pre[i]
-	if ixl[i] < xl {
-		w -= xl - ixl[i]
+	return lo
+}
+
+// FreeScratch holds AppendFree's reusable interval buffers. The zero
+// value is ready to use; a FreeScratch is not safe for concurrent use.
+type FreeScratch struct {
+	cur, prev []covIval
+}
+
+// AppendFree appends to dst the part of w that neither a nor b covers, as
+// the disjoint maximal horizontal slabs that Difference(dst, w, A++B,
+// false) returns, where A and B are the rects the tables were built over.
+// It reads the tables in place, so a caller that asks for many windows
+// over the same two sets sweeps each set once, in Build, rather than once
+// per window.
+//
+// The walk visits the bands of both tables that overlap w in y. At every
+// y-break of either table it forms the union of the two bands'
+// x-intervals clipped to w, merging intervals that overlap or touch, and
+// runs of rows with equal clipped sets are merged. Each run yields the
+// complement of its set as slabs, and a run with no cover yields one
+// full-width slab. Build stores each table's union as maximal bands of
+// maximal intervals, so these runs are exactly the bands a table built
+// over A++B clipped to w would hold, and the output is Difference's slab
+// for slab, in the same order: by YH, then by XL.
+func AppendFree(dst []Rect, w Rect, a, b *AreaTable, sc *FreeScratch) []Rect {
+	if w.Empty() {
+		return dst
 	}
-	if ixh[j-1] > xh {
-		w -= ixh[j-1] - xh
+	ia, ib := a.firstBandEnding(w.YL), b.firstBandEnding(w.YL)
+	prev, cur := sc.prev[:0], sc.cur[:0]
+	runY := w.YL // bottom of the run whose clipped set is prev
+	for y := w.YL; y < w.YH; {
+		next := w.YH
+		var ai, aj, bi, bj int
+		if ia < len(a.bands) {
+			if band := a.bands[ia]; band.y0 <= y {
+				ai, aj = a.span(band, w.XL, w.XH)
+				next = min64(next, band.y1)
+			} else {
+				next = min64(next, band.y0)
+			}
+		}
+		if ib < len(b.bands) {
+			if band := b.bands[ib]; band.y0 <= y {
+				bi, bj = b.span(band, w.XL, w.XH)
+				next = min64(next, band.y1)
+			} else {
+				next = min64(next, band.y0)
+			}
+		}
+		cur = cur[:0]
+		for ai < aj || bi < bj {
+			var xl, xh int64
+			if bi >= bj || (ai < aj && a.ixl[ai] <= b.ixl[bi]) {
+				xl, xh = a.ixl[ai], a.ixh[ai]
+				ai++
+			} else {
+				xl, xh = b.ixl[bi], b.ixh[bi]
+				bi++
+			}
+			xl, xh = max64(xl, w.XL), min64(xh, w.XH)
+			if n := len(cur); n > 0 && cur[n-1].xh >= xl {
+				cur[n-1].xh = max64(cur[n-1].xh, xh)
+				continue
+			}
+			cur = append(cur, covIval{xl, xh, 1})
+		}
+		if y == w.YL || !sameIvals(prev, cur) {
+			if y > w.YL {
+				dst = appendComplement(dst, w.XL, w.XH, runY, y, prev)
+			}
+			runY = y
+			prev, cur = cur, prev
+		}
+		y = next
+		if ia < len(a.bands) && a.bands[ia].y1 <= y {
+			ia++
+		}
+		if ib < len(b.bands) && b.bands[ib].y1 <= y {
+			ib++
+		}
 	}
-	return w
+	dst = appendComplement(dst, w.XL, w.XH, runY, w.YH, prev)
+	sc.prev, sc.cur = prev, cur
+	return dst
+}
+
+// appendComplement appends the slabs of [xl,xh)×[y0,y1) that the sorted,
+// disjoint, non-touching intervals ivs leave uncovered.
+func appendComplement(dst []Rect, xl, xh, y0, y1 int64, ivs []covIval) []Rect {
+	x := xl
+	for _, iv := range ivs {
+		if iv.xl > x {
+			dst = append(dst, Rect{x, y0, iv.xl, y1})
+		}
+		x = iv.xh
+	}
+	if x < xh {
+		dst = append(dst, Rect{x, y0, xh, y1})
+	}
+	return dst
 }

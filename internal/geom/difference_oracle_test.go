@@ -115,7 +115,7 @@ func checkDifference(t *testing.T, window Rect, holes []Rect) {
 		}
 	}
 	for _, vertical := range []bool{false, true} {
-		got := Difference(window, holes, vertical)
+		got := Difference(nil, window, holes, vertical)
 		want := differenceOracle(window, holes, vertical)
 		if !slices.Equal(got, want) {
 			t.Fatalf("Difference(%v, %v, vertical=%v)\n got  %v\n want %v", window, holes, vertical, got, want)

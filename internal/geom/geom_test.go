@@ -204,20 +204,20 @@ func TestUnionSlabsDisjointAndComplete(t *testing.T) {
 
 func TestDifferenceBasic(t *testing.T) {
 	w := R(0, 0, 10, 10)
-	free := Difference(w, nil, false)
+	free := Difference(nil, w, nil, false)
 	if len(free) != 1 || free[0] != w {
 		t.Fatalf("difference with no holes must be the window: %v", free)
 	}
-	free = Difference(w, []Rect{w}, false)
+	free = Difference(nil, w, []Rect{w}, false)
 	if len(free) != 0 {
 		t.Fatalf("fully-covered window must have no free space: %v", free)
 	}
-	free = Difference(w, []Rect{R(0, 0, 5, 10)}, false)
+	free = Difference(nil, w, []Rect{R(0, 0, 5, 10)}, false)
 	if TotalArea(free) != 50 {
 		t.Fatalf("half-covered free area = %d, want 50", TotalArea(free))
 	}
 	// Hole in the middle → free ring of area 100-16=84.
-	free = Difference(w, []Rect{R(3, 3, 7, 7)}, false)
+	free = Difference(nil, w, []Rect{R(3, 3, 7, 7)}, false)
 	if TotalArea(free) != 84 {
 		t.Fatalf("ring free area = %d, want 84", TotalArea(free))
 	}
@@ -228,7 +228,7 @@ func TestDifferenceRandomInvariant(t *testing.T) {
 	for it := 0; it < 60; it++ {
 		w := R(0, 0, 40, 40)
 		holes := randRects(rng, rng.Intn(10), 30)
-		free := Difference(w, holes, false)
+		free := Difference(nil, w, holes, false)
 		// Free slabs must be disjoint, inside the window, and free of holes.
 		for i, f := range free {
 			if !w.ContainsRect(f) {
@@ -516,8 +516,9 @@ func BenchmarkDifference200Holes(b *testing.B) {
 			name = "vertical"
 		}
 		b.Run(name, func(b *testing.B) {
+			var dst []Rect
 			for i := 0; i < b.N; i++ {
-				Difference(w, holes, vertical)
+				dst = Difference(dst[:0], w, holes, vertical)
 			}
 		})
 	}
@@ -537,8 +538,9 @@ func BenchmarkDifferenceRowWindow(b *testing.B) {
 		}
 	}
 	b.ReportAllocs()
+	var dst []Rect
 	for i := 0; i < b.N; i++ {
-		Difference(w, holes, false)
+		dst = Difference(dst[:0], w, holes, false)
 	}
 }
 

@@ -38,8 +38,8 @@ func TestDifferenceVerticalEquivalentArea(t *testing.T) {
 	for it := 0; it < 60; it++ {
 		w := R(0, 0, 50, 50)
 		holes := randRects(rng, rng.Intn(8), 40)
-		h := Difference(w, holes, false)
-		v := Difference(w, holes, true)
+		h := Difference(nil, w, holes, false)
+		v := Difference(nil, w, holes, true)
 		if TotalArea(h) != TotalArea(v) {
 			t.Fatalf("it %d: area mismatch H=%d V=%d", it, TotalArea(h), TotalArea(v))
 		}
@@ -71,8 +71,8 @@ func TestDifferenceVerticalFewerPiecesForVerticalWires(t *testing.T) {
 		// Bars of varying heights so horizontal slabs fragment.
 		holes = append(holes, R(x, (x/10)%300, x+16, 1000-(x/7)%200))
 	}
-	h := Difference(w, holes, false)
-	v := Difference(w, holes, true)
+	h := Difference(nil, w, holes, false)
+	v := Difference(nil, w, holes, true)
 	if len(v) >= len(h) {
 		t.Fatalf("vertical decomposition should win for vertical bars: %d vs %d pieces", len(v), len(h))
 	}
@@ -81,8 +81,8 @@ func TestDifferenceVerticalFewerPiecesForVerticalWires(t *testing.T) {
 func TestDifferenceOrientationDispatch(t *testing.T) {
 	w := R(0, 0, 20, 20)
 	holes := []Rect{R(8, 0, 12, 20)}
-	h := Difference(w, holes, false)
-	v := Difference(w, holes, true)
+	h := Difference(nil, w, holes, false)
+	v := Difference(nil, w, holes, true)
 	if len(v) != 2 || len(h) != 2 {
 		t.Fatalf("single bar must split window in two either way: H=%d V=%d", len(h), len(v))
 	}
@@ -110,7 +110,7 @@ func TestQuickDifferenceComplement(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		w := R(0, 0, 60, 60)
 		holes := randRects(rng, int(n%8), 50)
-		free := Difference(w, holes, vertical)
+		free := Difference(nil, w, holes, vertical)
 		var clipped []Rect
 		for _, h := range holes {
 			if c := h.Intersect(w); !c.Empty() {

@@ -47,9 +47,9 @@ func (sc *sweepScratch) buildEvents(rects []Rect) []sweepEvent {
 			sweepEvent{r.YH, r.XL, r.XH, -1})
 	}
 	if len(evs) <= 32 {
-		// Insertion sort: many of Difference's per-window and per-piece
-		// sweeps have a few dozen events at most, where it is cheaper
-		// than pdqsort's indirect comparisons.
+		// Insertion sort: many of Difference's per-window sweeps have a
+		// few dozen events at most, where it is cheaper than pdqsort's
+		// indirect comparisons.
 		for i := 1; i < len(evs); i++ {
 			for j := i; j > 0 && evs[j].y < evs[j-1].y; j-- {
 				evs[j], evs[j-1] = evs[j-1], evs[j]
@@ -202,24 +202,30 @@ func (c *coverage) coveredInto(dst []covIval) []covIval {
 type diffScratch struct {
 	clipped []Rect
 	at      AreaTable
+	free    FreeScratch
 }
 
 var diffPool = sync.Pool{New: func() any { return new(diffScratch) }}
 
-// Difference returns window minus the union of holes, decomposed into
-// disjoint maximal slabs: horizontal ones, or vertical ones when vertical
-// is set (far fewer, fatter pieces around vertical wires). This is the
-// free-space extraction primitive used to derive feasible fill regions.
+// noCover is the empty table Difference pairs with its own in AppendFree.
+// It is never built, so concurrent readers share it safely.
+var noCover AreaTable
+
+// Difference appends to dst window minus the union of holes, decomposed
+// into disjoint maximal slabs: horizontal ones, or vertical ones when
+// vertical is set (far fewer, fatter pieces around vertical wires). This
+// is the free-space extraction primitive used to derive feasible fill
+// regions.
 //
-// The slabs are the complement of an AreaTable over the clipped holes:
-// each band's uncovered x-intervals, plus full-width rows for the gaps
-// between bands. Two rows have identical free sets exactly when they have
-// identical covered sets, so the table's maximal band merging is the
-// slabs' maximal vertical merging. Slabs come out ordered by YH, then by
-// XL (in the transposed frame when vertical).
-func Difference(window Rect, holes []Rect, vertical bool) []Rect {
+// The slabs are the complement of an AreaTable over the clipped holes,
+// emitted by AppendFree: each band's uncovered x-intervals, plus
+// full-width rows for the gaps between bands. Two rows have identical
+// free sets exactly when they have identical covered sets, so the table's
+// maximal band merging is the slabs' maximal vertical merging. Slabs come
+// out ordered by YH, then by XL (in the transposed frame when vertical).
+func Difference(dst []Rect, window Rect, holes []Rect, vertical bool) []Rect {
 	if window.Empty() {
-		return nil
+		return dst
 	}
 	if vertical {
 		window = window.Transpose()
@@ -235,43 +241,16 @@ func Difference(window Rect, holes []Rect, vertical bool) []Rect {
 		}
 	}
 	sc.clipped = clipped
-	var out []Rect
-	if len(clipped) == 0 {
-		out = []Rect{window}
-	} else {
-		t := &sc.at
-		t.Build(clipped)
-		// Each band yields at most one slab more than it has intervals,
-		// and each gap around a band one full-width row.
-		out = make([]Rect, 0, len(t.ixl)+2*len(t.bands)+1)
-		y := window.YL
-		for _, b := range t.bands {
-			if b.y0 > y {
-				out = append(out, Rect{window.XL, y, window.XH, b.y0})
-			}
-			x := window.XL
-			for k := b.lo; k < b.hi; k++ {
-				if t.ixl[k] > x {
-					out = append(out, Rect{x, b.y0, t.ixl[k], b.y1})
-				}
-				x = t.ixh[k]
-			}
-			if x < window.XH {
-				out = append(out, Rect{x, b.y0, window.XH, b.y1})
-			}
-			y = b.y1
-		}
-		if y < window.YH {
-			out = append(out, Rect{window.XL, y, window.XH, window.YH})
-		}
-	}
+	sc.at.Build(clipped)
+	n := len(dst)
+	dst = AppendFree(dst, window, &sc.at, &noCover, &sc.free)
 	diffPool.Put(sc)
 	if vertical {
-		for i := range out {
-			out[i] = out[i].Transpose()
+		for i := n; i < len(dst); i++ {
+			dst[i] = dst[i].Transpose()
 		}
 	}
-	return out
+	return dst
 }
 
 // Transpose swaps the axes of r.

@@ -69,6 +69,33 @@ func TestNewGridWindowCap(t *testing.T) {
 	}
 }
 
+// TestCheckLayers checks the windows × layers cap at its boundary: a
+// grid at MaxWindows takes one layer and not two, a four-window grid
+// takes MaxWindowLayers/4 layers and not one more, and both rejections
+// wrap ErrTooManyWindowLayers and count as limits for IsLimit.
+func TestCheckLayers(t *testing.T) {
+	big, err := New(geom.R(0, 0, 2048, 2048), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := New(geom.R(0, 0, 10, 10), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		g  *Grid
+		nl int
+	}{{big, 1}, {small, MaxWindowLayers / 4}} {
+		if err := tc.g.CheckLayers(tc.nl); err != nil {
+			t.Errorf("%d windows × %d layers: %v", tc.g.NumWindows(), tc.nl, err)
+		}
+		err := tc.g.CheckLayers(tc.nl + 1)
+		if !errors.Is(err, ErrTooManyWindowLayers) || !IsLimit(err) {
+			t.Errorf("%d windows × %d layers: err = %v, want ErrTooManyWindowLayers", tc.g.NumWindows(), tc.nl+1, err)
+		}
+	}
+}
+
 // TestNewGridCoordBound checks the coordinate bound: a die with corners
 // at ±MaxCoord and a window of MaxWindow build, one unit beyond either
 // fails with ErrOutOfRange.

@@ -6,7 +6,6 @@
 package ingest
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -49,8 +48,9 @@ type Options struct {
 // MaxLayers, on a shape or in the header, fails with an error wrapping
 // layio.ErrLimit, and so does a window size that dissects the die into
 // more than grid.MaxWindows windows, a die or window beyond
-// grid.MaxCoord or grid.MaxWindow, or a layer whose shapes touch more
-// than grid.MaxIncidences windows.
+// grid.MaxCoord or grid.MaxWindow, a layer whose shapes touch more than
+// grid.MaxIncidences windows, or more windows × layers than
+// grid.MaxWindowLayers.
 //
 // A layout whose stream states its own fill regions is checked with
 // Layout.Validate before it is returned, so a deck that breaks the
@@ -140,13 +140,16 @@ func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 	}
 	nl := max(len(wires), len(regions), hdr.NumLayers)
 	g, err := lay.Grid()
+	if err == nil {
+		err = g.CheckLayers(nl)
+	}
 	for li := 0; err == nil && li < nl; li++ {
 		if err = g.CheckIncidences(at(wires, li), at(regions, li), lay.Rules.MinSpace); err != nil {
 			err = fmt.Errorf("layer %d: %w", li, err)
 		}
 	}
 	if err != nil {
-		if errors.Is(err, grid.ErrTooManyWindows) || errors.Is(err, grid.ErrOutOfRange) || errors.Is(err, grid.ErrTooManyIncidences) {
+		if grid.IsLimit(err) {
 			err = fmt.Errorf("ingest: %w: %w", layio.ErrLimit, err)
 		}
 		return nil, err
@@ -220,14 +223,15 @@ func ExtractFillRegions(g *grid.Grid, shapes []geom.Rect, rules layout.Rules, ve
 	// Regions collect in fixed-size chunks and are copied once into an
 	// exact-size result: growing one slice would copy it over and over.
 	var chunks [][]geom.Rect
-	var holes []geom.Rect
+	var holes, free []geom.Rect
 	for k := 0; k < g.NumWindows(); k++ {
 		holes = holes[:0]
 		for _, si := range bins.Window(k) {
 			holes = append(holes, shapes[si].Expand(rules.MinSpace))
 		}
 		win := g.Window(k%g.NX, k/g.NX)
-		for _, f := range geom.Difference(win, holes, vertical) {
+		free = geom.Difference(free[:0], win, holes, vertical)
+		for _, f := range free {
 			if f.W() >= rules.MinWidth && f.H() >= rules.MinWidth && f.Area() >= rules.MinArea {
 				if n := len(chunks); n == 0 || len(chunks[n-1]) == regionChunk {
 					chunks = append(chunks, make([]geom.Rect, 0, regionChunk))

@@ -272,6 +272,27 @@ func TestFromShapesWindowCap(t *testing.T) {
 	}
 }
 
+// TestFromShapesWindowLayerCap checks the windows × layers cap on a
+// 69-byte text deck: one fill on layer 65535 declares 65,536 layers over
+// a die of 2^22 windows, 2^38 (window, layer) pairs, whose per-pair
+// engine state would take about 30 TB. Ingest must fail with an error
+// wrapping layio.ErrLimit and grid.ErrTooManyWindowLayers while
+// allocating under 1 MiB.
+func TestFromShapesWindowLayerCap(t *testing.T) {
+	const deck = "layout x\ndie 0 0 2048 2048\nwindow 1\nrules 2 1 4 0\nfill 65535 0 0 1 1\n"
+	sr := textfmt.NewShapeReader(strings.NewReader(deck), layio.DefaultLimits())
+	var err error
+	alloc := allocTotal(t, func() {
+		_, err = ingest.FromShapes(sr, ingest.Options{})
+	})
+	if !errors.Is(err, layio.ErrLimit) || !errors.Is(err, grid.ErrTooManyWindowLayers) {
+		t.Errorf("err = %v, want one wrapping layio.ErrLimit and grid.ErrTooManyWindowLayers", err)
+	}
+	if alloc > 1<<20 {
+		t.Errorf("rejecting the deck allocated %d bytes, want under 1 MiB", alloc)
+	}
+}
+
 // readText ingests a text layout made of a fixed header and body.
 func readText(body string) (*layout.Layout, error) {
 	const head = "layout chip\ndie 0 0 100 100\nwindow 25\nrules 2 1 4 0\n"

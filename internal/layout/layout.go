@@ -66,7 +66,8 @@ type Layout struct {
 
 // Validate checks structural consistency: a window grid that grid.New
 // accepts (so at most grid.MaxWindows windows), at most
-// grid.MaxIncidences shape-window incidences per layer, shapes inside
+// grid.MaxWindowLayers windows × layers, at most grid.MaxIncidences
+// shape-window incidences per layer, shapes inside
 // the die, and the fill-region contract of Layer.FillRegions — no region
 // overlaps another region of its layer or lies closer than MinSpace to
 // one of its wires (the same Gap test drc applies to fills). Candidates
@@ -82,6 +83,9 @@ func (l *Layout) Validate() error {
 	}
 	if len(l.Layers) == 0 {
 		return fmt.Errorf("layout: no layers")
+	}
+	if err := g.CheckLayers(len(l.Layers)); err != nil {
+		return fmt.Errorf("layout: %w", err)
 	}
 	if l.Sites != nil {
 		if err := l.Sites.Validate(); err != nil {
