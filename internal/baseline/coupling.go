@@ -62,16 +62,12 @@ func (cc CouplingConstrained) Fill(lay *layout.Layout) (*layout.Solution, error)
 	// Wire indexes per layer for overlay estimation.
 	wireIx := make([]*geom.Index, nl)
 	for li := 0; li < nl; li++ {
-		wireIx[li] = geom.NewIndex(lay.Die, 0)
-		for _, w := range lay.Layers[li].Wires {
-			wireIx[li].Insert(w)
-		}
+		wireIx[li] = geom.NewIndex(lay.Die, 0, lay.Layers[li].Wires, 0)
 	}
-	// Selected-fill indexes, populated as layers are processed bottom-up.
+	// Selected-fill indexes, each built once its layer is finished. Layers
+	// are processed bottom-up, so only the layer below has selected fills.
 	selIx := make([]*geom.Index, nl)
-	for li := range selIx {
-		selIx[li] = geom.NewIndex(lay.Die, 0)
-	}
+	var pieces []geom.Rect
 
 	// A window's candidate cells with their neighbour-layer overlay.
 	type cand struct {
@@ -82,6 +78,7 @@ func (cc CouplingConstrained) Fill(lay *layout.Layout) (*layout.Solution, error)
 	for li := 0; li < nl; li++ {
 		regions := lay.Layers[li].FillRegions
 		bins := g.Bin(regions, 0)
+		var sel []geom.Rect
 		for k := 0; k < g.NumWindows(); k++ {
 			i, j := k%g.NX, k/g.NX
 			win := g.Window(i, j)
@@ -106,10 +103,10 @@ func (cc CouplingConstrained) Fill(lay *layout.Layout) (*layout.Solution, error)
 			for _, c := range cells {
 				var ov int64
 				if li > 0 {
-					ov += wireIx[li-1].OverlapArea(c) + selIx[li-1].OverlapArea(c)
+					ov += wireIx[li-1].OverlapArea(c, &pieces) + selIx[li-1].OverlapArea(c, &pieces)
 				}
 				if li+1 < nl {
-					ov += wireIx[li+1].OverlapArea(c) + selIx[li+1].OverlapArea(c)
+					ov += wireIx[li+1].OverlapArea(c, &pieces)
 				}
 				cands = append(cands, cand{c, ov})
 			}
@@ -130,11 +127,12 @@ func (cc CouplingConstrained) Fill(lay *layout.Layout) (*layout.Solution, error)
 					continue // would blow the coupling budget
 				}
 				sol.Fills = append(sol.Fills, layout.Fill{Layer: li, Rect: c.rect})
-				selIx[li].Insert(c.rect)
+				sel = append(sel, c.rect)
 				spent += c.ov
 				cur += float64(c.rect.Area()) / aw
 			}
 		}
+		selIx[li] = geom.NewIndex(lay.Die, 0, sel, 0)
 	}
 	return sol, nil
 }

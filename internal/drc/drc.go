@@ -85,10 +85,7 @@ func Check(lay *layout.Layout, sol *layout.Solution, checkRegions bool) []Violat
 			}
 		}
 		// Fill-to-fill spacing.
-		ix := geom.NewIndex(lay.Die, 0)
-		for _, f := range fills {
-			ix.Insert(f)
-		}
+		ix := dieIndex(lay, fills)
 		for idA, f := range fills {
 			ex := f.Expand(r.MinSpace)
 			ix.Query(ex, func(idB int, other geom.Rect) bool {
@@ -103,10 +100,7 @@ func Check(lay *layout.Layout, sol *layout.Solution, checkRegions bool) []Violat
 			})
 		}
 		// Fill-to-wire spacing.
-		wix := geom.NewIndex(lay.Die, 0)
-		for _, w := range lay.Layers[li].Wires {
-			wix.Insert(w)
-		}
+		wix := dieIndex(lay, lay.Layers[li].Wires)
 		for _, f := range fills {
 			if wix.AnyWithin(f, r.MinSpace, -1) {
 				out = append(out, Violation{KindWireSpacing, li, f, geom.Rect{}})
@@ -114,18 +108,23 @@ func Check(lay *layout.Layout, sol *layout.Solution, checkRegions bool) []Violat
 		}
 		// Containment in feasible fill regions.
 		if checkRegions {
-			rix := geom.NewIndex(lay.Die, 0)
-			for _, fr := range lay.Layers[li].FillRegions {
-				rix.Insert(fr)
-			}
+			rix := dieIndex(lay, lay.Layers[li].FillRegions)
+			var pieces []geom.Rect
 			for _, f := range fills {
-				if rix.OverlapArea(f) != f.Area() {
+				if rix.OverlapArea(f, &pieces) != f.Area() {
 					out = append(out, Violation{KindOutsideRegion, li, f, geom.Rect{}})
 				}
 			}
 		}
 	}
 	return out
+}
+
+// dieIndex indexes rects over the die grown to their bounding box, so a
+// shape off the die is indexed too and no check misses it. For shapes on
+// the die, the cells are the die's.
+func dieIndex(lay *layout.Layout, rects []geom.Rect) *geom.Index {
+	return geom.NewIndex(lay.Die.UnionAll(rects), 0, rects, 0)
 }
 
 // CheckSites verifies a site-mode (filler-cell placement) solution
@@ -149,10 +148,7 @@ func CheckSites(lay *layout.Layout, sol *layout.Solution, lib *layout.FillLib, p
 	keep := int64(pad) * sg.SiteW
 	perLayer := sol.PerLayer(len(lay.Layers))
 	for li, fills := range perLayer {
-		wix := geom.NewIndex(lay.Die, 0)
-		for _, w := range lay.Layers[li].Wires {
-			wix.Insert(w)
-		}
+		wix := dieIndex(lay, lay.Layers[li].Wires)
 		for _, f := range fills {
 			if !sg.Aligned(f) {
 				out = append(out, Violation{KindSiteAlign, li, f, geom.Rect{}})

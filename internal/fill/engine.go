@@ -14,7 +14,6 @@ import (
 	"dummyfill/internal/density"
 	"dummyfill/internal/geom"
 	"dummyfill/internal/grid"
-	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 	"dummyfill/internal/score"
 )
@@ -46,13 +45,10 @@ type Result struct {
 
 // New validates the layout and constructs an engine. A layout beyond one
 // of the grid's caps, such as more windows × layers than
-// grid.MaxWindowLayers, fails with an error wrapping layio.ErrLimit
-// before anything is allocated per window.
+// grid.MaxWindowLayers, fails with an error wrapping grid.ErrLimit (which
+// is layio.ErrLimit) before anything is allocated per window.
 func New(lay *layout.Layout, opts Options) (*Engine, error) {
 	if err := lay.Validate(); err != nil {
-		if grid.IsLimit(err) {
-			err = fmt.Errorf("fill: %w: %w", layio.ErrLimit, err)
-		}
 		return nil, err
 	}
 	if !(opts.Lambda >= 1) || math.IsInf(opts.Lambda, 1) {

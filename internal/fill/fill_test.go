@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dummyfill/internal/density"
@@ -12,7 +13,6 @@ import (
 	"dummyfill/internal/drc"
 	"dummyfill/internal/geom"
 	"dummyfill/internal/grid"
-	"dummyfill/internal/layio"
 	"dummyfill/internal/layout"
 	"dummyfill/internal/score"
 )
@@ -449,7 +449,7 @@ func TestEngineOverlayBetterThanGreedy(t *testing.T) {
 // TestNewWindowLayerCap checks that New rejects a layout with more
 // windows × layers than grid.MaxWindowLayers, here two empty layers
 // over a die of grid.MaxWindows windows, with an error wrapping
-// layio.ErrLimit and grid.ErrTooManyWindowLayers, and allocates under
+// grid.ErrLimit naming the window-layer cap, and allocates under
 // 1 MiB doing so: nothing per (window, layer).
 func TestNewWindowLayerCap(t *testing.T) {
 	lay := &layout.Layout{
@@ -464,8 +464,8 @@ func TestNewWindowLayerCap(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, err := New(lay, DefaultOptions())
 	runtime.ReadMemStats(&after)
-	if !errors.Is(err, layio.ErrLimit) || !errors.Is(err, grid.ErrTooManyWindowLayers) {
-		t.Fatalf("err = %v, want one wrapping layio.ErrLimit and grid.ErrTooManyWindowLayers", err)
+	if !errors.Is(err, grid.ErrLimit) || !strings.Contains(err.Error(), "too many window-layer pairs") {
+		t.Fatalf("err = %v, want one wrapping grid.ErrLimit naming too many window-layer pairs", err)
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
 		t.Fatalf("rejecting the layout allocated %d bytes, want under 1 MiB", n)

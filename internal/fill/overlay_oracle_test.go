@@ -39,11 +39,12 @@ func newOracleOverlay(w *window, lay *layout.Layout) *oracleOverlay {
 
 // index replaces the cell indexes with fresh ones over cells.
 func (o *oracleOverlay) index(w *window, cells []cell) {
-	for l := range o.fills {
-		o.fills[l] = geom.NewIndex(w.rect, 0)
-	}
+	rects := make([][]geom.Rect, len(o.fills))
 	for _, c := range cells {
-		o.fills[c.layer].Insert(c.rect)
+		rects[c.layer] = append(rects[c.layer], c.rect)
+	}
+	for l := range o.fills {
+		o.fills[l] = geom.NewIndex(w.rect, 0, rects[l], 0)
 	}
 }
 

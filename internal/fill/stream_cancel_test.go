@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -185,7 +186,7 @@ func TestNewRejectsOutOfRangeDie(t *testing.T) {
 		Rules:  layout.Rules{MinWidth: 2, MinSpace: 1, MinArea: 4},
 		Layers: []*layout.Layer{{Wires: []geom.Rect{geom.R(0, 0, 10, 10)}}},
 	}
-	if _, err := New(lay, DefaultOptions()); !errors.Is(err, grid.ErrOutOfRange) {
-		t.Fatalf("err = %v, want one wrapping grid.ErrOutOfRange", err)
+	if _, err := New(lay, DefaultOptions()); !errors.Is(err, grid.ErrLimit) || !strings.Contains(err.Error(), "coordinates out of range") {
+		t.Fatalf("err = %v, want one wrapping grid.ErrLimit naming coordinates out of range", err)
 	}
 }

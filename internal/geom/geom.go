@@ -102,6 +102,15 @@ func (r Rect) Union(s Rect) Rect {
 	return Rect{min64(r.XL, s.XL), min64(r.YL, s.YL), max64(r.XH, s.XH), max64(r.YH, s.YH)}
 }
 
+// UnionAll returns the bounding box of r and every rect of rs, skipping
+// empty ones.
+func (r Rect) UnionAll(rs []Rect) Rect {
+	for _, s := range rs {
+		r = r.Union(s)
+	}
+	return r
+}
+
 // Expand grows r by d on every side (shrink with negative d). The result
 // may be empty.
 func (r Rect) Expand(d int64) Rect {

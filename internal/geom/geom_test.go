@@ -447,12 +447,11 @@ func TestPolygonInvalid(t *testing.T) {
 }
 
 func TestIndexQuery(t *testing.T) {
-	ix := NewIndex(R(0, 0, 1000, 1000), 100)
-	ids := []int{
-		ix.Insert(R(10, 10, 20, 20)),
-		ix.Insert(R(500, 500, 600, 600)),
-		ix.Insert(R(0, 0, 1000, 5)),
-	}
+	ix := NewIndex(R(0, 0, 1000, 1000), 100, []Rect{
+		R(10, 10, 20, 20),
+		R(500, 500, 600, 600),
+		R(0, 0, 1000, 5),
+	}, 0)
 	var hits []int
 	ix.Query(R(0, 0, 50, 50), func(id int, r Rect) bool {
 		hits = append(hits, id)
@@ -461,15 +460,14 @@ func TestIndexQuery(t *testing.T) {
 	if len(hits) != 2 { // first rect + bottom bar
 		t.Fatalf("expected 2 hits, got %v", hits)
 	}
-	_ = ids
-	if got := ix.OverlapArea(R(0, 0, 30, 30)); got != 100+30*5 {
+	var buf []Rect
+	if got := ix.OverlapArea(R(0, 0, 30, 30), &buf); got != 100+30*5 {
 		t.Fatalf("OverlapArea = %d, want 250", got)
 	}
 }
 
 func TestIndexAnyWithin(t *testing.T) {
-	ix := NewIndex(R(0, 0, 100, 100), 10)
-	ix.Insert(R(0, 0, 10, 10))
+	ix := NewIndex(R(0, 0, 100, 100), 10, []Rect{R(0, 0, 10, 10)}, 0)
 	q := R(13, 0, 20, 10) // gap of 3 in x
 	if !ix.AnyWithin(q, 5, -1) {
 		t.Fatal("rect within spacing 5 not found")
@@ -477,16 +475,15 @@ func TestIndexAnyWithin(t *testing.T) {
 	if ix.AnyWithin(q, 3, -1) {
 		t.Fatal("gap of exactly 3 satisfies spacing 3; must not be flagged")
 	}
-	id := ix.Insert(q)
-	if ix.AnyWithin(q, 2, id) {
+	ix = NewIndex(R(0, 0, 100, 100), 10, []Rect{R(0, 0, 10, 10), q}, 0)
+	if id := 1; ix.AnyWithin(q, 2, id) {
 		t.Fatal("skip id must exclude self and no other rect is within 2")
 	}
 }
 
 func TestIndexQueryNoDuplicates(t *testing.T) {
-	ix := NewIndex(R(0, 0, 100, 100), 10)
 	// Rect spanning many cells.
-	ix.Insert(R(0, 0, 100, 100))
+	ix := NewIndex(R(0, 0, 100, 100), 10, []Rect{R(0, 0, 100, 100)}, 0)
 	count := 0
 	ix.Query(R(0, 0, 100, 100), func(id int, r Rect) bool {
 		count++

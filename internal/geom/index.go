@@ -1,31 +1,33 @@
 package geom
 
-import "slices"
-
-// Index is a uniform-grid spatial index over rectangles, used for
-// overlap and spacing-neighbour queries over whole-die shape sets:
-// Layout.Validate's fill-region contract, DRC, scoring and the baseline
-// fillers. The fill engine reads coverage from AreaTables instead. The
-// zero value is not usable; construct with NewIndex. An Index is not
-// safe for concurrent use (queries mutate the epoch stamps and scratch
-// buffer); give each worker its own.
+// Index is a static uniform-grid bucket index over a set of rectangles:
+// bounds is cut into square cells, and each cell (bin) lists, in input
+// order, the ids of the rects whose pad-expanded extent overlaps it. All
+// bins share one id array, CSR style. It answers overlap and
+// spacing-neighbour queries over whole-die shape sets
+// (Layout.Validate's fill-region contract, DRC, scoring and the baseline
+// fillers) and is the window binning of grid.Bin. Only the part of a rect
+// inside bounds is indexed.
+//
+// An Index keeps no query state, so any number of goroutines may query
+// one Index at once.
 type Index struct {
 	bounds Rect
 	cell   int64
+	pad    int64
 	nx, ny int
-	bins   [][]int32
+	off    []int // bin k holds ids idx[off[k]:off[k+1]]
+	idx    []int32
 	rects  []Rect
-	// Epoch stamps deduplicate multi-cell rects during Query without
-	// allocating per call.
-	stamp []int32
-	epoch int32
-	// scratch backs OverlapArea's piece list across calls.
-	scratch []Rect
 }
 
-// NewIndex builds an empty index over bounds with the given cell size. A
-// cell size of 0 picks a default that targets a handful of rects per bin.
-func NewIndex(bounds Rect, cell int64) *Index {
+// NewIndex indexes rects, each expanded by pad, over bounds with the
+// given cell size. A cell size of 0 picks a default that targets a
+// handful of rects per bin. A counting pass sizes every bin exactly; a
+// second pass, over rects in reverse, fills each bin back to front. The
+// index keeps rects itself, not a copy: the caller must not change it
+// while the index is in use.
+func NewIndex(bounds Rect, cell int64, rects []Rect, pad int64) *Index {
 	if bounds.Empty() {
 		bounds = R(0, 0, 1, 1)
 	}
@@ -34,98 +36,86 @@ func NewIndex(bounds Rect, cell int64) *Index {
 	}
 	nx := max(int((bounds.W()+cell-1)/cell), 1)
 	ny := max(int((bounds.H()+cell-1)/cell), 1)
-	return &Index{bounds: bounds, cell: cell, nx: nx, ny: ny, bins: make([][]int32, nx*ny)}
-}
-
-// Reserve makes room for inserting every rect of sets: the rect and stamp
-// storage grows once, and each bin gets one exact-size share of a single
-// backing array, so the Inserts that follow allocate nothing.
-func (ix *Index) Reserve(sets ...[]Rect) {
-	n := 0
-	room := make([]int, len(ix.bins))
-	for b, bin := range ix.bins {
-		room[b] = len(bin)
-	}
-	for _, rs := range sets {
-		n += len(rs)
-		for _, r := range rs {
-			x0, y0, x1, y1 := ix.cellRange(r)
+	ix := &Index{bounds: bounds, cell: cell, pad: pad, nx: nx, ny: ny, rects: rects}
+	off := make([]int, nx*ny+1)
+	for _, r := range rects {
+		if x0, y0, x1, y1, ok := ix.cellRange(r.Expand(pad)); ok {
 			for cy := y0; cy <= y1; cy++ {
 				for cx := x0; cx <= x1; cx++ {
-					room[cy*ix.nx+cx]++
+					off[cy*nx+cx]++
 				}
 			}
 		}
 	}
-	ix.rects = slices.Grow(ix.rects, n)
-	ix.stamp = slices.Grow(ix.stamp, n)
-	total := 0
-	for _, c := range room {
-		total += c
+	n := 0
+	for k, c := range off {
+		n += c
+		off[k] = n // end of bin k until the fill pass
 	}
-	backing := make([]int32, total)
-	for b, c := range room {
-		ix.bins[b] = append(backing[:0:c], ix.bins[b]...)
-		backing = backing[c:]
-	}
-}
-
-// Insert adds r to the index and returns its id.
-func (ix *Index) Insert(r Rect) int {
-	id := Idx32(len(ix.rects))
-	ix.rects = append(ix.rects, r)
-	ix.stamp = append(ix.stamp, 0)
-	x0, y0, x1, y1 := ix.cellRange(r)
-	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			b := cy*ix.nx + cx
-			ix.bins[b] = append(ix.bins[b], id)
+	idx := make([]int32, n)
+	for id := len(rects) - 1; id >= 0; id-- {
+		if x0, y0, x1, y1, ok := ix.cellRange(rects[id].Expand(pad)); ok {
+			for cy := y0; cy <= y1; cy++ {
+				for cx := x0; cx <= x1; cx++ {
+					k := cy*nx + cx
+					off[k]--
+					idx[off[k]] = Idx32(id)
+				}
+			}
 		}
 	}
-	return int(id)
+	ix.off, ix.idx = off, idx
+	return ix
 }
 
-func (ix *Index) cellRange(r Rect) (x0, y0, x1, y1 int) {
-	clampI := func(v, lo, hi int) int {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
+// Buckets returns the bins as one CSR pair: bin k = cy*nx+cx holds the
+// ids idx[off[k]:off[k+1]] in ascending order. The caller must not
+// modify either slice.
+func (ix *Index) Buckets() (off []int, idx []int32) { return ix.off, ix.idx }
+
+// cellRange returns the inclusive cell ranges that the part of r inside
+// bounds overlaps; ok is false when r misses bounds.
+func (ix *Index) cellRange(r Rect) (x0, y0, x1, y1 int, ok bool) {
+	r = r.Intersect(ix.bounds)
+	if r.Empty() {
+		return 0, 0, 0, 0, false
 	}
-	x0 = clampI(int((r.XL-ix.bounds.XL)/ix.cell), 0, ix.nx-1)
-	y0 = clampI(int((r.YL-ix.bounds.YL)/ix.cell), 0, ix.ny-1)
-	x1 = clampI(int((r.XH-1-ix.bounds.XL)/ix.cell), 0, ix.nx-1)
-	y1 = clampI(int((r.YH-1-ix.bounds.YL)/ix.cell), 0, ix.ny-1)
-	return
+	x0 = int((r.XL - ix.bounds.XL) / ix.cell)
+	y0 = int((r.YL - ix.bounds.YL) / ix.cell)
+	x1 = int((r.XH - 1 - ix.bounds.XL) / ix.cell)
+	y1 = int((r.YH - 1 - ix.bounds.YL) / ix.cell)
+	return x0, y0, x1, y1, true
 }
 
-// Query calls fn with the id and rect of every indexed rectangle whose
-// bounding box overlaps q (each at most once). Returning false from fn
-// stops the query.
-func (ix *Index) Query(q Rect, fn func(id int, r Rect) bool) {
-	if q.Empty() || len(ix.rects) == 0 {
+// Query calls fn with the id and rect of every indexed rectangle that
+// overlaps q inside bounds, each once, ordered by the first bin of q's
+// range (row-major) that holds it, then by id. Returning false from fn
+// stops the query. A rect is reported only in that first bin, which
+// comparisons alone identify: its column is q's first or the one where
+// the rect's padded left edge lies, and likewise for its row.
+func (ix *Index) Query(q Rect, fn func(id int, r Rect) bool) { ix.QueryBefore(q, len(ix.rects), fn) }
+
+// QueryBefore is Query restricted to the ids below n. Each bin lists its
+// ids in ascending order, so the scan of a bin stops at the first id ≥ n:
+// a caller that checks every rect against the ones before it pays only
+// for those, as it would with an index grown rect by rect.
+func (ix *Index) QueryBefore(q Rect, n int, fn func(id int, r Rect) bool) {
+	q = q.Intersect(ix.bounds)
+	x0, y0, x1, y1, ok := ix.cellRange(q)
+	if !ok {
 		return
 	}
-	x0, y0, x1, y1 := ix.cellRange(q)
-	ix.epoch++
-	if ix.epoch == 0 { // wrapped: reset stamps
-		for i := range ix.stamp {
-			ix.stamp[i] = 0
-		}
-		ix.epoch = 1
-	}
 	for cy := y0; cy <= y1; cy++ {
+		bottom := ix.bounds.YL + int64(cy)*ix.cell
 		for cx := x0; cx <= x1; cx++ {
-			for _, id := range ix.bins[cy*ix.nx+cx] {
-				if ix.stamp[id] == ix.epoch {
-					continue
+			left := ix.bounds.XL + int64(cx)*ix.cell
+			k := cy*ix.nx + cx
+			for _, id := range ix.idx[ix.off[k]:ix.off[k+1]] {
+				if int(id) >= n {
+					break
 				}
-				ix.stamp[id] = ix.epoch
 				r := ix.rects[id]
-				if r.Overlaps(q) {
+				if (cx == x0 || r.XL-ix.pad >= left) && (cy == y0 || r.YL-ix.pad >= bottom) && r.Overlaps(q) {
 					if !fn(int(id), r) {
 						return
 					}
@@ -135,15 +125,17 @@ func (ix *Index) Query(q Rect, fn func(id int, r Rect) bool) {
 	}
 }
 
-// OverlapArea returns the total area of q covered by indexed rectangles,
-// counting overlaps once.
-func (ix *Index) OverlapArea(q Rect) int64 {
-	pieces := ix.scratch[:0]
+// OverlapArea returns the area of q inside bounds that indexed rectangles
+// cover, counting overlaps once. buf holds the clipped pieces; reusing
+// it across calls makes the query allocation-free.
+func (ix *Index) OverlapArea(q Rect, buf *[]Rect) int64 {
+	q = q.Intersect(ix.bounds)
+	pieces := (*buf)[:0]
 	ix.Query(q, func(_ int, r Rect) bool {
 		pieces = append(pieces, r.Intersect(q))
 		return true
 	})
-	ix.scratch = pieces
+	*buf = pieces
 	return UnionArea(pieces)
 }
 
@@ -151,18 +143,11 @@ func (ix *Index) OverlapArea(q Rect) int64 {
 // q (expansion-overlap test), excluding the rect with id == skip (pass -1
 // to exclude none).
 func (ix *Index) AnyWithin(q Rect, s int64, skip int) bool {
-	ex := q.Expand(s)
 	found := false
-	ix.Query(ex, func(id int, r Rect) bool {
-		if id == skip {
-			return true
-		}
+	ix.Query(q.Expand(s), func(id int, r Rect) bool {
 		gx, gy := q.Gap(r)
-		if gx < s && gy < s {
-			found = true
-			return false
-		}
-		return true
+		found = id != skip && gx < s && gy < s
+		return !found
 	})
 	return found
 }

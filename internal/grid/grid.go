@@ -45,10 +45,6 @@ const (
 // design m, has 323,334 incidences: 0.5% of the cap.
 const MaxIncidences = 1 << 26
 
-// ErrTooManyIncidences reports a layer whose shapes touch more than
-// MaxIncidences windows in total.
-var ErrTooManyIncidences = errors.New("grid: too many shape-window incidences")
-
 // MaxWindowLayers caps windows × layers. The fill engine keeps state for
 // every (window, layer) pair, about 110 bytes of it (the pair's working
 // record, two bin offsets and its density-map entries), even for a layer
@@ -59,21 +55,16 @@ var ErrTooManyIncidences = errors.New("grid: too many shape-window incidences")
 // it.
 const MaxWindowLayers = 1 << 22
 
-// ErrTooManyWindowLayers reports a grid whose windows times layers
-// exceed MaxWindowLayers.
-var ErrTooManyWindowLayers = errors.New("grid: too many window-layer pairs")
-
-// ErrTooManyWindows reports a die and window size whose dissection
-// exceeds MaxWindows.
-var ErrTooManyWindows = errors.New("grid: too many windows")
-
-// ErrOutOfRange reports a die corner beyond ±MaxCoord or a window larger
-// than MaxWindow.
-var ErrOutOfRange = errors.New("grid: coordinates out of range")
+// ErrLimit is wrapped by every error that reports one of the grid's
+// resource caps: MaxWindows, MaxCoord and MaxWindow, MaxIncidences or
+// MaxWindowLayers. The message names the cap. layio.ErrLimit is the same
+// value, so ingest and the fill engine report a grid cap as an exceeded
+// resource limit of the input, not as malformed input.
+var ErrLimit = errors.New("resource limit exceeded")
 
 // New builds a grid over die with window size w. It fails with an error
-// wrapping ErrTooManyWindows when the grid would exceed MaxWindows, and
-// one wrapping ErrOutOfRange when die or w exceed MaxCoord or MaxWindow.
+// wrapping ErrLimit when the grid would exceed MaxWindows, or when die or
+// w exceed MaxCoord or MaxWindow.
 func New(die geom.Rect, w int64) (*Grid, error) {
 	if die.Empty() {
 		return nil, fmt.Errorf("grid: empty die %v", die)
@@ -83,10 +74,10 @@ func New(die geom.Rect, w int64) (*Grid, error) {
 	}
 	nx, ny := windowsAcross(die.XL, die.XH, w), windowsAcross(die.YL, die.YH, w)
 	if nx > MaxWindows || ny > MaxWindows/nx {
-		return nil, fmt.Errorf("%w: window %d over die %v makes %d×%d, above %d", ErrTooManyWindows, w, die, nx, ny, MaxWindows)
+		return nil, fmt.Errorf("grid: %w: too many windows: window %d over die %v makes %d×%d, above MaxWindows %d", ErrLimit, w, die, nx, ny, MaxWindows)
 	}
 	if die.XL < -MaxCoord || die.YL < -MaxCoord || die.XH > MaxCoord || die.YH > MaxCoord || w > MaxWindow {
-		return nil, fmt.Errorf("%w: die %v or window %d beyond ±%d or %d", ErrOutOfRange, die, w, MaxCoord, MaxWindow)
+		return nil, fmt.Errorf("grid: %w: coordinates out of range: die %v or window %d beyond ±MaxCoord %d or MaxWindow %d", ErrLimit, die, w, MaxCoord, MaxWindow)
 	}
 	return &Grid{Die: die, W: w, NX: int(nx), NY: int(ny)}, nil
 }
@@ -119,8 +110,9 @@ func (g *Grid) Window(i, j int) geom.Rect {
 
 // cellRange returns the inclusive window index ranges [i0,i1]×[j0,j1]
 // overlapped by r; ok is false when r misses the die entirely. Every
-// window in the range overlaps r, so RangeOverlapping and Bin, which
-// share it, see the same windows.
+// window in the range overlaps r. RangeOverlapping and Incidences share
+// it, and Bin's index, whose cells are the windows, computes the same
+// ranges, so all three see the same windows.
 func (g *Grid) cellRange(r geom.Rect) (i0, j0, i1, j1 int, ok bool) {
 	r = r.Intersect(g.Die)
 	if r.Empty() {
@@ -169,39 +161,10 @@ func (b Bins) Window(k int) []int32 {
 
 // Bin groups rects by the windows that each one, expanded by pad,
 // overlaps: window k lists exactly the indices that
-// RangeOverlapping(rects[i].Expand(pad)) visits at k, in input order. A
-// counting pass sizes every list exactly; a second pass, over rects in
-// reverse, fills each list back to front.
+// RangeOverlapping(rects[i].Expand(pad)) visits at k, in input order. It
+// is geom.NewIndex with one cell per window.
 func (g *Grid) Bin(rects []geom.Rect, pad int64) Bins {
-	nx := g.NX
-	off := make([]int, g.NumWindows()+1)
-	for _, r := range rects {
-		if i0, j0, i1, j1, ok := g.cellRange(r.Expand(pad)); ok {
-			for j := j0; j <= j1; j++ {
-				for i := i0; i <= i1; i++ {
-					off[j*nx+i]++
-				}
-			}
-		}
-	}
-	n := 0
-	for k, c := range off {
-		n += c
-		off[k] = n // end of window k's list until the fill pass
-	}
-	idx := make([]int32, n)
-	for si := len(rects) - 1; si >= 0; si-- {
-		if i0, j0, i1, j1, ok := g.cellRange(rects[si].Expand(pad)); ok {
-			id := geom.Idx32(si)
-			for j := j0; j <= j1; j++ {
-				for i := i0; i <= i1; i++ {
-					k := j*nx + i
-					off[k]--
-					idx[off[k]] = id
-				}
-			}
-		}
-	}
+	off, idx := geom.NewIndex(g.Die, g.W, rects, pad).Buckets()
 	return Bins{off: off, idx: idx}
 }
 
@@ -217,34 +180,25 @@ func (g *Grid) Incidences(rects []geom.Rect, pad int64) int64 {
 	return n
 }
 
-// CheckIncidences fails with an error wrapping ErrTooManyIncidences when
+// CheckIncidences fails with an error wrapping ErrLimit when
 // one layer's wires, padded by space, and fill regions touch more than
 // MaxIncidences windows in total. It allocates nothing, so callers run it
 // before the first Bin of the layer.
 func (g *Grid) CheckIncidences(wires, regions []geom.Rect, space int64) error {
 	if n := g.Incidences(wires, space) + g.Incidences(regions, 0); n > MaxIncidences {
-		return fmt.Errorf("%w: %d, above %d", ErrTooManyIncidences, n, MaxIncidences)
+		return fmt.Errorf("grid: %w: too many shape-window incidences: %d, above MaxIncidences %d", ErrLimit, n, MaxIncidences)
 	}
 	return nil
 }
 
-// CheckLayers fails with an error wrapping ErrTooManyWindowLayers when g
+// CheckLayers fails with an error wrapping ErrLimit when g
 // with nl layers has more than MaxWindowLayers (window, layer) pairs.
 // Callers run it before the first per-(window, layer) allocation.
 func (g *Grid) CheckLayers(nl int) error {
 	if nw := g.NumWindows(); nl > MaxWindowLayers/nw {
-		return fmt.Errorf("%w: %d windows × %d layers, above %d", ErrTooManyWindowLayers, nw, nl, MaxWindowLayers)
+		return fmt.Errorf("grid: %w: too many window-layer pairs: %d windows × %d layers, above MaxWindowLayers %d", ErrLimit, nw, nl, MaxWindowLayers)
 	}
 	return nil
-}
-
-// IsLimit reports whether err comes from one of the grid's resource
-// caps: MaxWindows, MaxCoord and MaxWindow, MaxIncidences or
-// MaxWindowLayers. Ingest and the fill engine report those as exceeded
-// resource limits of the input, not as malformed input.
-func IsLimit(err error) bool {
-	return errors.Is(err, ErrTooManyWindows) || errors.Is(err, ErrOutOfRange) ||
-		errors.Is(err, ErrTooManyIncidences) || errors.Is(err, ErrTooManyWindowLayers)
 }
 
 // Map is a per-window scalar field over a grid (densities, areas, bounds).

@@ -3,6 +3,7 @@ package grid
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"dummyfill/internal/geom"
@@ -46,8 +47,8 @@ func TestNewGridErrors(t *testing.T) {
 
 // TestNewGridWindowCap checks the window cap: a grid of exactly
 // MaxWindows builds, one just over it (on either axis, or from extents
-// whose window count overflows int64 arithmetic) fails with
-// ErrTooManyWindows.
+// whose window count overflows int64 arithmetic) fails with ErrLimit,
+// naming the window cap.
 func TestNewGridWindowCap(t *testing.T) {
 	g, err := New(geom.R(0, 0, 2048, 2048), 1)
 	if err != nil || g.NumWindows() != MaxWindows {
@@ -63,8 +64,8 @@ func TestNewGridWindowCap(t *testing.T) {
 		"full int64 extents": {geom.R(math.MinInt64, math.MinInt64, math.MaxInt64, math.MaxInt64), 1},
 	}
 	for name, tc := range over {
-		if _, err := New(tc.die, tc.w); !errors.Is(err, ErrTooManyWindows) {
-			t.Errorf("%s: err = %v, want ErrTooManyWindows", name, err)
+		if _, err := New(tc.die, tc.w); !errors.Is(err, ErrLimit) || !strings.Contains(err.Error(), "too many windows") {
+			t.Errorf("%s: err = %v, want ErrLimit naming too many windows", name, err)
 		}
 	}
 }
@@ -72,7 +73,7 @@ func TestNewGridWindowCap(t *testing.T) {
 // TestCheckLayers checks the windows × layers cap at its boundary: a
 // grid at MaxWindows takes one layer and not two, a four-window grid
 // takes MaxWindowLayers/4 layers and not one more, and both rejections
-// wrap ErrTooManyWindowLayers and count as limits for IsLimit.
+// wrap ErrLimit and name the window-layer cap.
 func TestCheckLayers(t *testing.T) {
 	big, err := New(geom.R(0, 0, 2048, 2048), 1)
 	if err != nil {
@@ -90,15 +91,15 @@ func TestCheckLayers(t *testing.T) {
 			t.Errorf("%d windows × %d layers: %v", tc.g.NumWindows(), tc.nl, err)
 		}
 		err := tc.g.CheckLayers(tc.nl + 1)
-		if !errors.Is(err, ErrTooManyWindowLayers) || !IsLimit(err) {
-			t.Errorf("%d windows × %d layers: err = %v, want ErrTooManyWindowLayers", tc.g.NumWindows(), tc.nl+1, err)
+		if !errors.Is(err, ErrLimit) || !strings.Contains(err.Error(), "too many window-layer pairs") {
+			t.Errorf("%d windows × %d layers: err = %v, want ErrLimit naming too many window-layer pairs", tc.g.NumWindows(), tc.nl+1, err)
 		}
 	}
 }
 
 // TestNewGridCoordBound checks the coordinate bound: a die with corners
 // at ±MaxCoord and a window of MaxWindow build, one unit beyond either
-// fails with ErrOutOfRange.
+// fails with ErrLimit, naming the coordinate bound.
 func TestNewGridCoordBound(t *testing.T) {
 	if _, err := New(geom.R(-MaxCoord, -MaxCoord, MaxCoord, MaxCoord), MaxWindow); err != nil {
 		t.Fatalf("die at ±MaxCoord, window MaxWindow: %v", err)
@@ -115,8 +116,8 @@ func TestNewGridCoordBound(t *testing.T) {
 		"int64 die, few windows": {geom.R(-9e18, -9e18, 9e18, 9e18), 9e18},
 	}
 	for name, tc := range over {
-		if _, err := New(tc.die, tc.w); !errors.Is(err, ErrOutOfRange) {
-			t.Errorf("%s: err = %v, want ErrOutOfRange", name, err)
+		if _, err := New(tc.die, tc.w); !errors.Is(err, ErrLimit) || !strings.Contains(err.Error(), "coordinates out of range") {
+			t.Errorf("%s: err = %v, want ErrLimit naming coordinates out of range", name, err)
 		}
 	}
 }

@@ -149,10 +149,7 @@ func FromShapes(sr layio.ShapeReader, opts Options) (*layout.Layout, error) {
 		}
 	}
 	if err != nil {
-		if grid.IsLimit(err) {
-			err = fmt.Errorf("ingest: %w: %w", layio.ErrLimit, err)
-		}
-		return nil, err
+		return nil, fmt.Errorf("ingest: %w", err)
 	}
 
 	lay.Layers = make([]*layout.Layer, nl)

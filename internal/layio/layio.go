@@ -18,6 +18,7 @@ import (
 	"io"
 
 	"dummyfill/internal/geom"
+	"dummyfill/internal/grid"
 	"dummyfill/internal/layout"
 )
 
@@ -70,8 +71,10 @@ type Header struct {
 // ErrLimit is wrapped by reader errors when an input stream exceeds a
 // configured resource limit; detect it with errors.Is. It guards the
 // ingest path against hostile or corrupted streams whose record counts
-// would otherwise drive unbounded allocation or parse time.
-var ErrLimit = errors.New("resource limit exceeded")
+// would otherwise drive unbounded allocation or parse time. It is
+// grid.ErrLimit, so a deck whose die and window break one of the grid's
+// caps reports the same sentinel.
+var ErrLimit = grid.ErrLimit
 
 // ErrUnknownFormat is returned by Detect (and wrapped by callers) when
 // no registered format claims a stream's opening bytes.

@@ -6,6 +6,7 @@ package layout
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dummyfill/internal/geom"
 	"dummyfill/internal/grid"
@@ -105,20 +106,18 @@ func (l *Layout) Validate() error {
 		if len(layer.FillRegions) == 0 {
 			continue
 		}
-		// One index holds the wires and, as they pass, the regions: each
-		// region is checked against both with a single query.
+		// One index holds the wires followed by the regions: each region
+		// is checked against the wires and the regions before it with a
+		// single query.
 		nw := len(layer.Wires)
-		ix := geom.NewIndex(l.Die, indexCell(l.Die, nw+len(layer.FillRegions)))
-		ix.Reserve(layer.Wires, layer.FillRegions)
-		for _, w := range layer.Wires {
-			ix.Insert(w)
-		}
-		for _, fr := range layer.FillRegions {
+		shapes := slices.Concat(layer.Wires, layer.FillRegions)
+		ix := geom.NewIndex(l.Die, indexCell(l.Die, len(shapes)), shapes, 0)
+		for i, fr := range layer.FillRegions {
 			if !l.Die.ContainsRect(fr) {
 				return fmt.Errorf("layout: layer %d fill region %v escapes die %v", li, fr, l.Die)
 			}
 			var err error
-			ix.Query(fr.Expand(ms), func(id int, r geom.Rect) bool {
+			ix.QueryBefore(fr.Expand(ms), nw+i, func(id int, r geom.Rect) bool {
 				switch gx, gy := fr.Gap(r); {
 				case id >= nw && fr.Overlaps(r):
 					err = fmt.Errorf("layout: layer %d fill region %v overlaps fill region %v", li, fr, r)
@@ -130,7 +129,6 @@ func (l *Layout) Validate() error {
 			if err != nil {
 				return err
 			}
-			ix.Insert(fr)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"dummyfill/internal/geom"
@@ -81,8 +82,8 @@ func TestValidateCatchesBadShapes(t *testing.T) {
 func TestValidateWindowCap(t *testing.T) {
 	l := smallLayout()
 	l.Die, l.Window = geom.R(0, 0, 2049, 2048), 1
-	if err := l.Validate(); !errors.Is(err, grid.ErrTooManyWindows) {
-		t.Fatalf("err = %v, want grid.ErrTooManyWindows", err)
+	if err := l.Validate(); !errors.Is(err, grid.ErrLimit) || !strings.Contains(err.Error(), "too many windows") {
+		t.Fatalf("err = %v, want grid.ErrLimit naming too many windows", err)
 	}
 }
 
@@ -97,8 +98,8 @@ func TestValidateIncidenceCap(t *testing.T) {
 		wires[i] = l.Die
 	}
 	l.Layers[0] = &Layer{Wires: wires}
-	if err := l.Validate(); !errors.Is(err, grid.ErrTooManyIncidences) {
-		t.Fatalf("err = %v, want grid.ErrTooManyIncidences", err)
+	if err := l.Validate(); !errors.Is(err, grid.ErrLimit) || !strings.Contains(err.Error(), "too many shape-window incidences") {
+		t.Fatalf("err = %v, want grid.ErrLimit naming too many shape-window incidences", err)
 	}
 }
 

@@ -9,10 +9,11 @@ import (
 )
 
 // maxValidateAllocPerShape caps Layout.Validate's allocation per wire
-// and fill region on rowDesign16. Reserving the index's rects, stamps and
-// bins in exact sizes up front costs about 53 B per shape; growing them
-// insert by insert cost about 243, and reserving only rects and stamps
-// about 65.
+// and fill region on rowDesign16. Building the static index (one
+// concatenated rect slice, exact-size bins, no query stamps) costs about
+// 43 B per shape; an index grown insert by insert cost about 243, one
+// with reserved rects and stamps about 65, and one with reserved rects,
+// stamps and bins about 53.
 const maxValidateAllocPerShape = 60
 
 // rowDesign16 generates the row design scaled 16× per side: 800 rows of
@@ -40,7 +41,7 @@ func numRects(lay *layout.Layout) int {
 }
 
 // TestValidateAllocPerShape guards Validate's index storage: validating
-// a large layout must not regrow its rect storage insert by insert.
+// a large layout must size its rect and bin storage exactly, once.
 func TestValidateAllocPerShape(t *testing.T) {
 	if testing.Short() {
 		// The race detector, which CI runs with -short, makes Validate's

@@ -7,6 +7,7 @@ package score
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"dummyfill/internal/density"
@@ -154,29 +155,20 @@ func OverlayAreas(lay *layout.Layout, sol *layout.Solution) []int64 {
 
 // pairOverlay computes the overlay area between layer l and l+1.
 func pairOverlay(lay *layout.Layout, perLayer [][]geom.Rect, l int) int64 {
-	{
-		upper := geom.NewIndex(lay.Die, 0)
-		for _, w := range lay.Layers[l+1].Wires {
-			upper.Insert(w)
-		}
-		for _, f := range perLayer[l+1] {
-			upper.Insert(f)
-		}
-		var ov int64
-		// fills(l) vs everything above.
-		for _, f := range perLayer[l] {
-			ov += upper.OverlapArea(f)
-		}
-		// wires(l) vs fills above only.
-		fillUpper := geom.NewIndex(lay.Die, 0)
-		for _, f := range perLayer[l+1] {
-			fillUpper.Insert(f)
-		}
-		for _, w := range lay.Layers[l].Wires {
-			ov += fillUpper.OverlapArea(w)
-		}
-		return ov
+	// fills(l) vs everything above.
+	above := slices.Concat(lay.Layers[l+1].Wires, perLayer[l+1])
+	upper := geom.NewIndex(lay.Die.UnionAll(above), 0, above, 0)
+	var ov int64
+	var pieces []geom.Rect
+	for _, f := range perLayer[l] {
+		ov += upper.OverlapArea(f, &pieces)
 	}
+	// wires(l) vs fills above only.
+	fillUpper := geom.NewIndex(lay.Die.UnionAll(perLayer[l+1]), 0, perLayer[l+1], 0)
+	for _, w := range lay.Layers[l].Wires {
+		ov += fillUpper.OverlapArea(w, &pieces)
+	}
+	return ov
 }
 
 // TotalOverlay sums OverlayAreas.

@@ -81,10 +81,7 @@ func TestFillRegionsRespectKeepout(t *testing.T) {
 	}
 	// Spot check: no fill region within MinSpace of a wire (sampled).
 	layer := lay.Layers[0]
-	ix := geom.NewIndex(lay.Die, 0)
-	for _, w := range layer.Wires {
-		ix.Insert(w)
-	}
+	ix := geom.NewIndex(lay.Die, 0, layer.Wires, 0)
 	for i, fr := range layer.FillRegions {
 		if i%37 != 0 {
 			continue // sampling keeps the test fast
