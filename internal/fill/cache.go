@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"runtime"
-	"sync"
 
 	"dummyfill/internal/faultinject"
 	"dummyfill/internal/fillcache"
@@ -26,8 +25,9 @@ import (
 //
 //   - key miss, or Td1 drift ........ full recompute, entry overwritten
 //   - Td1 match ("selection hit") ... candgen is skipped; the entry's
-//     per-layer selected area feeds planning round 2 (it is exactly what
-//     candgen would have produced, so round 2 sees identical bounds)
+//     selection summary is loaded into the window and feeds planning
+//     round 2 (it is exactly what candgen would have produced, so round
+//     2 sees identical bounds)
 //   - Td1+Td2 match ("replay") ...... sizing is skipped too; the stored
 //     fills are translated to the window's position and released into
 //     the ordinary reorder/emitter path
@@ -82,8 +82,8 @@ type cacheState struct {
 	errs     *healthCollector
 }
 
-// selValid reports whether window k's selection summary (SelArea,
-// NumSel) may substitute for running candidate generation.
+// selValid reports whether candidate generation may skip window k: its
+// selection summary was loaded from a cache entry.
 func (cs *cacheState) selValid(k int) bool {
 	return cs != nil && cs.status[k] != cacheMiss
 }
@@ -137,13 +137,21 @@ func (e *Engine) cacheFingerprint() fillcache.Key {
 	return h.Sum()
 }
 
-// keyScratch is the pooled per-worker scratch of the lookup stage.
+// keyScratch is the per-worker scratch of window keying: a hasher,
+// created on first use, and a clip buffer.
 type keyScratch struct {
 	h     *fillcache.Hasher
 	clips []geom.Rect
 }
 
-var keyPool = sync.Pool{New: func() any { return &keyScratch{h: fillcache.NewHasher()} }}
+// hasher returns the scratch's reset hasher, creating it on first use.
+func (ks *keyScratch) hasher() *fillcache.Hasher {
+	if ks.h == nil {
+		ks.h = fillcache.NewHasher()
+	}
+	ks.h.Reset()
+	return ks.h
+}
 
 // windowKey hashes window w's content under the fingerprint prefix. All
 // coordinates are window-relative, so identical windows anywhere on the
@@ -152,8 +160,7 @@ var keyPool = sync.Pool{New: func() any { return &keyScratch{h: fillcache.NewHas
 // free pieces, the wire clips (in preparation index order — the same
 // order every downstream consumer sees) and the union wire area.
 func (e *Engine) windowKey(fp fillcache.Key, w *window, ks *keyScratch) fillcache.Key {
-	h := ks.h
-	h.Reset()
+	h := ks.hasher()
 	h.Bytes(fp[:])
 	ox, oy := w.rect.XL, w.rect.YL
 	h.Int64(w.rect.XH - ox)
@@ -191,9 +198,10 @@ func equalBits(a, b []float64) bool {
 }
 
 // cacheLookup runs after planning round 1: it keys every window, loads
-// candidate entries, and validates their Td1 against the fresh plan.
+// candidate entries, and validates their Td1 against the fresh plan. A
+// selection hit loads the entry's selection summary into its window.
 // Returns nil when the cache is inactive for this run.
-func (e *Engine) cacheLookup(ctx context.Context, wins []*window, td1 []float64, hc *healthCollector) (*cacheState, error) {
+func (e *Engine) cacheLookup(ctx context.Context, wins []window, td1 []float64, hc *healthCollector) (*cacheState, error) {
 	if !e.cacheActive() {
 		return nil, nil
 	}
@@ -207,11 +215,9 @@ func (e *Engine) cacheLookup(ctx context.Context, wins []*window, td1 []float64,
 		errs:    hc,
 	}
 	fp := e.cacheFingerprint()
-	err := e.parallelFor(ctx, len(wins), "cache", func(_ context.Context, k int) error {
-		w := wins[k]
-		ks := keyPool.Get().(*keyScratch)
-		defer keyPool.Put(ks)
-		cs.keys[k] = e.windowKey(fp, w, ks)
+	err := e.parallelFor(ctx, len(wins), "cache", func(_ context.Context, k int, sc *scratch) error {
+		w := &wins[k]
+		cs.keys[k] = e.windowKey(fp, w, &sc.key)
 		ent, err := cs.c.Get(cs.keys[k])
 		if err != nil {
 			hc.cacheErrs.Add(1)
@@ -228,6 +234,10 @@ func (e *Engine) cacheLookup(ctx context.Context, wins []*window, td1 []float64,
 		}
 		cs.entries[k] = ent
 		cs.status[k] = cacheSel
+		w.numSel = ent.NumSel
+		for li, a := range ent.SelArea[:min(len(ent.SelArea), len(w.layers))] {
+			w.layers[li].selArea = a
+		}
 		return nil
 	})
 	if err != nil {
@@ -241,7 +251,7 @@ func (e *Engine) cacheLookup(ctx context.Context, wins []*window, td1 []float64,
 // generation now (late, from the free pieces the candgen stage retained
 // for them). Replay windows drop their free pieces here. The final
 // status counts feed Health.
-func (e *Engine) cacheResolve(ctx context.Context, wins []*window, cs *cacheState, td2 []float64, hc *healthCollector) error {
+func (e *Engine) cacheResolve(ctx context.Context, wins []window, cs *cacheState, td2 []float64, hc *healthCollector) error {
 	if cs == nil {
 		return nil
 	}
@@ -256,7 +266,7 @@ func (e *Engine) cacheResolve(ctx context.Context, wins []*window, cs *cacheStat
 			if equalBits(cs.entries[k].Td2, td2) {
 				cs.status[k] = cacheReplay
 				hits++
-				w := wins[k]
+				w := &wins[k]
 				for li := range w.layers {
 					w.layers[li].free = nil
 				}
@@ -272,12 +282,8 @@ func (e *Engine) cacheResolve(ctx context.Context, wins []*window, cs *cacheStat
 	if len(stale) == 0 {
 		return nil
 	}
-	return e.parallelFor(ctx, len(stale), "candgen", func(_ context.Context, i int) error {
-		w := wins[stale[i]]
-		e.mode.selectCandidates(w, cs.td1)
-		for li := range w.layers {
-			w.layers[li].free = nil
-		}
+	return e.parallelFor(ctx, len(stale), "candgen", func(_ context.Context, i int, sc *scratch) error {
+		e.selectWindow(&wins[stale[i]], cs.td1, &sc.cand)
 		return nil
 	})
 }
@@ -309,15 +315,14 @@ func (cs *cacheState) store(k int, w *window, fills []layout.Fill, cacheable boo
 	if cs == nil || cs.status[k] == cacheReplay || !cacheable {
 		return
 	}
-	nl := len(w.layers)
 	ent := &fillcache.Entry{
 		Td1:     cs.td1,
 		Td2:     cs.td2,
-		SelArea: make([]int64, nl),
-		NumSel:  len(w.sel),
+		SelArea: make([]int64, len(w.layers)),
+		NumSel:  w.numSel,
 	}
-	for _, c := range w.sel {
-		ent.SelArea[c.layer] += c.rect.Area()
+	for li := range w.layers {
+		ent.SelArea[li] = w.layers[li].selArea
 	}
 	if len(fills) > 0 {
 		ox, oy := w.rect.XL, w.rect.YL
@@ -361,11 +366,9 @@ func WindowDigests(ctx context.Context, lay *layout.Layout, opts Options) (*grid
 	}
 	fp := e.cacheFingerprint()
 	ds := make([]WindowDigest, len(wins))
-	err = e.parallelFor(ctx, len(wins), "digest", func(_ context.Context, k int) error {
-		w := wins[k]
-		ks := keyPool.Get().(*keyScratch)
-		defer keyPool.Put(ks)
-		ds[k].Key = e.windowKey(fp, w, ks)
+	err = e.parallelFor(ctx, len(wins), "digest", func(_ context.Context, k int, sc *scratch) error {
+		w := &wins[k]
+		ds[k].Key = e.windowKey(fp, w, &sc.key)
 
 		interior, halo, regions := fillcache.NewHasher(), fillcache.NewHasher(), fillcache.NewHasher()
 		ox, oy := w.rect.XL, w.rect.YL

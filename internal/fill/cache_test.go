@@ -2,6 +2,7 @@ package fill
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -87,6 +88,69 @@ func TestCacheWarmMatchesCold(t *testing.T) {
 		}
 		if h.Sized+h.Skipped != h.Windows {
 			t.Fatalf("warm sized+skipped=%d windows=%d", h.Sized+h.Skipped, h.Windows)
+		}
+	}
+}
+
+// TestCacheStaleRecomputes drives the stale path: every entry's Td2 is
+// moved one ULP away, so each window is a selection hit whose round-2
+// targets drift. Candidate generation then reruns late, from a window
+// whose selection summary was loaded from the entry, and must reproduce
+// the uncached run exactly: fills, candidate count and both plans. The
+// rerun overwrites every entry, so the next run replays every window.
+func TestCacheStaleRecomputes(t *testing.T) {
+	lay := tinyLayout(t)
+	ref := runCache(t, lay, DefaultOptions())
+	cache := openCache(t)
+	opts := DefaultOptions()
+	opts.Cache = cache
+	runCache(t, lay, opts)
+
+	e, err := New(lay, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wins, err := e.prepareWindows(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := e.cacheFingerprint()
+	var ks keyScratch
+	keys := map[fillcache.Key]bool{}
+	for k := range wins {
+		keys[e.windowKey(fp, &wins[k], &ks)] = true
+	}
+	for _, workers := range []int{1, 4} {
+		for key := range keys {
+			ent, err := cache.Get(key)
+			if err != nil || ent == nil {
+				t.Fatalf("entry %v: %v, %v", key, ent, err)
+			}
+			for i, v := range ent.Td2 {
+				ent.Td2[i] = math.Nextafter(v, math.Inf(1))
+			}
+			if err := cache.Put(key, ent); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run := opts
+		run.Workers = workers
+		res := runCache(t, lay, run)
+		sameFills(t, res.Solution.Fills, ref.Solution.Fills, "stale")
+		if res.Candidates != ref.Candidates {
+			t.Fatalf("workers=%d: stale candidates %d, want %d", workers, res.Candidates, ref.Candidates)
+		}
+		if !equalBits(res.FirstTargets, ref.FirstTargets) || !equalBits(res.Targets, ref.Targets) {
+			t.Fatalf("workers=%d: stale plan targets drifted", workers)
+		}
+		if h := res.Health; h.CacheStale != h.Windows || h.CacheHits != 0 || h.CacheMisses != 0 || h.CacheErrors != 0 {
+			t.Fatalf("workers=%d: stale cache counters: %+v", workers, h)
+		}
+
+		again := runCache(t, lay, run)
+		sameFills(t, again.Solution.Fills, ref.Solution.Fills, "after-stale")
+		if h := again.Health; h.CacheHits != h.Windows || h.CacheStale != 0 {
+			t.Fatalf("workers=%d: run after the stale one is not all replays: %+v", workers, h)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package fill
 import (
 	"cmp"
 	"slices"
-	"sync"
 
 	"dummyfill/internal/geom"
 	"dummyfill/internal/layout"
@@ -19,10 +18,11 @@ type cell struct {
 
 // winLayer is the per-window per-layer working state. Candidate cells are
 // not stored here: they are tiled on demand inside selectCandidates (into
-// pooled scratch) and only the selected ones survive in window.sel, so a
-// run never materializes every candidate of every window at once.
+// the worker's scratch) and only the selected ones survive in window.sel,
+// so a run never materializes every candidate of every window at once.
 type winLayer struct {
 	wireArea int64       // union wire area clipped to the window
+	selArea  int64       // area of the window's selected cells on this layer
 	free     []geom.Rect // feasible fill region pieces clipped to window
 	// wires holds the indices (into the layer's wire list) of the wires
 	// whose clip to this window is non-empty. Stages that need the clipped
@@ -36,6 +36,21 @@ type window struct {
 	rect   geom.Rect
 	layers []winLayer
 	sel    []cell // selected candidates across layers (output of Alg. 1)
+	// numSel and the layers' selArea are the window's selection summary,
+	// what planning round 2, the candidate count, sizing targets and the
+	// cache read. assign keeps them in step with sel; a cache selection
+	// hit loads them from its entry instead and leaves sel empty.
+	numSel int
+}
+
+// startSelection empties w's selection and its summary before a
+// candidate selection runs.
+func (w *window) startSelection() {
+	w.sel = w.sel[:0]
+	w.numSel = 0
+	for l := range w.layers {
+		w.layers[l].selArea = 0
+	}
 }
 
 // wireClips materializes layer l's window-clipped wire rectangles from the
@@ -129,8 +144,8 @@ func appendCells(dst []cell, r geom.Rect, l int, rules layout.Rules) []cell {
 
 // candScratch bundles the reusable per-worker state of candidate
 // generation: one coverage table per layer and every per-batch buffer.
-// Pooled via candPool so a streaming run performs no steady-state
-// allocation here beyond the selected cells themselves.
+// Each pool worker owns one (scratch.cand), so a worker performs no
+// steady-state allocation here beyond the selected cells themselves.
 type candScratch struct {
 	// cov[l] answers layer l's coverage queries. For a pass-2 layer
 	// (odd l) it covers the layer's free pieces: pass 1's shared test.
@@ -148,8 +163,6 @@ type candScratch struct {
 	pieces  []geom.Rect
 	free    geom.FreeScratch
 }
-
-var candPool = sync.Pool{New: func() any { return new(candScratch) }}
 
 // layerSlices resizes the per-layer members to nl layers.
 func (cs *candScratch) layerSlices(nl int) {
@@ -187,28 +200,21 @@ func (cs *candScratch) region3(dst []geom.Rect, piece geom.Rect, l int) []geom.R
 	return dst
 }
 
-// selectCandidates runs Alg. 1 on one window using pooled scratch. See
-// selectCandidatesScratch.
-func (w *window) selectCandidates(lay *layout.Layout, dt []float64, lambda float64) {
-	cs := candPool.Get().(*candScratch)
-	w.selectCandidatesScratch(lay, dt, lambda, cs)
-	candPool.Put(cs)
-}
-
-// selectCandidatesScratch runs Alg. 1 on one window: odd layers first
-// (preferring cells that are free on the neighbour layer too — "Region 3"
-// of Figs. 4/5), then even layers ranked by the quality score
-// q = −overlay/area + γ·area/aw (Eqn. 8). dt are the per-layer target
-// densities; selection stops once the window density reaches λ·dt.
-// Candidate cells are tiled on the fly from the window's free pieces into
-// scratch, so only the selected cells outlive the call.
+// selectCandidates runs Alg. 1 on one window, appending to its
+// selection: odd layers first (preferring cells that are free on the
+// neighbour layer too — "Region 3" of Figs. 4/5), then even layers
+// ranked by the quality score q = −overlay/area + γ·area/aw (Eqn. 8).
+// dt are the per-layer target densities; selection stops once the
+// window density reaches λ·dt. Candidate cells are tiled on the fly from
+// the window's free pieces into scratch, so only the selected cells
+// outlive the call.
 //
 // A cell's overlay is read from one coverage table per neighbour layer,
 // built over that layer's wire clips and selected cells. The union is
 // exact: a layer's cells are pairwise disjoint and lie at least MinSpace
 // from its wires (Layout.Validate's fill-region contract), so the table
 // reports the wire coverage plus the plain sum of cell intersections.
-func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambda float64, cs *candScratch) {
+func (w *window) selectCandidates(lay *layout.Layout, dt []float64, lambda float64, cs *candScratch) {
 	if w.rect.Area() == 0 {
 		return
 	}
@@ -216,25 +222,28 @@ func (w *window) selectCandidatesScratch(lay *layout.Layout, dt []float64, lambd
 	w.pass2(lay, dt, lambda, cs)
 }
 
-// assign selects cells in order until layer l's density in the window
-// reaches target and returns the selected prefix.
+// assign selects cells in order until layer l's area in the window
+// (wires included) reaches target, adds them to the selection and its
+// summary, and returns the selected prefix.
 func (w *window) assign(l int, cells []cell, target float64) []cell {
-	cur := float64(w.layers[l].wireArea)
+	wl := &w.layers[l]
+	cur := float64(wl.wireArea)
 	n := 0
 	for ; n < len(cells) && cur < target; n++ {
-		cur += float64(cells[n].rect.Area())
+		a := cells[n].rect.Area()
+		cur += float64(a)
+		wl.selArea += a
 	}
 	w.sel = append(w.sel, cells[:n]...)
+	w.numSel += n
 	return cells[:n]
 }
 
 // pass1 selects the cells of the odd layers (1-based odd ⇒ 0-based even
-// indices 0,2,4,…), starting the window's selection afresh, and builds
-// their coverage tables for pass 2.
+// indices 0,2,4,…) and builds their coverage tables for pass 2.
 func (w *window) pass1(lay *layout.Layout, dt []float64, lambda float64, cs *candScratch) {
 	aw := float64(w.rect.Area())
 	nl := len(w.layers)
-	w.sel = w.sel[:0]
 	cs.layerSlices(nl)
 	for l := 1; l < nl; l += 2 {
 		cs.cov[l].Build(w.layers[l].free)

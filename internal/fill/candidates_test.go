@@ -41,7 +41,9 @@ func TestPass2SteadyStateAllocs(t *testing.T) {
 		for l := range dt {
 			dt[l] = d
 		}
-		for _, w := range wins[:40] {
+		for k := range wins[:40] {
+			w := &wins[k]
+			w.startSelection()
 			w.pass1(lay, dt, 1, cs)
 			n := len(w.sel)
 			if a := testing.AllocsPerRun(3, func() {

@@ -150,17 +150,14 @@ func (e *Engine) planWeights(wd []*grid.Map) density.PlanWeights {
 // exclusively owning the (window, layer) states of its row, so the
 // prepared windows are identical to a serial run. A non-nil error is
 // only ever the context's cancellation error.
-func (e *Engine) prepareWindows(ctx context.Context) ([]*window, error) {
+func (e *Engine) prepareWindows(ctx context.Context) ([]window, error) {
 	nw := e.g.NumWindows()
 	nl := len(e.lay.Layers)
 	nx, ny := e.g.NX, e.g.NY
-	wins := make([]*window, nw)
-	winStore := make([]window, nw)
+	wins := make([]window, nw)
 	layerStore := make([]winLayer, nw*nl)
-	for k := 0; k < nw; k++ {
-		i, j := k%nx, k/nx
-		winStore[k] = window{rect: e.g.Window(i, j), layers: layerStore[k*nl : (k+1)*nl : (k+1)*nl]}
-		wins[k] = &winStore[k]
+	for k := range wins {
+		wins[k] = window{rect: e.g.Window(k%nx, k/nx), layers: layerStore[k*nl : (k+1)*nl : (k+1)*nl]}
 	}
 	freeBins := make([]grid.Bins, nl)
 	wireBins := make([]grid.Bins, nl)
@@ -179,17 +176,17 @@ func (e *Engine) prepareWindows(ctx context.Context) ([]*window, error) {
 	// not repair.
 	//
 	// A window's wires are its bin: 4 bytes per incidence in one array
-	// per layer. Later stages re-clip from the indices into pooled
+	// per layer. Later stages re-clip from the indices into the worker's
 	// scratch on demand, so no clipped wire geometry is retained across
 	// the run; here the clips only feed the exact union area.
 
 	// Stripe tasks: task t covers layer t/ny, window row t%ny.
-	err := e.parallelFor(ctx, nl*ny, "prep", func(_ context.Context, t int) error {
+	err := e.parallelFor(ctx, nl*ny, "prep", func(_ context.Context, t int, sc *scratch) error {
 		li, j := t/ny, t%ny
 		layer := e.lay.Layers[li]
-		var clips []geom.Rect
+		clips := sc.key.clips
 		for k := j * nx; k < (j+1)*nx; k++ {
-			w := wins[k]
+			w := &wins[k]
 			wl := &w.layers[li]
 			if fb := freeBins[li].Window(k); len(fb) > 0 {
 				wl.free = make([]geom.Rect, 0, len(fb))
@@ -207,6 +204,7 @@ func (e *Engine) prepareWindows(ctx context.Context) ([]*window, error) {
 				wl.wireArea = geom.UnionArea(clips)
 			}
 		}
+		sc.key.clips = clips
 		return nil
 	})
 	if err != nil {
@@ -216,27 +214,15 @@ func (e *Engine) prepareWindows(ctx context.Context) ([]*window, error) {
 }
 
 // windowTargets converts the per-layer target densities into per-window
-// target fill areas, clamped to what the window can hold (Eqn. 5). The
+// target fill areas, clamped to what the window selected (Eqn. 5). The
 // returned slice aliases scratch storage.
 func (e *Engine) windowTargets(w *window, td []float64, sc *sizeScratch) []int64 {
-	nl := len(w.layers)
-	out := growI64(sc.targets, nl)
+	out := growI64(sc.targets, len(w.layers))
 	sc.targets = out
-	selArea := growI64(sc.selArea, nl)
-	sc.selArea = selArea
-	for _, c := range w.sel {
-		selArea[c.layer] += c.rect.Area()
-	}
 	aw := float64(w.rect.Area())
-	for l := 0; l < nl; l++ {
-		want := int64(td[l]*aw) - w.layers[l].wireArea
-		if want < 0 {
-			want = 0
-		}
-		if want > selArea[l] {
-			want = selArea[l]
-		}
-		out[l] = want
+	for l := range out {
+		wl := &w.layers[l]
+		out[l] = min(max(int64(td[l]*aw)-wl.wireArea, 0), wl.selArea)
 	}
 	return out
 }
@@ -256,25 +242,30 @@ func (e *Engine) workerCount(n int) int {
 	return workers
 }
 
-// parallelFor runs fn(ctx, idx) for every idx in [0,n) across the worker
-// pool. See parallelForWorkers.
-func (e *Engine) parallelFor(ctx context.Context, n int, stage string, fn func(ctx context.Context, idx int) error) error {
-	return e.parallelForWorkers(ctx, n, stage, func() func(context.Context, int) error { return fn })
+// scratch is one pool worker's reusable state. parallelFor declares one
+// per worker goroutine and passes it to every task that worker claims,
+// so a task owns its scratch outright and buffers carry over from task to
+// task without locking. Every member starts at its zero value and grows
+// on first use: the key hasher and the sizing solver are created only by
+// a worker that keys or sizes a window.
+type scratch struct {
+	cand candScratch
+	key  keyScratch
+	size sizeScratch
 }
 
-// parallelForWorkers runs the tasks [0,n) across the worker pool. Each
-// worker goroutine calls newWorker once and runs every task it claims
-// through the returned function, so per-worker state lives in its
-// closure. Workers claim tasks in ascending index order, every worker
-// under the pprof label {"stage": stage} so CPU profiles attribute
-// samples to pipeline stages. One worker runs the same pool with a
-// single goroutine.
+// parallelFor runs fn(ctx, k, sc) for every task k in [0,n) across the
+// worker pool, where sc is the scratch of the worker running the task,
+// so one call creates at most min(Workers, n) scratches. Workers claim
+// tasks in ascending index order, every worker under the pprof label
+// {"stage": stage} so CPU profiles attribute samples to pipeline stages.
+// One worker runs the same pool with a single goroutine.
 // The first error cancels the run promptly and is returned: the pool's
 // derived context is cancelled immediately, so in-flight siblings
 // blocked inside a task observe ctx.Done() without waiting for a task
 // boundary, and no new task is claimed after a failure. Cancellation of
 // the parent context likewise stops the pool and returns its error.
-func (e *Engine) parallelForWorkers(ctx context.Context, n int, stage string, newWorker func() func(ctx context.Context, idx int) error) error {
+func (e *Engine) parallelFor(ctx context.Context, n int, stage string, fn func(ctx context.Context, k int, sc *scratch) error) error {
 	labels := pprof.Labels("stage", stage)
 	workers := e.workerCount(n)
 	wctx, cancel := context.WithCancel(ctx)
@@ -289,14 +280,14 @@ func (e *Engine) parallelForWorkers(ctx context.Context, n int, stage string, ne
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fn := newWorker()
+			var sc scratch
 			pprof.Do(wctx, labels, func(ctx context.Context) {
 				for ctx.Err() == nil {
-					idx := int(next.Add(1)) - 1
-					if idx >= n {
+					k := int(next.Add(1)) - 1
+					if k >= n {
 						return
 					}
-					if err := fn(ctx, idx); err != nil {
+					if err := fn(ctx, k, &sc); err != nil {
 						once.Do(func() { firstErr = err })
 						cancel()
 						return

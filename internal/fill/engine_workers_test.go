@@ -1,8 +1,13 @@
 package fill
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -37,7 +42,7 @@ func TestParallelForCoversAllTasks(t *testing.T) {
 	} {
 		e := workerEngine(t, tc.workers)
 		hits := make([]atomic.Int32, tc.n)
-		if err := e.parallelFor(context.Background(), tc.n, "test", func(_ context.Context, idx int) error {
+		if err := e.parallelFor(context.Background(), tc.n, "test", func(_ context.Context, idx int, _ *scratch) error {
 			hits[idx].Add(1)
 			return nil
 		}); err != nil {
@@ -51,6 +56,61 @@ func TestParallelForCoversAllTasks(t *testing.T) {
 	}
 }
 
+// goroutineID returns the calling goroutine's id, parsed from the first
+// line of its stack trace ("goroutine 42 [running]:"). Ids are never
+// reused within a process.
+func goroutineID() uint64 {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, err := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// TestParallelForWorkerScratch checks the pool's scratch contract: every
+// task a worker goroutine runs gets that worker's one scratch, zero-valued
+// when its first task starts, and one call hands out at most
+// min(Workers, n) distinct scratches.
+func TestParallelForWorkerScratch(t *testing.T) {
+	for _, tc := range []struct {
+		workers, n int
+	}{
+		{4, 1000}, // many tasks per worker
+		{64, 5},   // more workers than tasks
+		{1, 9},    // serial path
+		{3, 2},    // fewer tasks than workers
+	} {
+		e := workerEngine(t, tc.workers)
+		var mu sync.Mutex
+		byWorker := map[uint64]*scratch{}
+		seen := map[*scratch]bool{}
+		err := e.parallelFor(context.Background(), tc.n, "test", func(_ context.Context, k int, sc *scratch) error {
+			id := goroutineID()
+			mu.Lock()
+			defer mu.Unlock()
+			if prev, ok := byWorker[id]; ok && prev != sc {
+				return fmt.Errorf("task %d: worker goroutine %d got a second scratch", k, id)
+			}
+			byWorker[id] = sc
+			if !seen[sc] && (sc.cand.batch != nil || sc.key.h != nil || sc.size.solve != nil) {
+				return fmt.Errorf("task %d: a worker's scratch is not zero-valued at its first task", k)
+			}
+			seen[sc] = true
+			sc.cand.batch = append(sc.cand.batch, cell{}) // the next task sees it used
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d n=%d: %v", tc.workers, tc.n, err)
+		}
+		if want := min(tc.workers, tc.n); len(seen) > want || len(byWorker) != len(seen) {
+			t.Fatalf("workers=%d n=%d: %d scratches over %d worker goroutines, want one each and at most %d",
+				tc.workers, tc.n, len(seen), len(byWorker), want)
+		}
+	}
+}
+
 // TestParallelForPromptCancellation checks that a failing task stops the
 // pool promptly: every worker exits after its first error instead of
 // draining the queue, so the number of started tasks is bounded by the
@@ -60,7 +120,7 @@ func TestParallelForPromptCancellation(t *testing.T) {
 	e := workerEngine(t, workers)
 	boom := errors.New("boom")
 	var started atomic.Int32
-	err := e.parallelFor(context.Background(), n, "test", func(_ context.Context, idx int) error {
+	err := e.parallelFor(context.Background(), n, "test", func(_ context.Context, idx int, _ *scratch) error {
 		started.Add(1)
 		return boom
 	})
@@ -77,7 +137,7 @@ func TestParallelForPromptCancellation(t *testing.T) {
 func TestParallelForReturnsFirstError(t *testing.T) {
 	e := workerEngine(t, 3)
 	boom := errors.New("late failure")
-	err := e.parallelFor(context.Background(), 100, "test", func(_ context.Context, idx int) error {
+	err := e.parallelFor(context.Background(), 100, "test", func(_ context.Context, idx int, _ *scratch) error {
 		if idx == 99 {
 			return boom
 		}
@@ -99,7 +159,7 @@ func TestParallelForCancelsInFlightSiblings(t *testing.T) {
 	boom := errors.New("window 0 failed")
 	var started, cancelled atomic.Int32
 	begin := time.Now()
-	err := e.parallelFor(context.Background(), n, "test", func(ctx context.Context, idx int) error {
+	err := e.parallelFor(context.Background(), n, "test", func(ctx context.Context, idx int, _ *scratch) error {
 		started.Add(1)
 		if idx == 0 {
 			return boom
@@ -132,7 +192,7 @@ func TestParallelForParentCancellation(t *testing.T) {
 	e := workerEngine(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
-	err := e.parallelFor(ctx, 1000, "test", func(ctx context.Context, idx int) error {
+	err := e.parallelFor(ctx, 1000, "test", func(ctx context.Context, idx int, _ *scratch) error {
 		if ran.Add(1) == 1 {
 			cancel()
 		}

@@ -19,13 +19,13 @@ import (
 
 // sizeWindowScratch sizes one window with the scratch's own solver.
 func sizeWindowScratch(ctx context.Context, w *window, lay *layout.Layout, targets []int64, opts Options, sc *sizeScratch) ([]cell, error) {
-	return sizeWindowWith(ctx, w, lay, targets, opts, sc, sc.solver())
+	return sizeWindowWith(ctx, w, lay, targets, opts, sc, sc.solver(opts.NewSolver))
 }
 
 // sizeWindow is a test convenience over sizeWindowScratch with fresh
 // scratch and a background context.
 func sizeWindow(w *window, lay *layout.Layout, targets []int64, opts Options) ([]cell, error) {
-	return sizeWindowScratch(context.Background(), w, lay, targets, opts, newSizeScratch(opts))
+	return sizeWindowScratch(context.Background(), w, lay, targets, opts, new(sizeScratch))
 }
 
 // pruneSurplus is pruneSurplusScratch with fresh scratch.
@@ -129,10 +129,10 @@ func TestCandidateZeroOverlayCase(t *testing.T) {
 	if len(wins) != 1 {
 		t.Fatalf("expected 1 window, got %d", len(wins))
 	}
-	w := wins[0]
+	w := &wins[0]
 	// Targets slightly above wire density: gap fits easily in the shared
 	// region x∈[24,76).
-	w.selectCandidates(lay, []float64{0.3, 0.3}, 1.0)
+	w.selectCandidates(lay, []float64{0.3, 0.3}, 1.0, new(candScratch))
 	if len(w.sel) == 0 {
 		t.Fatal("no candidates selected")
 	}
@@ -177,8 +177,8 @@ func TestCandidateNonZeroOverlayCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	wins, _ := e.prepareWindows(context.Background())
-	w := wins[0]
-	w.selectCandidates(lay, []float64{0.7, 0.7}, 1.0)
+	w := &wins[0]
+	w.selectCandidates(lay, []float64{0.7, 0.7}, 1.0, new(candScratch))
 	var area0 int64
 	outsideShared := false
 	shared := geom.R(24, 0, 76, 100)
@@ -202,18 +202,18 @@ func TestSelectRespectsLambda(t *testing.T) {
 	lay := fig4Layout()
 	e, _ := New(lay, DefaultOptions())
 	winsA, _ := e.prepareWindows(context.Background())
-	winsA[0].selectCandidates(lay, []float64{0.4, 0.4}, 1.0)
+	winsA[0].selectCandidates(lay, []float64{0.4, 0.4}, 1.0, new(candScratch))
 	winsB, _ := e.prepareWindows(context.Background())
-	winsB[0].selectCandidates(lay, []float64{0.4, 0.4}, 1.5)
+	winsB[0].selectCandidates(lay, []float64{0.4, 0.4}, 1.5, new(candScratch))
 	areaOf := func(w *window) (a int64) {
 		for _, c := range w.sel {
 			a += c.rect.Area()
 		}
 		return
 	}
-	if areaOf(winsB[0]) <= areaOf(winsA[0]) {
+	if areaOf(&winsB[0]) <= areaOf(&winsA[0]) {
 		t.Fatalf("larger λ must select at least as much candidate area: %d vs %d",
-			areaOf(winsB[0]), areaOf(winsA[0]))
+			areaOf(&winsB[0]), areaOf(&winsA[0]))
 	}
 }
 
@@ -221,8 +221,8 @@ func TestSizeWindowShrinksToTarget(t *testing.T) {
 	lay := fig4Layout()
 	e, _ := New(lay, DefaultOptions())
 	wins, _ := e.prepareWindows(context.Background())
-	w := wins[0]
-	w.selectCandidates(lay, []float64{0.5, 0.5}, 1.3)
+	w := &wins[0]
+	w.selectCandidates(lay, []float64{0.5, 0.5}, 1.3, new(candScratch))
 	var selArea int64
 	for _, c := range w.sel {
 		if c.layer == 0 {

@@ -260,11 +260,12 @@ func BenchmarkCandidateGeneration(b *testing.B) {
 	}
 	wins, _ := e.prepareWindows(context.Background())
 	td := []float64{0.4, 0.4, 0.4}
+	cs := new(candScratch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, w := range wins {
-			w.sel = w.sel[:0]
-			w.selectCandidates(lay, td, 1.15)
+		for k := range wins {
+			wins[k].startSelection()
+			wins[k].selectCandidates(lay, td, 1.15, cs)
 		}
 	}
 }
@@ -277,14 +278,16 @@ func BenchmarkSizeWindow(b *testing.B) {
 	}
 	wins, _ := e.prepareWindows(context.Background())
 	td := []float64{0.4, 0.4, 0.4}
-	for _, w := range wins {
-		w.selectCandidates(lay, td, 1.15)
+	cs := new(candScratch)
+	for k := range wins {
+		wins[k].selectCandidates(lay, td, 1.15, cs)
 	}
-	sc := newSizeScratch(e.opts)
+	sc := new(sizeScratch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, w := range wins {
+		for k := range wins {
+			w := &wins[k]
 			targets := e.windowTargets(w, td, sc)
 			if _, err := sizeWindowScratch(context.Background(), w, lay, targets, e.opts, sc); err != nil {
 				b.Fatal(err)

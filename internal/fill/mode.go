@@ -47,9 +47,10 @@ type fillMode interface {
 	// fillableArea bounds the fill area the mode could place in one
 	// clipped free piece — the round-1 planning upper bound.
 	fillableArea(fr geom.Rect) int64
-	// selectCandidates populates w.sel from the window's free pieces
-	// under the round-1 target densities td.
-	selectCandidates(w *window, td []float64)
+	// selectCandidates selects w's candidates from its free pieces under
+	// the round-1 target densities td, through w.assign, into the
+	// selection selectWindow has emptied. cs is the worker's scratch.
+	selectCandidates(w *window, td []float64, cs *candScratch)
 	// sizeWindow reduces the non-empty w.sel toward the per-layer target
 	// areas; produceWindow has already applied the soft budget. cacheable
 	// reports whether the result is a pure function of window content
@@ -106,8 +107,8 @@ func (m rectMode) fillableArea(fr geom.Rect) int64 {
 }
 
 // selectCandidates runs Alg. 1 (overlay-aware two-pass selection).
-func (m rectMode) selectCandidates(w *window, td []float64) {
-	w.selectCandidates(m.e.lay, td, m.e.opts.Lambda)
+func (m rectMode) selectCandidates(w *window, td []float64, cs *candScratch) {
+	w.selectCandidates(m.e.lay, td, m.e.opts.Lambda, cs)
 }
 
 // sizeWindow shrinks the selection through the resilient LP fallback

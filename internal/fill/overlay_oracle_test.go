@@ -115,7 +115,7 @@ func checkOverlayOracle(t *testing.T, lay *layout.Layout, dts []float64) {
 	}
 	nl := len(lay.Layers)
 	cs := new(candScratch)
-	sc := newSizeScratch(opts)
+	sc := new(sizeScratch)
 	var w *window
 	var o *oracleOverlay
 	var passes, checked int
@@ -145,8 +145,9 @@ func checkOverlayOracle(t *testing.T, lay *layout.Layout, dts []float64) {
 		for l := range dt {
 			dt[l] = d
 		}
-		for _, w = range wins {
-			w.selectCandidatesScratch(lay, dt, 1, cs)
+		for k := range wins {
+			w = &wins[k]
+			w.selectCandidates(lay, dt, 1, cs)
 			o = newOracleOverlay(w, lay)
 			o.index(w, w.sel)
 			for l := 1; l < nl; l += 2 {

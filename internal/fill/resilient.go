@@ -66,7 +66,7 @@ func (e *Engine) sizeWindowResilient(ctx context.Context, k int, w *window, targ
 		site  faultinject.Site
 		solve dlp.PSolver
 	}{
-		{faultinject.SiteWarmSolve, sc.solver()},
+		{faultinject.SiteWarmSolve, sc.solver(e.opts.NewSolver)},
 		{faultinject.SiteColdSolve, dlp.ViaSSP},
 		{faultinject.SiteSimplexSolve, dlp.ViaSimplexLP},
 	}

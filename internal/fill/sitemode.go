@@ -132,20 +132,17 @@ func (m *siteMode) appendSiteCells(dst []cell, fr geom.Rect, l int) []cell {
 	return dst
 }
 
-// selectCandidates populates w.sel: per layer, every filler the free
-// pieces can host, in size order (largest first, then bottom-to-top,
-// left-to-right for determinism), admitted until the window reaches
+// selectCandidates tiles, per layer, every filler the free pieces can
+// host and assigns them in size order (largest first, then
+// bottom-to-top, left-to-right for determinism) until the window reaches
 // λ·(target density). Overlay does not apply to single-layer placement
 // lattices, so quality is the pure area term γ·area/aw of Eqn. 8 — the
 // shared planner, pruning and reporting code reads it unchanged.
-func (m *siteMode) selectCandidates(w *window, td []float64) {
+func (m *siteMode) selectCandidates(w *window, td []float64, cs *candScratch) {
 	aw := float64(w.rect.Area())
 	if aw == 0 {
 		return
 	}
-	w.sel = w.sel[:0]
-	cs := candPool.Get().(*candScratch)
-	defer candPool.Put(cs)
 	lambda := m.e.opts.Lambda
 	for l := range w.layers {
 		cells := cs.batch[:0]
@@ -162,13 +159,7 @@ func (m *siteMode) selectCandidates(w *window, td []float64) {
 			return cmp.Or(cmp.Compare(b.rect.Area(), a.rect.Area()),
 				cmp.Compare(a.rect.YL, b.rect.YL), cmp.Compare(a.rect.XL, b.rect.XL))
 		})
-		target := lambda * td[l] * aw
-		cur := float64(w.layers[l].wireArea)
-		n := 0
-		for ; n < len(cells) && cur < target; n++ {
-			cur += float64(cells[n].rect.Area())
-		}
-		w.sel = append(w.sel, cells[:n]...)
+		w.assign(l, cells, lambda*td[l]*aw)
 	}
 }
 

@@ -18,9 +18,8 @@ import (
 // scratch the whole loop performs no steady-state allocation. A
 // sizeScratch is not safe for concurrent use.
 type sizeScratch struct {
-	solve    dlp.PSolver
-	newSolve func() dlp.PSolver
-	p        dlp.Problem
+	solve dlp.PSolver
+	p     dlp.Problem
 
 	cells []cell
 	// wireCov[l] covers layer l's wire clips for the whole window;
@@ -39,7 +38,6 @@ type sizeScratch struct {
 	drop        []bool
 	idx         []int
 	targets     []int64
-	selArea     []int64
 }
 
 // budgetAcc accumulates the per-pass shrink-budget classes of one layer.
@@ -48,17 +46,12 @@ type budgetAcc struct {
 	ovRemovable         int64 // max area the ov class can shed
 }
 
-// newSizeScratch builds a scratch with the solver factory resolved from
-// opts. The solver itself (and its arenas) is created lazily on first use,
-// so scratches for workers that only meet empty windows stay cheap.
-func newSizeScratch(opts Options) *sizeScratch {
-	return &sizeScratch{newSolve: opts.NewSolver}
-}
-
-// solver returns the scratch's solver, creating it on first use.
-func (sc *sizeScratch) solver() dlp.PSolver {
+// solver returns the scratch's solver, creating it with newSolver on
+// first use, so scratches of workers that only meet empty windows stay
+// cheap.
+func (sc *sizeScratch) solver(newSolver func() dlp.PSolver) dlp.PSolver {
 	if sc.solve == nil {
-		sc.solve = sc.newSolve()
+		sc.solve = newSolver()
 	}
 	return sc.solve
 }

@@ -102,8 +102,10 @@ func TestSelectedCandidatesKeepSpacing(t *testing.T) {
 			}
 			var groups [][]cell
 			var all []cell
-			for _, w := range wins {
-				w.selectCandidates(lay, dt, 1)
+			cs := new(candScratch)
+			for k := range wins {
+				w := &wins[k]
+				w.selectCandidates(lay, dt, 1, cs)
 				if tc.perWindow {
 					groups = append(groups, w.sel)
 				} else {

@@ -71,7 +71,7 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 	hc := &healthCollector{}
 
 	// Planning round 1: bounds from tileable candidate area.
-	bounds, wd, err := e.assembleBounds(ctx, wins, false, "plan1", nil)
+	bounds, wd, err := e.assembleBounds(ctx, wins, false, "plan1")
 	if err != nil {
 		return nil, err
 	}
@@ -90,19 +90,13 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 		return nil, err
 	}
 
-	// Candidate generation under plan-1 guidance. The free pieces are
-	// consumed here: once a window's candidates are selected, only the
-	// selection and the wire slabs are still needed downstream. Cache-hit
-	// windows keep their free pieces for now — if round 2 drifts from the
-	// entry they rerun candgen late in cacheResolve.
-	err = e.parallelFor(ctx, len(wins), "candgen", func(_ context.Context, k int) error {
-		w := wins[k]
-		if cst.selValid(k) {
-			return nil
-		}
-		e.mode.selectCandidates(w, plan1.Td)
-		for li := range w.layers {
-			w.layers[li].free = nil
+	// Candidate generation under plan-1 guidance. Cache-hit windows
+	// already hold their selection summary and keep their free pieces
+	// for now — if round 2 drifts from the entry they rerun candgen late
+	// in cacheResolve.
+	err = e.parallelFor(ctx, len(wins), "candgen", func(_ context.Context, k int, sc *scratch) error {
+		if !cst.selValid(k) {
+			e.selectWindow(&wins[k], plan1.Td, &sc.cand)
 		}
 		return nil
 	})
@@ -110,18 +104,14 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 		return nil, err
 	}
 	numCand := 0
-	for k, w := range wins {
-		if cst.selValid(k) {
-			numCand += cst.entries[k].NumSel
-		} else {
-			numCand += len(w.sel)
-		}
+	for k := range wins {
+		numCand += wins[k].numSel
 	}
 
 	// Planning round 2: bounds restricted to what was actually selected
 	// (§3 — "another round of density planning is performed due to the
 	// inconsistency between candidate fills and initial plans").
-	bounds2, _, err := e.assembleBounds(ctx, wins, true, "plan2", cst)
+	bounds2, _, err := e.assembleBounds(ctx, wins, true, "plan2")
 	if err != nil {
 		return nil, err
 	}
@@ -152,16 +142,28 @@ func (e *Engine) runPipeline(ctx context.Context, sink Sink) (*Result, error) {
 	}, nil
 }
 
+// selectWindow runs the mode's candidate selection (Alg. 1) on w under
+// the round-1 targets td1, starting from an empty selection summary, and
+// then drops w's free pieces: once a window's candidates are selected,
+// only the selection and the wires are still needed downstream. Candgen
+// and cacheResolve's late candgen both select through it.
+func (e *Engine) selectWindow(w *window, td1 []float64, cs *candScratch) {
+	w.startSelection()
+	e.mode.selectCandidates(w, td1, cs)
+	for li := range w.layers {
+		w.layers[li].free = nil
+	}
+}
+
 // assembleBounds builds the global per-layer planning bounds in one
 // serial pass over the windows. When selected is false the upper bound
 // uses the closed-form tileable area of the free pieces (round 1) and the
-// per-layer wire-density maps are returned too; when true it uses the
-// area of the selected candidates (round 2, wd nil). In round 2 a
-// cache-hit window has no selection — its per-layer selected area comes
-// from the cache entry, which recorded exactly what candgen would have
-// produced, so the assembled bounds (and hence the round-2 plan) are
-// bit-identical to a cold run's.
-func (e *Engine) assembleBounds(ctx context.Context, wins []*window, selected bool, stage string, cst *cacheState) ([]density.LayerBounds, []*grid.Map, error) {
+// per-layer wire-density maps are returned too; when true it uses each
+// window's selected area (round 2, wd nil). A cache-hit window loaded
+// that summary from its entry, which recorded exactly what candgen would
+// have produced, so the assembled bounds (and hence the round-2 plan)
+// are bit-identical to a cold run's.
+func (e *Engine) assembleBounds(ctx context.Context, wins []window, selected bool, stage string) ([]density.LayerBounds, []*grid.Map, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -178,29 +180,17 @@ func (e *Engine) assembleBounds(ctx context.Context, wins []*window, selected bo
 		}
 	}
 	pprof.Do(ctx, pprof.Labels("stage", stage), func(context.Context) {
-		selArea := make([]int64, nl)
-		for k, w := range wins {
+		for k := range wins {
+			w := &wins[k]
 			aw := float64(w.rect.Area())
 			if aw == 0 {
 				continue
 			}
-			if selected {
-				if cst.selValid(k) {
-					copy(selArea, cst.entries[k].SelArea)
-				} else {
-					for li := range selArea {
-						selArea[li] = 0
-					}
-					for _, c := range w.sel {
-						selArea[c.layer] += c.rect.Area()
-					}
-				}
-			}
-			for li := 0; li < nl; li++ {
-				wl := w.layers[li]
+			for li := range w.layers {
+				wl := &w.layers[li]
 				var fillable int64
 				if selected {
-					fillable = selArea[li]
+					fillable = wl.selArea
 				} else {
 					// Closed-form tileable area per free piece — no cell
 					// materialization.
@@ -234,8 +224,7 @@ func (e *Engine) assembleBounds(ctx context.Context, wins []*window, selected bo
 // With an active cache, replay windows return their stored fills without
 // touching the solver, and every cleanly computed window (including
 // empty ones — "nothing to place here" is a result too) is written back.
-func (e *Engine) produceWindow(ctx context.Context, k int, wins []*window, td []float64, sc *sizeScratch, hc *healthCollector, start time.Time, cst *cacheState) ([]layout.Fill, error) {
-	w := wins[k]
+func (e *Engine) produceWindow(ctx context.Context, k int, w *window, td []float64, sc *sizeScratch, hc *healthCollector, start time.Time, cst *cacheState) ([]layout.Fill, error) {
 	if cst.replay(k) {
 		return cst.replayFills(k, w, hc), nil
 	}
@@ -285,20 +274,18 @@ func (e *Engine) produceWindow(ctx context.Context, k int, wins []*window, td []
 // One worker runs the same pool; its ring releases each window as soon as
 // it is delivered.
 //
-// Each worker owns one lazily-initialized sizing scratch for its whole
-// lifetime (its buffers and solver arena are reused from window to
-// window), so the run creates exactly min(Workers, windows) scratches.
-// A worker blocked on a full ring is woken by rb.abort: a failing task
-// aborts the ring itself, and cancelling the parent context aborts it
-// through context.AfterFunc.
-func (e *Engine) sizeAndEmit(ctx context.Context, wins []*window, td []float64, sink Sink, hc *healthCollector, start time.Time, cst *cacheState) error {
+// Each worker sizes through its pool scratch, whose buffers and solver
+// arena are reused from window to window. A worker blocked on a full
+// ring is woken by rb.abort: a failing task aborts the ring itself, and
+// cancelling the parent context aborts it through context.AfterFunc.
+func (e *Engine) sizeAndEmit(ctx context.Context, wins []window, td []float64, sink Sink, hc *healthCollector, start time.Time, cst *cacheState) error {
 	nw := len(wins)
 	if nw == 0 {
 		return nil
 	}
 
 	release := func(k int, fills []layout.Fill) error {
-		w := wins[k]
+		w := &wins[k]
 		w.sel = nil
 		for li := range w.layers {
 			w.layers[li].wires = nil
@@ -330,18 +317,15 @@ func (e *Engine) sizeAndEmit(ctx context.Context, wins []*window, td []float64, 
 	stop := context.AfterFunc(ctx, func() { rb.abort(context.Cause(ctx)) })
 	defer stop()
 
-	err := e.parallelForWorkers(ctx, nw, "size-emit", func() func(context.Context, int) error {
-		sc := newSizeScratch(e.opts)
-		return func(ctx context.Context, k int) error {
-			fills, err := e.produceWindow(ctx, k, wins, td, sc, hc, start, cst)
-			if err == nil {
-				err = rb.deliver(k, fills)
-			}
-			if err != nil {
-				rb.abort(err)
-			}
-			return err
+	err := e.parallelFor(ctx, nw, "size-emit", func(ctx context.Context, k int, sc *scratch) error {
+		fills, err := e.produceWindow(ctx, k, &wins[k], td, &sc.size, hc, start, cst)
+		if err == nil {
+			err = rb.deliver(k, fills)
 		}
+		if err != nil {
+			rb.abort(err)
+		}
+		return err
 	})
 	if err != nil {
 		return err

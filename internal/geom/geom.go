@@ -76,9 +76,10 @@ func (r Rect) ContainsRect(s Rect) bool {
 	return s.XL >= r.XL && s.XH <= r.XH && s.YL >= r.YL && s.YH <= r.YH
 }
 
-// Overlaps reports whether r and s share positive area.
+// Overlaps reports whether r and s share positive area. An empty rect
+// overlaps nothing, even one that contains it.
 func (r Rect) Overlaps(s Rect) bool {
-	return r.XL < s.XH && s.XL < r.XH && r.YL < s.YH && s.YL < r.YH
+	return max64(r.XL, s.XL) < min64(r.XH, s.XH) && max64(r.YL, s.YL) < min64(r.YH, s.YH)
 }
 
 // Intersect returns the overlap of r and s (possibly empty).

@@ -49,6 +49,36 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
+func TestOverlaps(t *testing.T) {
+	box := R(-2, -2, 3, 27)
+	for _, c := range []struct {
+		s    Rect
+		want bool
+	}{
+		{R(0, 0, 1, 1), true},          // inside
+		{R(2, 20, 10, 30), true},       // corner overlap
+		{R(3, 0, 10, 10), false},       // touching edge
+		{R(3, 27, 5, 30), false},       // touching corner
+		{R(10, 10, 20, 20), false},     // disjoint
+		{Rect{}, false},                // empty, inside
+		{Rect{1, 0, 1, 10}, false},     // zero width, inside
+		{Rect{-5, 4, 10, 4}, false},    // zero height, crossing
+		{Rect{2, 2, 1, 1}, false},      // inverted, inside
+		{Rect{-10, -10, 10, 40}, true}, // contains the box
+		{Rect{1, -10, 2, 40}, true},    // thin strip crossing
+	} {
+		if got := box.Overlaps(c.s); got != c.want {
+			t.Errorf("%v.Overlaps(%v) = %v, want %v", box, c.s, got, c.want)
+		}
+		if got := c.s.Overlaps(box); got != c.want {
+			t.Errorf("%v.Overlaps(%v) = %v, want %v", c.s, box, got, c.want)
+		}
+	}
+	if (Rect{}).Overlaps(Rect{}) {
+		t.Error("an empty rect overlaps itself")
+	}
+}
+
 func TestUnionBBox(t *testing.T) {
 	a := R(0, 0, 1, 1)
 	b := R(5, 5, 6, 7)

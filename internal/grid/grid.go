@@ -46,7 +46,7 @@ const (
 const MaxIncidences = 1 << 26
 
 // MaxWindowLayers caps windows × layers. The fill engine keeps state for
-// every (window, layer) pair, about 110 bytes of it (the pair's working
+// every (window, layer) pair, about 120 bytes of it (the pair's working
 // record, two bin offsets and its density-map entries), even for a layer
 // without a single shape, so a layer count that costs a deck a few bytes
 // would otherwise multiply MaxWindows into terabytes. At the cap that

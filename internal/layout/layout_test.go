@@ -64,6 +64,12 @@ func TestValidateCatchesBadShapes(t *testing.T) {
 	}
 
 	l = smallLayout()
+	l.Layers[0].FillRegions = append(l.Layers[0].FillRegions, geom.Rect{XL: 50, YL: 30, XH: 50, YH: 60})
+	if err := l.Validate(); err != nil {
+		t.Fatalf("a zero-width fill region inside another shares no area with it: %v", err)
+	}
+
+	l = smallLayout()
 	l.Window = 0
 	if err := l.Validate(); err == nil {
 		t.Fatal("zero window must fail")
