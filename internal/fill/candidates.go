@@ -149,10 +149,14 @@ func appendCells(dst []cell, r geom.Rect, l int, rules layout.Rules) []cell {
 type candScratch struct {
 	// cov[l] answers layer l's coverage queries. For a pass-2 layer
 	// (odd l) it covers the layer's free pieces: pass 1's shared test.
-	// For a pass-1 layer (even l) it covers shapes[l]: pass 2's overlay
-	// and Region 3. covT[l] is the same table over the transposed
-	// shapes, which Region 3 reads for vertical pieces.
+	// For a pass-1 layer (even l), covT[l] covers the transposed
+	// shapes[l]. Pass 2 reads it for a cell's overlay, as a transposed
+	// query, and for the Region 3 of vertical pieces, which are most
+	// pieces. cov[l] covers shapes[l] untransposed; only the Region 3 of
+	// a horizontal piece reads it, so it is built when the first such
+	// piece of the window asks (hasCov[l]).
 	cov, covT []geom.AreaTable
+	hasCov    []bool
 	// none is an empty table: the missing neighbour above the top layer.
 	none geom.AreaTable
 	// shapes[l] is pass-1 layer l's wire clips followed by its selected
@@ -169,8 +173,9 @@ func (cs *candScratch) layerSlices(nl int) {
 	if cap(cs.cov) < nl {
 		cs.cov = make([]geom.AreaTable, nl)
 		cs.covT = make([]geom.AreaTable, nl)
+		cs.hasCov = make([]bool, nl)
 	}
-	cs.cov, cs.covT = cs.cov[:nl], cs.covT[:nl]
+	cs.cov, cs.covT, cs.hasCov = cs.cov[:nl], cs.covT[:nl], cs.hasCov[:nl]
 	if cap(cs.shapes) < nl {
 		cs.shapes = append(cs.shapes[:cap(cs.shapes)], make([][]geom.Rect, nl-cap(cs.shapes))...)
 	}
@@ -182,15 +187,20 @@ func (cs *candScratch) layerSlices(nl int) {
 // The slabs are those of geom.Difference over piece and the concatenated
 // neighbour lists shapes[l−1] and shapes[l+1], horizontal ones or, for a
 // piece taller than wide, vertical ones. They are read from the
-// neighbours' coverage tables, built once per window in pass 1, so no
+// neighbours' coverage tables, built at most once per window, so no
 // neighbour is swept again per piece.
 func (cs *candScratch) region3(dst []geom.Rect, piece geom.Rect, l int) []geom.Rect {
-	above, aboveT := &cs.none, &cs.none
-	if l+1 < len(cs.cov) {
-		above, aboveT = &cs.cov[l+1], &cs.covT[l+1]
-	}
+	top := l+1 < len(cs.cov)
 	if piece.H() <= piece.W() {
-		return geom.AppendFree(dst, piece, &cs.cov[l-1], above, &cs.free)
+		above := &cs.none
+		if top {
+			above = cs.horizontal(l + 1)
+		}
+		return geom.AppendFree(dst, piece, cs.horizontal(l-1), above, &cs.free)
+	}
+	aboveT := &cs.none
+	if top {
+		aboveT = &cs.covT[l+1]
 	}
 	n := len(dst)
 	dst = geom.AppendFree(dst, piece.Transpose(), &cs.covT[l-1], aboveT, &cs.free)
@@ -198,6 +208,16 @@ func (cs *candScratch) region3(dst []geom.Rect, piece geom.Rect, l int) []geom.R
 		dst[i] = dst[i].Transpose()
 	}
 	return dst
+}
+
+// horizontal returns pass-1 layer l's untransposed table over shapes[l],
+// building it on the window's first call.
+func (cs *candScratch) horizontal(l int) *geom.AreaTable {
+	if !cs.hasCov[l] {
+		cs.cov[l].Build(cs.shapes[l])
+		cs.hasCov[l] = true
+	}
+	return &cs.cov[l]
 }
 
 // selectCandidates runs Alg. 1 on one window, appending to its
@@ -240,7 +260,8 @@ func (w *window) assign(l int, cells []cell, target float64) []cell {
 }
 
 // pass1 selects the cells of the odd layers (1-based odd ⇒ 0-based even
-// indices 0,2,4,…) and builds their coverage tables for pass 2.
+// indices 0,2,4,…) and builds their transposed coverage tables for pass
+// 2. Their untransposed tables wait for a horizontal piece to ask.
 func (w *window) pass1(lay *layout.Layout, dt []float64, lambda float64, cs *candScratch) {
 	aw := float64(w.rect.Area())
 	nl := len(w.layers)
@@ -296,7 +317,7 @@ func (w *window) pass1(lay *layout.Layout, dt []float64, lambda float64, cs *can
 			shapes = append(shapes, c.rect)
 		}
 		cs.shapes[l] = shapes
-		cs.cov[l].Build(shapes)
+		cs.hasCov[l] = false
 		shapesT := cs.shapesT[:0]
 		for _, r := range shapes {
 			shapesT = append(shapesT, r.Transpose())
@@ -355,10 +376,13 @@ func (w *window) pass2(lay *layout.Layout, dt []float64, lambda float64, cs *can
 				cells = appendCells(cells, fr, l, lay.Rules)
 			}
 			for i := range cells {
+				// The transposed tables answer the transposed query
+				// with the same area.
 				r := cells[i].rect
-				ov := cs.cov[l-1].OverlapArea(r)
+				rT := r.Transpose()
+				ov := cs.covT[l-1].OverlapArea(rT)
 				if l+1 < nl {
-					ov += cs.cov[l+1].OverlapArea(r)
+					ov += cs.covT[l+1].OverlapArea(rT)
 				}
 				area := float64(r.Area())
 				cells[i].quality = -float64(ov)/area + gamma*area/aw

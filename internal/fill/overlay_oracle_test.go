@@ -98,10 +98,24 @@ func sortedRects(rs []geom.Rect) []geom.Rect {
 	return rs
 }
 
+// transposedOverlay is the overlay pass 2 reads for a grid cell r of
+// pass-2 layer l: the transposed query on the neighbours' transposed
+// tables.
+func transposedOverlay(cs *candScratch, l int, r geom.Rect) int64 {
+	rT := r.Transpose()
+	ov := cs.covT[l-1].OverlapArea(rT)
+	if l+1 < len(cs.covT) {
+		ov += cs.covT[l+1].OverlapArea(rT)
+	}
+	return ov
+}
+
 // checkOverlayOracle runs candidate generation and sizing on every window
 // of lay at each uniform target density in dts. It compares the coverage
 // tables against oracleOverlay value for value: for every grid cell of
-// every pass-2 layer, and for every cell of every sizing pass. It also
+// every pass-2 layer, as the transposed query pass 2 makes and on the
+// untransposed tables built on demand, and for every cell of every
+// sizing pass, which sizing carries over while no neighbour moved. It also
 // checks that the neighbour lists pass 2's tables are built over are the
 // old hole list up to order, which geom.Difference does not depend on,
 // and that Region 3 read from the tables is, slab for slab, the per-piece
@@ -165,12 +179,16 @@ func checkOverlayOracle(t *testing.T, lay *layout.Layout, dts []float64) {
 						t.Fatalf("window %v layer %d piece %v: Region 3 from the tables %v, per-piece Difference %v", w.rect, l, fr, got, want)
 					}
 					for _, c := range appendCells(nil, fr, l, lay.Rules) {
-						got := cs.cov[l-1].OverlapArea(c.rect)
-						if l+1 < nl {
-							got += cs.cov[l+1].OverlapArea(c.rect)
+						want := o.overlay(l, c.rect)
+						if got := transposedOverlay(cs, l, c.rect); got != want {
+							t.Fatalf("window %v layer %d grid cell %v: overlay %d from the transposed tables, oracle %d", w.rect, l, c.rect, got, want)
 						}
-						if want := o.overlay(l, c.rect); got != want {
-							t.Fatalf("window %v layer %d grid cell %v: overlay %d, oracle %d", w.rect, l, c.rect, got, want)
+						got := cs.horizontal(l - 1).OverlapArea(c.rect)
+						if l+1 < nl {
+							got += cs.horizontal(l + 1).OverlapArea(c.rect)
+						}
+						if got != want {
+							t.Fatalf("window %v layer %d grid cell %v: overlay %d from the horizontal tables, oracle %d", w.rect, l, c.rect, got, want)
 						}
 					}
 				}

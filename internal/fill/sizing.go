@@ -24,16 +24,22 @@ type sizeScratch struct {
 	cells []cell
 	// wireCov[l] covers layer l's wire clips for the whole window;
 	// fillCov[l] covers its cells (fills[l]) as the current pass began.
+	// moved[l] is set when a cell of layer l moved in the previous pass,
+	// and for every layer before the first: only then are fills[l] and
+	// fillCov[l] rebuilt, and only then can the overlay of a cell on
+	// layer l or a neighbour layer have changed.
 	wireCov, fillCov []geom.AreaTable
 	wclips           []geom.Rect
 	fills            [][]geom.Rect
+	moved            []bool
 
 	// Per-layer accumulators.
 	area, surplus     []int64
 	ovStep, plainStep []int64
 	acc               []budgetAcc
 
-	// Per-cell buffers.
+	// Per-cell buffers. ov[i] is cell i's overlay with its neighbour
+	// layers; it carries over between passes of one window.
 	ov, minDims []int64
 	drop        []bool
 	idx         []int
@@ -71,6 +77,7 @@ func (sc *sizeScratch) layerSlices(nl int) {
 		sc.fillCov = make([]geom.AreaTable, nl)
 	}
 	sc.wireCov, sc.fillCov = sc.wireCov[:nl], sc.fillCov[:nl]
+	sc.moved = growBool(sc.moved, nl)
 	if cap(sc.fills) < nl {
 		sc.fills = append(sc.fills[:cap(sc.fills)], make([][]geom.Rect, nl-cap(sc.fills))...)
 	}
@@ -131,6 +138,10 @@ func sizeWindowWith(ctx context.Context, w *window, lay *layout.Layout, targets 
 	// entirely. Fewer fills → smaller GDSII, and the sizing LP converges
 	// from a closer starting point.
 	cells = pruneSurplusScratch(cells, targets, nl, sc)
+	for l := range sc.moved {
+		sc.moved[l] = true
+	}
+	sc.ov = growI64(sc.ov, len(cells))
 
 	// Wire coverage tables per layer, reused across passes. The clips are
 	// materialized into scratch from the wire indices recorded during
@@ -228,21 +239,27 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 		return false, nil
 	}
 
-	// Current per-layer areas and fill coverage tables for overlay
-	// linearization.
+	// Current per-layer areas, and fill coverage tables for overlay
+	// linearization of the layers whose cells moved.
 	area := growI64(sc.area, nl)
 	sc.area = area
-	fills := sc.fills
+	fills, moved := sc.fills, sc.moved
 	for l := range fills {
-		fills[l] = fills[l][:0]
+		if moved[l] {
+			fills[l] = fills[l][:0]
+		}
 	}
 	for _, c := range cells {
 		area[c.layer] += c.rect.Area()
-		fills[c.layer] = append(fills[c.layer], c.rect)
+		if moved[c.layer] {
+			fills[c.layer] = append(fills[c.layer], c.rect)
+		}
 	}
 	fillCov, wireCov := sc.fillCov, sc.wireCov
 	for l := range fillCov {
-		fillCov[l].Build(fills[l])
+		if moved[l] {
+			fillCov[l].Build(fills[l])
+		}
 	}
 	surplus := growI64(sc.surplus, nl)
 	sc.surplus = surplus
@@ -250,13 +267,16 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 		surplus[l] = area[l] - targets[l]
 	}
 
-	// Per-cell overlay with neighbour layers at current geometry.
-	ov := growI64(sc.ov, n)
-	sc.ov = ov
+	// Per-cell overlay with neighbour layers at current geometry. A cell
+	// whose layer and neighbour layers did not move keeps last pass's.
+	ov := sc.ov
 	// A layer's fills are pairwise disjoint (selection enforces spacing
 	// and sizing only shrinks) and lie at least MinSpace from its wires,
 	// so the two tables' coverages add up to the layer's exact union.
 	for i, c := range cells {
+		if l := c.layer; !moved[l] && (l == 0 || !moved[l-1]) && (l+1 == nl || !moved[l+1]) {
+			continue
+		}
 		var o int64
 		if c.layer > 0 {
 			o += fillCov[c.layer-1].OverlapArea(c.rect) + wireCov[c.layer-1].OverlapArea(c.rect)
@@ -363,6 +383,9 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 	}
 
 	changed := false
+	for l := range moved {
+		moved[l] = false
+	}
 	for i := range cells {
 		r := cells[i].rect
 		if horizontal {
@@ -372,6 +395,7 @@ func sizingPass(ctx context.Context, cells []cell, w *window, lay *layout.Layout
 		}
 		if r != cells[i].rect {
 			changed = true
+			moved[cells[i].layer] = true
 			cells[i].rect = r
 		}
 	}

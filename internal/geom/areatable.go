@@ -11,10 +11,16 @@ package geom
 // the same static shape set (wires, free regions) is queried thousands of
 // times.
 //
-// Build is O(n log n) in the input size and the stored structure is O(n)
-// — there is no raster, so cost never degenerates with coordinate-rich
-// inputs. Query results are bit-identical to UnionArea over the input
-// clipped to the query rectangle.
+// Build sorts the 2n edge events by y (insertion sort up to 32 events, a
+// stable byte radix over y − min y above that: a counting pass per byte
+// of the y span, and a scatter pass per byte that the keys do not all
+// share) and sweeps them once. Each event edits the coverage list in
+// place, touching only the intervals it meets, and an event that changes
+// only counts extends the last band without reading the list. The stored
+// structure is O(n), with no raster, so cost never degenerates with
+// coordinate-rich inputs. The table is canonical: any order of the same
+// input builds the same table. Query results are bit-identical to
+// UnionArea over the input clipped to the query rectangle.
 //
 // The zero value is an empty table; Build may be called repeatedly and
 // reuses all internal storage. An AreaTable is not safe for concurrent
@@ -58,8 +64,15 @@ func (t *AreaTable) Build(rects []Rect) {
 	for i := 0; i < len(evs); {
 		y := evs[i].y
 		if y > prevY && len(cov.ivals) > 0 {
-			curr = cov.coveredInto(curr)
-			t.addBand(prevY, y, curr)
+			if cov.reshaped {
+				curr = cov.coveredInto(curr)
+				t.addBand(prevY, y, curr)
+				cov.reshaped = false
+			} else {
+				// Only counts changed since the last band, which ends
+				// at prevY: it covers [prevY, y) too.
+				t.extendBand(y)
+			}
 		}
 		for i < len(evs) && evs[i].y == y {
 			cov.update(evs[i].xl, evs[i].xh, evs[i].delta)
@@ -77,8 +90,7 @@ func (t *AreaTable) addBand(y0, y1 int64, ivs []covIval) {
 	if n := len(t.bands); n > 0 {
 		b := &t.bands[n-1]
 		if b.y1 == y0 && t.sameAsBand(*b, ivs) {
-			t.total += (t.pre[b.hi] - t.pre[b.lo]) * (y1 - y0)
-			b.y1 = y1
+			t.extendBand(y1)
 			return
 		}
 	}
@@ -96,6 +108,13 @@ func (t *AreaTable) addBand(y0, y1 int64, ivs []covIval) {
 	hi := Idx32(len(t.ixl))
 	t.bands = append(t.bands, atBand{y0, y1, lo, hi})
 	t.total += (t.pre[hi] - t.pre[lo]) * (y1 - y0)
+}
+
+// extendBand extends the last band up to y1.
+func (t *AreaTable) extendBand(y1 int64) {
+	b := &t.bands[len(t.bands)-1]
+	t.total += (t.pre[b.hi] - t.pre[b.lo]) * (y1 - b.y1)
+	b.y1 = y1
 }
 
 // sameAsBand reports whether ivs equals band b's stored interval set.
